@@ -3,7 +3,7 @@
 Shows the zero-parameter identities (attention gates open halfway), the
 permutation invariances that characterize channel vs spatial attention, the
 pyramid-pooling equivalence, and a finite-difference check of one block's
-hand-written input gradient.
+hand-written pullback.
 
 Run: ``python demos/attention_blocks.py``
 """
@@ -71,10 +71,5 @@ print("\n== gradient verification (cbam) ==")
 small = rng.uniform(-1, 1, (1, 4, 5, 5))
 cam4 = attention.init_cam(4, seed=5)
 sam4 = attention.init_sam(seed=6)
-report = gradcheck_fn(
-    "cbam",
-    lambda arr: attention.cbam_forward(arr, cam4, sam4),
-    lambda inputs, up: (attention.cbam_input_grad(inputs[0], cam4, sam4, up),),
-    (small,),
-)
+report = gradcheck_fn("cbam", attention.cbam_vjp, (small, cam4, sam4))
 print(f"  {report}")

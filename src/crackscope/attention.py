@@ -1,7 +1,6 @@
 """Channel and spatial attention blocks plus the fast pyramid-pooling block.
 
-Four parameterized forward passes built from the kernels in
-:mod:`crackscope.ops`:
+Four parameterized blocks built from the kernels in :mod:`crackscope.ops`:
 
 * ``eca``  -- channel reweighting: global average pool, odd-size 1-D
   convolution across channels, sigmoid, channel-wise scale.
@@ -13,9 +12,12 @@ Four parameterized forward passes built from the kernels in
 * ``sppf`` -- 1x1 reduce convolution, three chained 5x5 stride-1 max pools,
   channel concat, 1x1 expand convolution.
 
-Each block has an exact input gradient obtained by chaining the op-level
-vector-Jacobian products in reverse; there is no autodiff graph.
-Parameter containers are frozen dataclasses, safe to share across threads.
+Each block has one body, ``<block>_vjp(x, *params) -> (out, pullback)``,
+that chains the op-level pullbacks of :mod:`crackscope.ops`;
+``pullback(upstream)`` returns the exact input gradient as ``(dx,)`` from
+what the forward saved, and ``<block>_forward`` is ``<block>_vjp(...)[0]``.
+There is no autodiff graph.  Parameter containers are frozen dataclasses,
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -27,17 +29,16 @@ import numpy as np
 
 from .errors import InvalidKernel, InvalidShape
 from .ops import (
-    broadcast_mul,
-    channel_stats,
-    concat_channels,
-    conv1d_channels,
-    conv2d,
-    global_avg_pool,
-    global_max_pool,
-    maxpool2d,
-    relu,
-    sigmoid,
-    vjp,
+    broadcast_mul_vjp,
+    channel_stats_vjp,
+    concat_channels_vjp,
+    conv1d_channels_vjp,
+    conv2d_vjp,
+    global_avg_pool_vjp,
+    global_max_pool_vjp,
+    maxpool2d_vjp,
+    relu_vjp,
+    sigmoid_vjp,
 )
 from .tensor import as_nchw
 
@@ -49,18 +50,19 @@ __all__ = [
     "PipelineParams",
     "eca_kernel_size",
     "eca_weights",
+    "eca_vjp",
     "eca_forward",
-    "eca_input_grad",
     "cam_weights",
+    "cam_vjp",
     "cam_forward",
-    "cam_input_grad",
     "sam_map",
+    "sam_vjp",
     "sam_forward",
-    "sam_input_grad",
+    "cbam_vjp",
     "cbam_forward",
-    "cbam_input_grad",
+    "sppf_vjp",
     "sppf_forward",
-    "sppf_input_grad",
+    "pipeline_vjp",
     "demo_pipeline",
     "pipeline_input_grad",
     "init_eca",
@@ -198,6 +200,27 @@ class PipelineParams:
 
 
 # ---------------------------------------------------------------------------
+# gating: eca, cam and sam all scale x by weights computed from x
+
+
+def _gate_vjp(x, weights_vjp, p):
+    """``x * w`` with ``w, weights_pullback = weights_vjp(x, p)``.
+
+    The input gradient is the direct term plus the term through the
+    weights, which ``weights_pullback(dw)`` returns as one array.
+    """
+    x = as_nchw(x, "x")
+    w, weights_pullback = weights_vjp(x, p)
+    out, mul_pullback = broadcast_mul_vjp(x, w)
+
+    def pullback(up):
+        dx, dw = mul_pullback(up)
+        return (dx + weights_pullback(dw),)
+
+    return out, pullback
+
+
+# ---------------------------------------------------------------------------
 # channel attention (1-D convolution flavour)
 
 
@@ -213,173 +236,159 @@ def eca_kernel_size(channels: int, gamma: float = 2.0, b_offset: float = 1.0) ->
     return max(k, 3)
 
 
-def eca_weights(x, p: EcaParams) -> np.ndarray:
-    """Channel weights ``[N, C, 1, 1]``, each strictly inside (0, 1)."""
-    x = as_nchw(x, "x")
+def _eca_weights_vjp(x, p: EcaParams):
     c = x.shape[1]
     if p.kernel.size > 2 * c - 1:
         raise InvalidShape(f"kernel length {p.kernel.size} exceeds 2*C-1 = {2 * c - 1}")
-    return sigmoid(conv1d_channels(global_avg_pool(x), p.kernel))
+    pooled, pool_pullback = global_avg_pool_vjp(x)
+    z, conv_pullback = conv1d_channels_vjp(pooled, p.kernel)
+    w, sigmoid_pullback = sigmoid_vjp(z)
+
+    def pullback(dw):
+        (dz,) = sigmoid_pullback(dw)
+        return pool_pullback(conv_pullback(dz)[0])[0]
+
+    return w, pullback
+
+
+def eca_weights(x, p: EcaParams) -> np.ndarray:
+    """Channel weights ``[N, C, 1, 1]``, each strictly inside (0, 1)."""
+    return _eca_weights_vjp(as_nchw(x, "x"), p)[0]
+
+
+def eca_vjp(x, p: EcaParams):
+    return _gate_vjp(x, _eca_weights_vjp, p)
 
 
 def eca_forward(x, p: EcaParams) -> np.ndarray:
-    x = as_nchw(x, "x")
-    return broadcast_mul(x, eca_weights(x, p))
-
-
-def eca_input_grad(x, p: EcaParams, upstream) -> np.ndarray:
-    """Exact gradient of ``sum(upstream * eca_forward(x, p))`` w.r.t. ``x``."""
-    x = as_nchw(x, "x")
-    pooled = global_avg_pool(x)
-    z = conv1d_channels(pooled, p.kernel)
-    w = sigmoid(z)
-    dx, dw = vjp("broadcast_mul", (x, w), upstream)
-    (dz,) = vjp("sigmoid", (z,), dw)
-    dpooled, _ = vjp("conv1d_channels", (pooled, p.kernel), dz)
-    (dx_pool,) = vjp("global_avg_pool", (x,), dpooled)
-    return dx + dx_pool
+    return eca_vjp(x, p)[0]
 
 
 # ---------------------------------------------------------------------------
 # channel attention (shared-MLP flavour)
 
 
-def _mlp(v: np.ndarray, p: CamParams) -> np.ndarray:
-    """Shared two-layer MLP on batched row vectors ``[N, C]``."""
-    hidden = relu(v @ p.w1.T + p.b1)
-    return hidden @ p.w2.T + p.b2
+def _cam_weights_vjp(x, p: CamParams):
+    n, c = x.shape[:2]
+    if c != p.channels:
+        raise InvalidShape(f"input has {c} channels, parameters expect {p.channels}")
+    avg, avg_pullback = global_avg_pool_vjp(x)
+    mx, max_pullback = global_max_pool_vjp(x)
+    # one pass of the shared MLP over both pooled vectors, stacked [2, N, C]
+    hidden, relu_pullback = relu_vjp(np.stack([avg, mx])[..., 0, 0] @ p.w1.T + p.b1)
+    branch_logits = hidden @ p.w2.T + p.b2
+    w, sigmoid_pullback = sigmoid_vjp(branch_logits[0] + branch_logits[1])
 
+    def pullback(dw):
+        (dlogits,) = sigmoid_pullback(dw[:, :, 0, 0])
+        (dpre,) = relu_pullback(dlogits @ p.w2)
+        davg, dmax = dpre @ p.w1
+        return avg_pullback(davg)[0] + max_pullback(dmax)[0]
 
-def _mlp_input_grad(v: np.ndarray, p: CamParams, dz: np.ndarray) -> np.ndarray:
-    pre = v @ p.w1.T + p.b1
-    return ((dz @ p.w2) * (pre > 0.0)) @ p.w1
+    return w.reshape(n, c, 1, 1), pullback
 
 
 def cam_weights(x, p: CamParams) -> np.ndarray:
     """Channel weights ``[N, C, 1, 1]`` from the summed avg/max MLP logits."""
-    x = as_nchw(x, "x")
-    n, c = x.shape[:2]
-    if c != p.channels:
-        raise InvalidShape(f"input has {c} channels, parameters expect {p.channels}")
-    avg = global_avg_pool(x)[:, :, 0, 0]
-    mx = global_max_pool(x)[:, :, 0, 0]
-    logits = _mlp(avg, p) + _mlp(mx, p)
-    return sigmoid(logits).reshape(n, c, 1, 1)
+    return _cam_weights_vjp(as_nchw(x, "x"), p)[0]
+
+
+def cam_vjp(x, p: CamParams):
+    return _gate_vjp(x, _cam_weights_vjp, p)
 
 
 def cam_forward(x, p: CamParams) -> np.ndarray:
-    x = as_nchw(x, "x")
-    return broadcast_mul(x, cam_weights(x, p))
-
-
-def cam_input_grad(x, p: CamParams, upstream) -> np.ndarray:
-    x = as_nchw(x, "x")
-    n, c = x.shape[:2]
-    avg4 = global_avg_pool(x)
-    max4 = global_max_pool(x)
-    logits = _mlp(avg4[:, :, 0, 0], p) + _mlp(max4[:, :, 0, 0], p)
-    w = sigmoid(logits).reshape(n, c, 1, 1)
-    dx, dw = vjp("broadcast_mul", (x, w), upstream)
-    (dlogits,) = vjp("sigmoid", (logits,), dw[:, :, 0, 0])
-    davg = _mlp_input_grad(avg4[:, :, 0, 0], p, dlogits).reshape(n, c, 1, 1)
-    dmax = _mlp_input_grad(max4[:, :, 0, 0], p, dlogits).reshape(n, c, 1, 1)
-    (dx_avg,) = vjp("global_avg_pool", (x,), davg)
-    (dx_max,) = vjp("global_max_pool", (x,), dmax)
-    return dx + dx_avg + dx_max
+    return cam_vjp(x, p)[0]
 
 
 # ---------------------------------------------------------------------------
 # spatial attention
 
 
+def _sam_map_vjp(x, p: SamParams):
+    stats, stats_pullback = channel_stats_vjp(x)
+    stacked, concat_pullback = concat_channels_vjp(*stats)
+    z, conv_pullback = conv2d_vjp(stacked, p.kernel, np.array([p.bias]), SamParams.PAD)
+    m, sigmoid_pullback = sigmoid_vjp(z)
+
+    def pullback(dm):
+        (dz,) = sigmoid_pullback(dm)
+        return stats_pullback(concat_pullback(conv_pullback(dz)[0]))[0]
+
+    return m, pullback
+
+
 def sam_map(x, p: SamParams) -> np.ndarray:
     """Spatial weight map ``[N, 1, H, W]``, values strictly inside (0, 1)."""
-    x = as_nchw(x, "x")
-    mx, mean = channel_stats(x)
-    stacked = concat_channels(mx, mean)
-    z = conv2d(stacked, p.kernel, np.array([p.bias]), pad=SamParams.PAD)
-    return sigmoid(z)
+    return _sam_map_vjp(as_nchw(x, "x"), p)[0]
+
+
+def sam_vjp(x, p: SamParams):
+    return _gate_vjp(x, _sam_map_vjp, p)
 
 
 def sam_forward(x, p: SamParams) -> np.ndarray:
-    x = as_nchw(x, "x")
-    return broadcast_mul(x, sam_map(x, p))
-
-
-def sam_input_grad(x, p: SamParams, upstream) -> np.ndarray:
-    x = as_nchw(x, "x")
-    mx, mean = channel_stats(x)
-    stacked = concat_channels(mx, mean)
-    bias = np.array([p.bias])
-    z = conv2d(stacked, p.kernel, bias, pad=SamParams.PAD)
-    m = sigmoid(z)
-    dx, dm = vjp("broadcast_mul", (x, m), upstream)
-    (dz,) = vjp("sigmoid", (z,), dm)
-    dstacked = vjp("conv2d", (stacked, p.kernel, bias, SamParams.PAD), dz)[0]
-    dmx, dmean = vjp("concat_channels", (mx, mean), dstacked)
-    (dx_stats,) = vjp("channel_stats", (x,), (dmx, dmean))
-    return dx + dx_stats
+    return sam_vjp(x, p)[0]
 
 
 # ---------------------------------------------------------------------------
 # composite block and pyramid pooling
 
 
-def cbam_forward(x, cam: CamParams, sam: SamParams) -> np.ndarray:
+def cbam_vjp(x, cam: CamParams, sam: SamParams):
     """Channel attention first, spatial attention on its output."""
-    return sam_forward(cam_forward(x, cam), sam)
+    y, cam_pullback = cam_vjp(x, cam)
+    out, sam_pullback = sam_vjp(y, sam)
+    return out, lambda up: cam_pullback(*sam_pullback(up))
 
 
-def cbam_input_grad(x, cam: CamParams, sam: SamParams, upstream) -> np.ndarray:
-    y = cam_forward(x, cam)
-    dy = sam_input_grad(y, sam, upstream)
-    return cam_input_grad(x, cam, dy)
+def cbam_forward(x, cam: CamParams, sam: SamParams) -> np.ndarray:
+    return cbam_vjp(x, cam, sam)[0]
+
+
+def sppf_vjp(x, p: SppfParams):
+    """Reduce, pool three times, concat the four stages, expand."""
+    y0, reduce_pullback = conv2d_vjp(x, p.reduce_kernel, p.reduce_bias)
+    y1, pool1_pullback = maxpool2d_vjp(y0, p.POOL, p.STRIDE, p.PAD)
+    y2, pool2_pullback = maxpool2d_vjp(y1, p.POOL, p.STRIDE, p.PAD)
+    y3, pool3_pullback = maxpool2d_vjp(y2, p.POOL, p.STRIDE, p.PAD)
+    stacked = np.concatenate([y0, y1, y2, y3], axis=1)
+    out, expand_pullback = conv2d_vjp(stacked, p.expand_kernel, p.expand_bias)
+
+    def pullback(up):
+        d0, d1, d2, d3 = np.split(expand_pullback(up)[0], 4, axis=1)
+        d2 = d2 + pool3_pullback(d3)[0]
+        d1 = d1 + pool2_pullback(d2)[0]
+        d0 = d0 + pool1_pullback(d1)[0]
+        return reduce_pullback(d0)[:1]
+
+    return out, pullback
 
 
 def sppf_forward(x, p: SppfParams) -> np.ndarray:
-    """Reduce, pool three times, concat the four stages, expand."""
-    x = as_nchw(x, "x")
-    y0 = conv2d(x, p.reduce_kernel, p.reduce_bias)
-    y1 = maxpool2d(y0, p.POOL, p.STRIDE, p.PAD)
-    y2 = maxpool2d(y1, p.POOL, p.STRIDE, p.PAD)
-    y3 = maxpool2d(y2, p.POOL, p.STRIDE, p.PAD)
-    stacked = np.concatenate([y0, y1, y2, y3], axis=1)
-    return conv2d(stacked, p.expand_kernel, p.expand_bias)
+    return sppf_vjp(x, p)[0]
 
 
-def sppf_input_grad(x, p: SppfParams, upstream) -> np.ndarray:
-    x = as_nchw(x, "x")
-    y0 = conv2d(x, p.reduce_kernel, p.reduce_bias)
-    y1 = maxpool2d(y0, p.POOL, p.STRIDE, p.PAD)
-    y2 = maxpool2d(y1, p.POOL, p.STRIDE, p.PAD)
-    stacked = np.concatenate(
-        [y0, y1, y2, maxpool2d(y2, p.POOL, p.STRIDE, p.PAD)], axis=1
-    )
-    dstacked = vjp("conv2d", (stacked, p.expand_kernel, p.expand_bias, 0), upstream)[0]
-    cmid = y0.shape[1]
-    d0, d1, d2, d3 = (dstacked[:, i * cmid : (i + 1) * cmid] for i in range(4))
-    d2 = d2 + vjp("maxpool2d", (y2, p.POOL, p.STRIDE, p.PAD), d3)[0]
-    d1 = d1 + vjp("maxpool2d", (y1, p.POOL, p.STRIDE, p.PAD), d2)[0]
-    d0 = d0 + vjp("maxpool2d", (y0, p.POOL, p.STRIDE, p.PAD), d1)[0]
-    return vjp("conv2d", (x, p.reduce_kernel, p.reduce_bias, 0), d0)[0]
+def pipeline_vjp(x, p: PipelineParams):
+    """Smoke-test composition: 3x3 conv, then eca, cbam and sppf in order."""
+    y0, conv_pullback = conv2d_vjp(x, p.conv_kernel, p.conv_bias, 1)
+    y1, eca_pullback = eca_vjp(y0, p.eca)
+    y2, cbam_pullback = cbam_vjp(y1, p.cam, p.sam)
+    out, sppf_pullback = sppf_vjp(y2, p.sppf)
+
+    def pullback(up):
+        return conv_pullback(*eca_pullback(*cbam_pullback(*sppf_pullback(up))))[:1]
+
+    return out, pullback
 
 
 def demo_pipeline(x, p: PipelineParams) -> np.ndarray:
-    """Smoke-test composition: 3x3 conv, then eca, cbam and sppf in order."""
-    y = conv2d(x, p.conv_kernel, p.conv_bias, pad=1)
-    y = eca_forward(y, p.eca)
-    y = cbam_forward(y, p.cam, p.sam)
-    return sppf_forward(y, p.sppf)
+    return pipeline_vjp(x, p)[0]
 
 
 def pipeline_input_grad(x, p: PipelineParams, upstream) -> np.ndarray:
-    y0 = conv2d(x, p.conv_kernel, p.conv_bias, pad=1)
-    y1 = eca_forward(y0, p.eca)
-    y2 = cbam_forward(y1, p.cam, p.sam)
-    dy2 = sppf_input_grad(y2, p.sppf, upstream)
-    dy1 = cbam_input_grad(y1, p.cam, p.sam, dy2)
-    dy0 = eca_input_grad(y0, p.eca, dy1)
-    return vjp("conv2d", (x, p.conv_kernel, p.conv_bias, 1), dy0)[0]
+    """Exact gradient of ``sum(upstream * demo_pipeline(x, p))`` w.r.t. ``x``."""
+    return pipeline_vjp(x, p)[1](upstream)[0]
 
 
 # ---------------------------------------------------------------------------

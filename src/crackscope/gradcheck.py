@@ -7,9 +7,10 @@ compared elementwise against the VJP; the reported error is
 ``|analytic - numeric| / max(1, |analytic|, |numeric|)``.
 
 Inputs for max-based ops (and relu) are drawn from a shuffled evenly spaced
-grid so no two values lie within the probe distance of each other: the
-winning element never changes under the perturbation, which is exactly the
-tie-free regime where the subgradient convention is differentiable.
+grid so no two values lie within the probe distance of each other, nor of
+relu's kink at 0: the winning element never changes under the perturbation,
+which is exactly the tie-free regime where the subgradient convention is
+differentiable.
 
 ``run_gradient_suite`` sweeps all ops, all attention blocks (input
 gradients) and the box-regression loss over many seeded random cases.
@@ -17,12 +18,13 @@ gradients) and the box-regression loss over many seeded random cases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import attention, boxes, ops
-from .errors import NotDifferentiable
+from .errors import CrackscopeError, NotDifferentiable
 
 __all__ = ["GradCheckReport", "gradcheck", "gradcheck_fn", "random_op_case", "run_gradient_suite"]
 
@@ -40,15 +42,16 @@ class GradCheckReport:
         return f"{self.op}: max_rel_error={self.max_rel_error:.3e} tol={self.tolerance:.1e} {status}"
 
 
-def gradcheck_fn(name, forward, backward, inputs, eps=1e-5, tol=1e-4, seed=0) -> GradCheckReport:
-    """Check ``backward(inputs, upstream)`` against central differences.
+def gradcheck_fn(name, fn, inputs, eps=1e-5, tol=1e-4, seed=0) -> GradCheckReport:
+    """Check the pullback of ``fn(*inputs) -> (out, pullback)`` against
+    central differences of ``out``.
 
-    ``backward`` must return one gradient per array input, in positional
-    order.  Deterministic for a given seed.
+    ``pullback(upstream)`` must return one gradient per array input, in
+    positional order.  Deterministic for a given seed.
     """
     rng = np.random.default_rng(seed)
     inputs = list(inputs)
-    out = forward(*inputs)
+    out, pullback = fn(*inputs)
     multi = isinstance(out, tuple)
     if multi:
         upstream = tuple(rng.standard_normal(np.shape(o)) for o in out)
@@ -56,12 +59,12 @@ def gradcheck_fn(name, forward, backward, inputs, eps=1e-5, tol=1e-4, seed=0) ->
         upstream = rng.standard_normal(np.shape(out))
 
     def objective():
-        result = forward(*inputs)
+        result = fn(*inputs)[0]
         if multi:
             return sum(float(np.sum(u * r)) for u, r in zip(upstream, result))
         return float(np.sum(upstream * result))
 
-    analytic = backward(tuple(inputs), upstream)
+    analytic = pullback(upstream)
     array_positions = [i for i, a in enumerate(inputs) if isinstance(a, np.ndarray)]
     if len(analytic) != len(array_positions):
         raise NotDifferentiable(
@@ -94,10 +97,10 @@ def gradcheck_fn(name, forward, backward, inputs, eps=1e-5, tol=1e-4, seed=0) ->
 def gradcheck(op: str, inputs, eps=1e-5, tol=1e-4, seed=0) -> GradCheckReport:
     """Finite-difference check of one registered op at the given inputs."""
     try:
-        forward, backward = ops.VJP_OPS[op]
+        fn = ops.VJP_OPS[op]
     except KeyError:
         raise NotDifferentiable(f"no vector-Jacobian product registered for {op!r}") from None
-    return gradcheck_fn(op, forward, backward, inputs, eps=eps, tol=tol, seed=seed)
+    return gradcheck_fn(op, fn, inputs, eps=eps, tol=tol, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +108,12 @@ def gradcheck(op: str, inputs, eps=1e-5, tol=1e-4, seed=0) -> GradCheckReport:
 
 
 def _spaced(rng, shape, gap=0.02):
-    """Shuffled evenly spaced values: pairwise separation >= gap, no zeros
-    almost surely, so max selections are stable under +-eps probes."""
+    """Shuffled evenly spaced values: pairwise separation ``gap`` and at least
+    ``gap/4`` away from 0, so max selections and relu's kink are stable
+    under +-eps probes."""
     size = int(np.prod(shape))
-    values = (np.arange(size, dtype=np.float64) - size / 2.0) * gap
+    # odd multiples of gap/2, then one shared jitter of at most gap/4
+    values = (np.arange(size, dtype=np.float64) - size // 2 + 0.5) * gap
     values = values + rng.uniform(-gap / 4.0, gap / 4.0)
     return rng.permutation(values).reshape(shape)
 
@@ -150,14 +155,6 @@ def random_op_case(op: str, rng) -> tuple:
             rng.uniform(-1, 1, cout),
             pad,
         )
-    if op == "dense":
-        cin = int(rng.integers(1, 6))
-        cout = int(rng.integers(1, 5))
-        return (
-            rng.uniform(-1, 1, cin),
-            rng.uniform(-1, 1, (cout, cin)),
-            rng.uniform(-1, 1, cout),
-        )
     if op == "broadcast_mul":
         if rng.integers(0, 2):
             weights = rng.uniform(-1, 1, (n, c, 1, 1))
@@ -171,10 +168,18 @@ def random_op_case(op: str, rng) -> tuple:
 
 
 # blocks checked through their input gradients; params drawn per case
-_BLOCKS = ("eca", "cam", "sam", "cbam", "sppf", "pipeline")
+_BLOCKS = {
+    "eca": attention.eca_vjp,
+    "cam": attention.cam_vjp,
+    "sam": attention.sam_vjp,
+    "cbam": attention.cbam_vjp,
+    "sppf": attention.sppf_vjp,
+    "pipeline": attention.pipeline_vjp,
+}
 
 
-def _random_block_case(block: str, rng):
+def _random_block_case(block: str, rng) -> tuple:
+    """Random small inputs ``(x, *params)`` for ``_BLOCKS[block]``."""
     seed = int(rng.integers(0, 2**31))
     n = int(rng.integers(1, 3))
     c = int(rng.integers(2, 5))
@@ -182,43 +187,28 @@ def _random_block_case(block: str, rng):
     w = int(rng.integers(3, 6))
     x = _spaced(rng, (n, c, h, w))
     if block == "eca":
-        p = attention.init_eca(c, seed=seed)
-        return x, p, attention.eca_forward, attention.eca_input_grad
+        return x, attention.init_eca(c, seed=seed)
     if block == "cam":
-        p = attention.init_cam(c, seed=seed)
-        return x, p, attention.cam_forward, attention.cam_input_grad
+        return x, attention.init_cam(c, seed=seed)
     if block == "sam":
-        p = attention.init_sam(seed=seed)
-        return x, p, attention.sam_forward, attention.sam_input_grad
+        return x, attention.init_sam(seed=seed)
     if block == "cbam":
-        cam = attention.init_cam(c, seed=seed)
-        sam = attention.init_sam(seed=seed + 1)
-        forward = lambda x_, p_: attention.cbam_forward(x_, p_[0], p_[1])
-        grad = lambda x_, p_, up: attention.cbam_input_grad(x_, p_[0], p_[1], up)
-        return x, (cam, sam), forward, grad
+        return x, attention.init_cam(c, seed=seed), attention.init_sam(seed=seed + 1)
     if block == "sppf":
         cmid = int(rng.integers(1, 3))
         cout = int(rng.integers(1, 4))
-        p = attention.init_sppf(c, cmid, cout, seed=seed)
-        return x, p, attention.sppf_forward, attention.sppf_input_grad
+        return x, attention.init_sppf(c, cmid, cout, seed=seed)
     if block == "pipeline":
         cin = int(rng.integers(1, 3))
         x = _spaced(rng, (n, cin, h, w))
-        p = attention.init_pipeline(cin, c, 2, 3, seed=seed)
-        return x, p, attention.demo_pipeline, attention.pipeline_input_grad
+        return x, attention.init_pipeline(cin, c, 2, 3, seed=seed)
     raise NotDifferentiable(f"unknown block {block!r}")
 
 
 def _check_block(block: str, rng, eps, tol) -> GradCheckReport:
-    x, params, forward, grad = _random_block_case(block, rng)
+    inputs = _random_block_case(block, rng)
     return gradcheck_fn(
-        block,
-        lambda arr: forward(arr, params),
-        lambda inputs, up: (grad(inputs[0], params, up),),
-        (x,),
-        eps=eps,
-        tol=tol,
-        seed=int(rng.integers(0, 2**31)),
+        block, _BLOCKS[block], inputs, eps=eps, tol=tol, seed=int(rng.integers(0, 2**31))
     )
 
 
@@ -232,15 +222,16 @@ def _check_ciou(rng, eps, tol) -> GradCheckReport:
     # the analytic gradient holds alpha constant; the probe objective must too
     alpha = boxes.ciou_terms(pred, gt)[3]
 
-    def forward(vec):
+    def loss_vjp(vec):
         overlap, center_term, v, _ = boxes.ciou_terms(boxes.BBox(*vec), gt)
-        return np.array([(1.0 - overlap) + center_term + alpha * v])
+        loss = np.array([(1.0 - overlap) + center_term + alpha * v])
+        # the checker takes the pullback only at vec == pred
+        return loss, lambda up: (analytic * up[0],)
 
     vec = np.array([pred.cx, pred.cy, pred.w, pred.h])
     return gradcheck_fn(
         "ciou",
-        forward,
-        lambda inputs, up: (analytic * up[0],),
+        loss_vjp,
         (vec,),
         eps=eps,
         tol=tol,
@@ -251,6 +242,12 @@ def _check_ciou(rng, eps, tol) -> GradCheckReport:
 def run_gradient_suite(seed=0, eps=1e-5, tol=1e-4, cases=100) -> list[GradCheckReport]:
     """Check every op, every block and the box loss over ``cases`` random
     draws each; returns one aggregated report per subject (worst case)."""
+    if cases < 1:
+        raise CrackscopeError(f"cases must be >= 1, got {cases}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise CrackscopeError(f"eps must be finite and > 0, got {eps}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise CrackscopeError(f"tol must be finite and >= 0, got {tol}")
     reports = []
     for index, op in enumerate(ops.VJP_OPS):
         rng = np.random.default_rng(seed + 1000 * (index + 1))

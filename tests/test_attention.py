@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from crackscope import attention, ops
 from crackscope.errors import InvalidKernel, InvalidShape
 from crackscope.gradcheck import gradcheck_fn
@@ -91,8 +92,9 @@ class TestCam:
         # branches equal twice a single branch
         p = attention.init_cam(4, seed=11)
         x = np.full((1, 4, 3, 3), 0.7)
-        pooled = ops.global_avg_pool(x)[:, :, 0, 0]
-        single = attention._mlp(pooled, p)
+        pooled = ops.global_avg_pool(x)[0, :, 0, 0]
+        hidden = ops.relu(oracles.naive_matvec(pooled, p.w1, p.b1))
+        single = oracles.naive_matvec(hidden, p.w2, p.b2)
         expected = ops.sigmoid(2.0 * single).reshape(1, 4, 1, 1)
         assert np.allclose(attention.cam_weights(x, p), expected)
 
@@ -216,49 +218,49 @@ class TestPipeline:
         out = attention.demo_pipeline(_rand(rng, (2, 3, 9, 9)), p)
         assert out.shape == (2, 5, 9, 9)
 
+    def test_input_grad_runs_each_forward_once(self, monkeypatch):
+        # conv: front, sam, sppf reduce and expand; sigmoid: eca, cam, sam
+        calls = {"conv2d_vjp": 0, "maxpool2d_vjp": 0, "sigmoid_vjp": 0}
+        for name in calls:
+            body = getattr(attention, name)
+
+            def counted(*args, _body=body, _name=name):
+                calls[_name] += 1
+                return _body(*args)
+
+            monkeypatch.setattr(attention, name, counted)
+        rng = np.random.default_rng(19)
+        x = _rand(rng, (1, 2, 6, 6))
+        p = attention.init_pipeline(2, 4, 2, 3, seed=0)
+        out, pullback = attention.pipeline_vjp(x, p)
+        (grad,) = pullback(np.ones_like(out))
+        assert calls == {"conv2d_vjp": 4, "maxpool2d_vjp": 3, "sigmoid_vjp": 3}
+        assert np.array_equal(attention.pipeline_input_grad(x, p, np.ones_like(out)), grad)
+        assert np.array_equal(attention.demo_pipeline(x, p), out)
+
 
 class TestBlockGradients:
     """Spot checks; the acceptance suite sweeps 100 cases per block."""
 
-    def _check(self, forward, grad, x):
-        report = gradcheck_fn(
-            "block",
-            forward,
-            lambda inputs, up: (grad(inputs[0], up),),
-            (x,),
-            eps=1e-5,
-            tol=1e-4,
-            seed=0,
-        )
+    def _check(self, fn, *inputs):
+        report = gradcheck_fn("block", fn, inputs, eps=1e-5, tol=1e-4, seed=0)
         assert report.passed, report
 
     def test_eca(self):
         rng = np.random.default_rng(16)
         p = attention.init_eca(3, seed=0)
-        self._check(
-            lambda x: attention.eca_forward(x, p),
-            lambda x, up: attention.eca_input_grad(x, p, up),
-            _rand(rng, (1, 3, 4, 4)),
-        )
+        self._check(attention.eca_vjp, _rand(rng, (1, 3, 4, 4)), p)
 
     def test_cbam(self):
         rng = np.random.default_rng(17)
         cam = attention.init_cam(4, seed=0)
         sam = attention.init_sam(seed=1)
-        self._check(
-            lambda x: attention.cbam_forward(x, cam, sam),
-            lambda x, up: attention.cbam_input_grad(x, cam, sam, up),
-            _rand(rng, (1, 4, 4, 4)),
-        )
+        self._check(attention.cbam_vjp, _rand(rng, (1, 4, 4, 4)), cam, sam)
 
     def test_pipeline(self):
         rng = np.random.default_rng(18)
         p = attention.init_pipeline(2, 4, 2, 3, seed=0)
-        self._check(
-            lambda x: attention.demo_pipeline(x, p),
-            lambda x, up: attention.pipeline_input_grad(x, p, up),
-            _rand(rng, (1, 2, 5, 5)),
-        )
+        self._check(attention.pipeline_vjp, _rand(rng, (1, 2, 5, 5)), p)
 
 
 class TestSerialization:

@@ -240,6 +240,26 @@ class TestGradcheckCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--cases", "0"],
+            ["--cases", "-3"],
+            ["--eps", "0"],
+            ["--eps", "-1"],
+            ["--eps", "nan"],
+            ["--eps", "inf"],
+            ["--tol", "-1"],
+            ["--tol", "nan"],
+        ],
+    )
+    def test_bad_argument_exits_1_with_one_error_line(self, flags, capsys):
+        code = main(["gradcheck", "--cases", "1", *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+        assert "Traceback" not in err
+
 
 class TestAttnDemo:
     @pytest.mark.parametrize("block", ["eca", "cam", "sam", "cbam", "sppf"])
