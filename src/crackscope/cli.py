@@ -74,7 +74,7 @@ def _cmd_analyze(args) -> int:
     with open(args.mask, "rb") as fh:
         gray = dataio.read_pgm(fh.read())
     mask = maskgeom.threshold_mask(gray)
-    scale = maskgeom.ScaleConfig(args.scale_mm_per_px) if args.scale_mm_per_px else None
+    scale = None if args.scale_mm_per_px is None else maskgeom.ScaleConfig(args.scale_mm_per_px)
     components = maskgeom.connected_components(mask)
     reports = []
     if components:
@@ -110,6 +110,8 @@ def _cmd_eval(args) -> int:
     if args.pr_out and args.mode != "instance":
         print("error: --pr-out requires --mode instance", file=sys.stderr)
         return 1
+    if args.raster_size < 1:
+        raise CrackscopeError(f"--raster-size must be >= 1, got {args.raster_size}")
     gts = _load_ground_truth(args.gt)
     with open(args.pred, "r", encoding="utf-8") as fh:
         preds = dataio.read_predictions(fh.read())
@@ -191,7 +193,8 @@ def _cmd_eval(args) -> int:
 def _union_mask(polygons, width, height):
     mask = np.zeros((height, width), dtype=bool)
     for poly in polygons:
-        mask |= dataio.polygon_to_mask(poly, width, height)
+        row0, col0, crop = dataio.polygon_to_crop(poly, width, height)
+        mask[row0 : row0 + crop.shape[0], col0 : col0 + crop.shape[1]] |= crop
     return mask
 
 
@@ -264,8 +267,9 @@ def _cmd_attn_demo(args) -> int:
     elif block == "cbam":
         cam = attention.init_cam(8, seed=args.seed)
         sam = attention.init_sam(seed=args.seed + 1)
-        out = attention.cbam_forward(x, cam, sam)
-        weights = attention.sam_map(attention.cam_forward(x, cam), sam)
+        y = attention.cam_forward(x, cam)
+        out = attention.sam_forward(y, sam)
+        weights = attention.sam_map(y, sam)
         zero_out = attention.cbam_forward(
             x, attention.init_cam(8, zero=True), attention.init_sam(zero=True)
         )

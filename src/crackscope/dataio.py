@@ -15,7 +15,13 @@ then slices contiguously.  The same items and seed give the identical
 partition on every platform.
 
 Polygon rasterization uses scanline even-odd filling with the pixel-center
-rule: a pixel is foreground iff its center lies inside the polygon.
+rule: a pixel is foreground iff its center lies inside the polygon.  One
+vectorised body fills only the rows and columns the polygon can cover and
+returns that crop with its offset (:func:`polygon_to_crop`);
+:func:`polygon_to_mask` places the crop in the full frame.
+
+Label and prediction records accept only finite polygon coordinates in
+[0, 1]; the file readers prefix the record's error with its line number.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .errors import (
     OutOfRange,
     UnsupportedFormat,
 )
-from .metrics import DetectionRecord
+from .metrics import DetectionRecord, check_unit_coordinates
 
 __all__ = [
     "LabelRecord",
@@ -44,6 +50,7 @@ __all__ = [
     "DatasetIndex",
     "parse_label_file",
     "serialize_label_file",
+    "polygon_to_crop",
     "polygon_to_mask",
     "split_dataset",
     "read_pgm",
@@ -68,8 +75,7 @@ class LabelRecord:
             raise MalformedLabel(f"class id must be >= 0, got {self.class_id}")
         if poly.ndim != 2 or poly.shape[1] != 2 or poly.shape[0] < 3:
             raise MalformedLabel(f"polygon needs >= 3 (x, y) vertices, got shape {poly.shape}")
-        if poly.min() < 0.0 or poly.max() > 1.0:
-            raise OutOfRange("polygon coordinates must lie in [0, 1]")
+        check_unit_coordinates(poly)
         object.__setattr__(self, "polygon", poly)
 
 
@@ -137,14 +143,11 @@ def parse_label_file(text: str) -> list[LabelRecord]:
             raise MalformedLabel(f"line {lineno}: unparseable token ({exc})") from None
         if len(coords) % 2 != 0:
             raise MalformedLabel(f"line {lineno}: odd coordinate count {len(coords)}")
-        if len(coords) < 6:
-            raise MalformedLabel(f"line {lineno}: polygon needs >= 3 vertices")
-        if min(coords) < 0.0 or max(coords) > 1.0:
-            raise OutOfRange(f"line {lineno}: coordinate outside [0, 1]")
         polygon = np.array(coords, dtype=np.float64).reshape(-1, 2)
-        if class_id < 0:
-            raise MalformedLabel(f"line {lineno}: negative class id {class_id}")
-        records.append(LabelRecord(class_id, polygon))
+        try:
+            records.append(LabelRecord(class_id, polygon))
+        except (MalformedLabel, OutOfRange) as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
     return records
 
 
@@ -160,37 +163,61 @@ def serialize_label_file(records) -> str:
 # rasterization
 
 
-def polygon_to_mask(polygon, width: int, height: int) -> np.ndarray:
-    """Scanline even-odd fill at pixel centers.
+def polygon_to_crop(polygon, width: int, height: int):
+    """Scanline even-odd fill at pixel centers, inside the polygon's own window.
 
     ``polygon`` is a LabelRecord or an [k, 2] array of normalized vertices;
-    x scales by ``width``, y by ``height``.  A zero-area polygon rasterizes
-    to an empty mask with a warning.
+    x scales by ``width``, y by ``height``.  Returns ``(row0, col0, crop)``:
+    ``crop`` holds frame rows ``row0 ..`` and columns ``col0 ..`` and spans
+    every foreground pixel; the rest of the frame is background.  Crossings
+    are found in absolute pixel coordinates, so the crop is bit-identical to
+    the same window of :func:`polygon_to_mask`.  A zero-area polygon
+    rasterizes to an empty ``(0, 0)`` crop with a warning.
     """
     if hasattr(polygon, "polygon"):
         polygon = polygon.polygon
     pts = np.asarray(polygon, dtype=np.float64) * np.array([width, height])
-    mask = np.zeros((height, width), dtype=bool)
-    xs, ys = pts[:, 0], pts[:, 1]
-    area2 = np.sum(xs * np.roll(ys, -1) - np.roll(xs, -1) * ys)
-    if area2 == 0.0:
+    x1, y1 = pts[:, 0], pts[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    empty = (0, 0, np.zeros((0, 0), dtype=bool))
+    if np.sum(x1 * y2 - x2 * y1) == 0.0:
         warnings.warn("degenerate zero-area polygon rasterizes to an empty mask", stacklevel=2)
-        return mask
-    x1, y1 = xs, ys
-    x2, y2 = np.roll(xs, -1), np.roll(ys, -1)
-    for row in range(height):
-        cy = row + 0.5
-        hits = ((y1 <= cy) & (cy < y2)) | ((y2 <= cy) & (cy < y1))
-        if not hits.any():
-            continue
-        t = (cy - y1[hits]) / (y2[hits] - y1[hits])
-        crossings = np.sort(x1[hits] + t * (x2[hits] - x1[hits]))
-        for k in range(0, len(crossings) - 1, 2):
-            # centers c + 0.5 in the half-open span [a, b)
-            first = max(0, int(np.ceil(crossings[k] - 0.5)))
-            last = min(width, int(np.ceil(crossings[k + 1] - 0.5)))
-            if first < last:
-                mask[row, first:last] = True
+        return empty
+    # a row can only be hit when its center lies in [min y, max y)
+    first_row = max(0, int(np.ceil(y1.min() - 0.5)))
+    rows = np.arange(first_row, min(height, int(np.ceil(y1.max() - 0.5))))
+    cy = rows[:, None] + 0.5
+    hits = ((y1 <= cy) & (cy < y2)) | ((y2 <= cy) & (cy < y1))  # [rows, edges]
+    t = np.divide(cy - y1, y2 - y1, out=np.zeros(hits.shape), where=hits)
+    crossings = np.where(hits, x1 + t * (x2 - x1), np.inf)
+    crossings.sort(axis=1)
+    if crossings.shape[1] % 2:
+        crossings = crossings[:, :-1]  # an unpaired last crossing fills nothing
+    # centers c + 0.5 in each half-open span [a, b), clipped to the frame
+    first = np.clip(np.ceil(crossings[:, 0::2] - 0.5), 0, width)
+    last = np.clip(np.ceil(crossings[:, 1::2] - 0.5), 0, width)
+    filled = np.isfinite(crossings[:, 1::2]) & (first < last)
+    span_rows, span_k = np.nonzero(filled)
+    if not len(span_rows):
+        return empty
+    first = first[span_rows, span_k].astype(np.intp)
+    last = last[span_rows, span_k].astype(np.intp)
+    row0, col0 = first_row + int(span_rows[0]), int(first.min())
+    n_rows, n_cols = int(span_rows[-1] - span_rows[0]) + 1, int(last.max()) - col0
+    # spans of one row are disjoint: +1 at each start, -1 at each end, then a running sum
+    local = (span_rows - span_rows[0]) * (n_cols + 1)
+    size = n_rows * (n_cols + 1)
+    edges = np.bincount(local + first - col0, minlength=size)
+    edges -= np.bincount(local + last - col0, minlength=size)
+    crop = np.cumsum(edges.reshape(n_rows, n_cols + 1)[:, :n_cols], axis=1) > 0
+    return row0, col0, crop
+
+
+def polygon_to_mask(polygon, width: int, height: int) -> np.ndarray:
+    """The full ``[height, width]`` frame of :func:`polygon_to_crop`."""
+    row0, col0, crop = polygon_to_crop(polygon, width, height)
+    mask = np.zeros((height, width), dtype=bool)
+    mask[row0 : row0 + crop.shape[0], col0 : col0 + crop.shape[1]] = crop
     return mask
 
 
@@ -314,13 +341,10 @@ def read_predictions(text: str) -> list[DetectionRecord]:
             polygon = np.asarray(doc["polygon"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedPrediction(f"line {lineno}: {exc}") from None
-        if not 0.0 <= score <= 1.0:
-            raise OutOfRange(f"line {lineno}: score {score} outside [0, 1]")
         try:
-            record = DetectionRecord(image_id, class_id, score, polygon)
-        except MalformedPrediction as exc:
-            raise MalformedPrediction(f"line {lineno}: {exc}") from None
-        records.append(record)
+            records.append(DetectionRecord(image_id, class_id, score, polygon))
+        except (MalformedPrediction, OutOfRange) as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
     return records
 
 

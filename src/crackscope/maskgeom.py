@@ -21,7 +21,7 @@ import numpy as np
 from scipy import ndimage
 
 from .boxes import BBox
-from .errors import DegenerateComponent, InvalidImage, InvalidShape
+from .errors import DegenerateComponent, InvalidImage, InvalidShape, OutOfRange
 
 __all__ = [
     "ScaleConfig",
@@ -46,8 +46,8 @@ class ScaleConfig:
     mm_per_px: float
 
     def __post_init__(self):
-        if not self.mm_per_px > 0:
-            raise ValueError(f"mm_per_px must be positive, got {self.mm_per_px}")
+        if not 0 < self.mm_per_px < np.inf:
+            raise OutOfRange(f"mm_per_px must be positive and finite, got {self.mm_per_px}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,10 +3,15 @@ precision-recall curves and average precision.
 
 Matching is greedy by descending score (ties keep input order): each
 prediction claims the unmatched ground truth of highest IoU at or above the
-threshold, and every ground truth is claimed at most once.  Average
-precision integrates the all-points interpolated precision envelope
-``p(r) = max over r' >= r of p(r')`` over recall, so only the order of
-scores matters, never their values.
+threshold (the first such at IoU ties), and every ground truth is claimed
+at most once.  Each image's ``len(preds) x len(gts)`` IoU matrix is built
+once: box IoU from per-record corners with numpy, mask IoU from one cropped
+raster per record (:func:`crackscope.dataio.polygon_to_crop`), counting the
+intersection only where two crops overlap.  Average precision integrates
+the all-points interpolated precision envelope ``p(r) = max over r' >= r
+of p(r')`` over recall, built by one backward running max, so only the
+order of scores matters, never their values, and the cost is linear in the
+curve length.
 
 Accuracy needs true negatives, which do not exist for instance detection;
 it is therefore only computed from pixel-level confusion counts
@@ -38,6 +43,12 @@ __all__ = [
 ]
 
 
+def check_unit_coordinates(polygon: np.ndarray) -> None:
+    """Raise :class:`OutOfRange` unless every coordinate is finite and in [0, 1]."""
+    if not (polygon.min() >= 0.0 and polygon.max() <= 1.0):  # a NaN fails both
+        raise OutOfRange("polygon coordinates must be finite and lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class ConfusionCounts:
     """tp/fp/fn/tn tallies; tn is only meaningful for pixel-level counting."""
@@ -49,7 +60,7 @@ class ConfusionCounts:
 
     def __post_init__(self):
         if min(self.tp, self.fp, self.fn, self.tn) < 0:
-            raise ValueError(f"confusion counts must be nonnegative: {self}")
+            raise OutOfRange(f"confusion counts must be nonnegative: {self}")
 
     def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
         return ConfusionCounts(
@@ -75,6 +86,7 @@ class DetectionRecord:
             poly = np.asarray(self.polygon, dtype=np.float64)
             if poly.ndim != 2 or poly.shape[1] != 2 or poly.shape[0] < 3:
                 raise MalformedPrediction(f"polygon needs >= 3 (x, y) vertices, got {poly.shape}")
+            check_unit_coordinates(poly)
             object.__setattr__(self, "polygon", poly)
         if self.polygon is None and self.box is None:
             raise MalformedPrediction("prediction has neither polygon nor box geometry")
@@ -138,41 +150,63 @@ def pixel_confusion(pred, gt) -> ConfusionCounts:
 # instance matching
 
 
-def _poly_box_corners(polygon: np.ndarray) -> tuple[float, float, float, float]:
-    xs, ys = polygon[:, 0], polygon[:, 1]
-    return float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max())
+def _corners(records) -> np.ndarray:
+    """``[n, 4]`` corners ``(x0, y0, x1, y1)``: each record's box, else its polygon's bounds."""
+    boxes = [getattr(record, "box", None) for record in records]
+    boxed = np.array([box is not None for box in boxes], dtype=bool)
+    corners = np.empty((len(records), 4))
+    if boxed.any():
+        corners[boxed] = [box.corners for box in boxes if box is not None]
+    polygons = [record.polygon for record, box in zip(records, boxes) if box is None]
+    if polygons:
+        vertices = np.concatenate(polygons)
+        starts = np.cumsum([0] + [len(polygon) for polygon in polygons[:-1]])
+        corners[~boxed, :2] = np.minimum.reduceat(vertices, starts)
+        corners[~boxed, 2:] = np.maximum.reduceat(vertices, starts)
+    return corners
 
 
-def _record_corners(record) -> tuple[float, float, float, float]:
-    if getattr(record, "box", None) is not None:
-        return record.box.corners
-    return _poly_box_corners(np.asarray(record.polygon, dtype=np.float64))
+def _overlap(a, b):
+    """Pairwise intersection extents of ``[n, 4]`` and ``[m, 4]`` corner arrays."""
+    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    return iw, ih
 
 
-def _corner_iou(a, b) -> float:
-    iw = min(a[2], b[2]) - max(a[0], b[0])
-    ih = min(a[3], b[3]) - max(a[1], b[1])
-    if iw <= 0 or ih <= 0:
-        return 0.0
+def _box_iou_matrix(preds, gts) -> np.ndarray:
+    a, b = _corners(preds), _corners(gts)
+    iw, ih = _overlap(a, b)
     inter = iw * ih
-    area_a = (a[2] - a[0]) * (a[3] - a[1])
-    area_b = (b[2] - b[0]) * (b[3] - b[1])
-    union = area_a + area_b - inter
-    return inter / union if union > 0 else 0.0
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = area_a[:, None] + area_b[None, :] - inter
+    defined = (iw > 0) & (ih > 0) & (union > 0)
+    return np.divide(inter, union, out=np.zeros_like(inter), where=defined)
 
 
-def _pair_iou(pred, gt, mode: str, extent) -> float:
-    if mode == "box":
-        return _corner_iou(_record_corners(pred), _record_corners(gt))
-    if mode == "mask":
-        from .dataio import polygon_to_mask  # deferred: dataio builds records from this module
+def _mask_iou_matrix(preds, gts, extent) -> np.ndarray:
+    """Pixel IoU of every pair from one cropped raster per record; two empty
+    rasters score 1.0, as in :func:`mask_iou`."""
+    from .dataio import polygon_to_crop  # deferred: dataio builds records from this module
 
-        width, height = extent
-        return mask_iou(
-            polygon_to_mask(pred.polygon, width, height),
-            polygon_to_mask(gt.polygon, width, height),
-        )
-    raise ValueError(f"unknown matching mode {mode!r}")
+    width, height = extent
+    crops = [[polygon_to_crop(r.polygon, width, height) for r in side] for side in (preds, gts)]
+
+    def windows(side):  # crop windows as (col0, row0, col1, row1), and pixel counts
+        corners = [(c0, r0, c0 + m.shape[1], r0 + m.shape[0]) for r0, c0, m in side]
+        return np.array(corners), np.array([np.count_nonzero(m) for *_, m in side])
+
+    (a, na), (b, nb) = windows(crops[0]), windows(crops[1])
+    iou = np.where((na[:, None] + nb[None, :]) == 0, 1.0, 0.0)
+    iw, ih = _overlap(a, b)
+    for i, j in zip(*np.nonzero((iw > 0) & (ih > 0))):
+        (ra, ca, ma), (rb, cb, mb) = crops[0][i], crops[1][j]
+        x0, y0 = max(ca, cb), max(ra, rb)
+        x1, y1 = x0 + iw[i, j], y0 + ih[i, j]
+        inter = np.count_nonzero(ma[y0 - ra : y1 - ra, x0 - ca : x1 - ca]
+                                 & mb[y0 - rb : y1 - rb, x0 - cb : x1 - cb])
+        iou[i, j] = inter / (na[i] + nb[j] - inter)
+    return iou
 
 
 def match_instances(
@@ -184,26 +218,31 @@ def match_instances(
     true positive and ``fn`` counts unmatched ground truths.  Predictions are
     visited in descending score order (ties by input order); only same-class
     ground truths are eligible; ``extent`` is the (width, height) raster used
-    for mask-mode IoU.
+    for mask-mode IoU.  The IoU matrix of the image is built once; a pick is
+    the first maximum of the prediction's row over the eligible ground truths.
     """
     if not 0.0 < iou_thresh <= 1.0:
         raise OutOfRange(f"iou threshold must be in (0, 1], got {iou_thresh}")
-    order = sorted(range(len(preds)), key=lambda i: -preds[i].score)
-    taken = [False] * len(gts)
+    if mode not in ("box", "mask"):
+        raise ValueError(f"unknown matching mode {mode!r}")
     flags = [False] * len(preds)
-    for i in order:
-        pred = preds[i]
-        best_iou, best_j = 0.0, -1
-        for j, gt in enumerate(gts):
-            if taken[j] or getattr(gt, "class_id", pred.class_id) != pred.class_id:
-                continue
-            candidate = _pair_iou(pred, gt, mode, extent)
-            if candidate > best_iou:
-                best_iou, best_j = candidate, j
-        if best_j >= 0 and best_iou >= iou_thresh:
-            taken[best_j] = True
+    if not preds or not gts:
+        return flags, len(gts)
+    iou = _box_iou_matrix(preds, gts) if mode == "box" else _mask_iou_matrix(preds, gts, extent)
+    # other-class and (below) taken ground truths score 0, which never reaches the threshold
+    iou[np.array([p.class_id for p in preds])[:, None]
+        != np.array([g.class_id for g in gts])[None, :]] = 0.0
+    reachable = iou.max(axis=1) >= iou_thresh
+    taken = 0
+    for i in sorted(range(len(preds)), key=lambda i: -preds[i].score):
+        if not reachable[i]:
+            continue
+        j = int(np.argmax(iou[i]))
+        if iou[i, j] >= iou_thresh:
             flags[i] = True
-    return flags, taken.count(False)
+            iou[:, j] = 0.0
+            taken += 1
+    return flags, len(gts) - taken
 
 
 # ---------------------------------------------------------------------------
@@ -237,18 +276,30 @@ def pr_curve(flagged, total_gt: int) -> list[PRPoint]:
 
 
 def average_precision(points) -> float:
-    """Area under the interpolated precision envelope over recall."""
+    """Area under the interpolated precision envelope over recall.
+
+    One backward pass builds the envelope (a running max that skips NaN
+    precisions); the area is then summed in curve order.
+    """
     points = list(points)
     if not points:
         raise UndefinedMetric("average precision undefined for an empty curve")
+    envelope = []
+    running = None
+    for point in reversed(points):
+        if not math.isnan(point.precision) and (running is None or point.precision >= running):
+            running = point.precision
+        envelope.append(running)
+    envelope.reverse()
     area = 0.0
     prev_recall = 0.0
-    for i, point in enumerate(points):
+    for point, level in zip(points, envelope):
         if point.recall > prev_recall:
-            envelope = max(
-                p.precision for p in points[i:] if not math.isnan(p.precision)
-            )
-            area += (point.recall - prev_recall) * envelope
+            if level is None:
+                raise UndefinedMetric(
+                    f"average precision undefined: no defined precision at recall >= {point.recall}"
+                )
+            area += (point.recall - prev_recall) * level
             prev_recall = point.recall
     return area
 

@@ -16,7 +16,9 @@ the forward saved (windows, padded arrays, sigmoid values, argmax inputs)
 and writes into none of it, so it may be called any number of times; the
 caller in turn must not write into the inputs or the output while it holds
 the pullback.  ``<op>(...)`` is ``<op>_vjp(...)[0]`` and
-``vjp(op, inputs, upstream)`` dispatches by name.  There is no autodiff
+``vjp(op, inputs, upstream)`` dispatches by name and raises
+:class:`InvalidShape` unless the upstream has the output's shape (pullbacks
+called directly trust their caller).  There is no autodiff
 graph: composite blocks chain the pullbacks by hand in reverse order.
 """
 
@@ -331,4 +333,11 @@ def vjp(op: str, inputs, upstream):
         body = VJP_OPS[op]
     except KeyError:
         raise NotDifferentiable(f"no vector-Jacobian product registered for {op!r}") from None
-    return body(*inputs)[1](upstream)
+    out, pullback = body(*inputs)
+    # channel_stats has a pair of outputs, and takes a pair of upstreams
+    pieces, ups = (out, tuple(upstream)) if isinstance(out, tuple) else ((out,), (upstream,))
+    want = [piece.shape for piece in pieces]
+    got = [np.shape(up) for up in ups]
+    if got != want:
+        raise InvalidShape(f"{op}: upstream shape {got} differs from the output's {want}")
+    return pullback(upstream)

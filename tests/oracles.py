@@ -277,6 +277,37 @@ def ap_by_threshold_enumeration(flagged, total_gt):
     return area
 
 
+def naive_average_precision(points):
+    """All-points AP with a fresh max over the rest of the curve at every
+    recall step (quadratic); NaN precisions are skipped."""
+    points = list(points)
+    area = 0.0
+    prev_recall = 0.0
+    for i, point in enumerate(points):
+        if point.recall > prev_recall:
+            envelope = max(p.precision for p in points[i:] if not math.isnan(p.precision))
+            area += (point.recall - prev_recall) * envelope
+            prev_recall = point.recall
+    return area
+
+
+def corner_iou(a, b):
+    """IoU of two (x0, y0, x1, y1) boxes; 0 when they do not overlap."""
+    iw = min(a[2], b[2]) - max(a[0], b[0])
+    ih = min(a[3], b[3]) - max(a[1], b[1])
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
+    return inter / union if union > 0 else 0.0
+
+
+def polygon_corners(polygon):
+    xs = [float(x) for x, _ in polygon]
+    ys = [float(y) for _, y in polygon]
+    return min(xs), min(ys), max(xs), max(ys)
+
+
 def greedy_match_reference(preds, gts, iou_matrix, thresh):
     """Greedy matching over a precomputed IoU matrix; returns tp flags + fn."""
     order = sorted(range(len(preds)), key=lambda i: -preds[i])

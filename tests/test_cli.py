@@ -203,6 +203,67 @@ class TestEval:
         assert single.read_text() == multi.read_text()
 
 
+def _one_error_line(err):
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert "Traceback" not in err
+
+
+class TestBadValues:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--raster-size", "-5", "--match", "mask"],
+            ["--raster-size", "-5", "--mode", "pixel"],
+            ["--raster-size", "-5"],
+            ["--raster-size", "0", "--match", "mask"],
+            ["--raster-size", "0", "--mode", "pixel"],
+        ],
+    )
+    def test_bad_raster_size(self, eval_fixture, flags, capsys):
+        gt_dir, pred_path = eval_fixture
+        code = main(["eval", "--gt", str(gt_dir), "--pred", str(pred_path), *flags])
+        assert code in (1, 2)
+        _one_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "-inf"])
+    def test_bad_scale(self, bar_mask_path, tmp_path, value, capsys):
+        out = tmp_path / "report.json"
+        code = main(["analyze", "--mask", str(bar_mask_path), "--out", str(out),
+                     "--scale-mm-per-px", value])
+        assert code in (1, 2)
+        _one_error_line(capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "coords",
+        ["nan 0.1 0.9 0.1 0.5 0.9", "0.1 0.1 inf 0.1 0.5 0.9", "0.1 0.1 1.5 0.1 0.5 0.9",
+         "0.1 -0.2 0.9 0.1 0.5 0.9"],
+    )
+    def test_bad_label_coordinates(self, eval_fixture, coords, capsys):
+        gt_dir, pred_path = eval_fixture
+        (gt_dir / "img1.txt").write_text(f"0 {coords}\n")
+        code = main(["eval", "--gt", str(gt_dir), "--pred", str(pred_path)])
+        assert code in (1, 2)
+        err = capsys.readouterr().err
+        _one_error_line(err)
+        assert "line 1:" in err
+
+    @pytest.mark.parametrize(
+        "polygon",
+        ["[[NaN, 0.1], [0.2, 0.1], [0.2, 0.2]]", "[[0.1, 0.1], [1.2, 0.1], [0.2, 0.2]]",
+         "[[0.1, 0.1], [0.2, -0.1], [0.2, 0.2]]", "[[0.1, 0.1], [Infinity, 0.1], [0.2, 0.2]]"],
+    )
+    def test_bad_prediction_polygon(self, eval_fixture, polygon, capsys):
+        gt_dir, pred_path = eval_fixture
+        bad = '{"image": "img1", "class": 0, "score": 0.5, "polygon": %s}' % polygon
+        pred_path.write_text(pred_path.read_text() + bad + "\n")
+        code = main(["eval", "--gt", str(gt_dir), "--pred", str(pred_path)])
+        assert code in (1, 2)
+        err = capsys.readouterr().err
+        _one_error_line(err)
+        assert "line 4:" in err
+
+
 class TestSplit:
     def test_writes_three_files(self, tmp_path, capsys):
         listing = tmp_path / "all.txt"
@@ -261,6 +322,14 @@ class TestGradcheckCommand:
         assert "Traceback" not in err
 
 
+CBAM_WEIGHT_LINES = {
+    0: "min=0.286933 mean=0.518668 max=0.689010",
+    1: "min=0.264180 mean=0.495404 max=0.691306",
+    2: "min=0.347509 mean=0.563180 max=0.796616",
+    3: "min=0.558708 mean=0.819245 max=0.951341",
+}
+
+
 class TestAttnDemo:
     @pytest.mark.parametrize("block", ["eca", "cam", "sam", "cbam", "sppf"])
     def test_runs_each_block(self, block, capsys):
@@ -269,6 +338,18 @@ class TestAttnDemo:
         out = capsys.readouterr().out
         assert f"block: {block}" in out
         assert "output shape" in out
+
+    def test_cbam_output_pinned(self, capsys):
+        """The cbam lines are those of CAM's output fed once to SAM."""
+        for seed, weights in CBAM_WEIGHT_LINES.items():
+            assert main(["attn-demo", "--block", "cbam", "--seed", str(seed)]) == 0
+            assert capsys.readouterr().out == (
+                "block: cbam\n"
+                "input shape:  (1, 8, 12, 12)\n"
+                "output shape: (1, 8, 12, 12)\n"
+                f"attention weights: {weights}\n"
+                "zero-init identity |out - 0.25*x| = 0.000e+00\n"
+            )
 
     def test_zero_init_identity_reported(self, capsys):
         main(["attn-demo", "--block", "cbam", "--seed", "1"])

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
+import strategies
 from crackscope.dataio import (
     DatasetIndex,
     LabelRecord,
     SplitSpec,
     atomic_write_text,
     parse_label_file,
+    polygon_to_crop,
     polygon_to_mask,
     read_pgm,
     read_predictions,
@@ -48,6 +52,22 @@ class TestLabelFiles:
     def test_out_of_range_coordinate(self):
         with pytest.raises(OutOfRange):
             parse_label_file("0 0.1 0.1 1.2 0.1 0.5 0.9\n")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "-0.5", "1.0001"])
+    def test_non_finite_or_out_of_range_coordinate(self, token):
+        with pytest.raises(OutOfRange, match="^line 2: "):
+            parse_label_file(f"0 0.1 0.1 0.9 0.1 0.5 0.9\n1 0.1 {token} 0.9 0.1 0.5 0.9\n")
+
+    def test_negative_class_names_line(self):
+        with pytest.raises(MalformedLabel, match="^line 1: "):
+            parse_label_file("-1 0.1 0.1 0.9 0.1 0.5 0.9\n")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.1])
+    def test_record_checks_coordinates(self, bad):
+        polygon = np.array([[0.1, 0.1], [0.9, 0.1], [0.5, 0.9]])
+        polygon[2, 0] = bad
+        with pytest.raises(OutOfRange):
+            LabelRecord(0, polygon)
 
     def test_garbage_token(self):
         with pytest.raises(MalformedLabel):
@@ -105,6 +125,35 @@ class TestPolygonToMask:
                 for c in range(width):
                     want = oracles.point_in_polygon(c + 0.5, r + 0.5, scaled)
                     assert mask[r, c] == want, (r, c)
+
+    @given(strategies.unit_polygons(max_vertices=10), st.integers(1, 40), st.integers(1, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_point_in_polygon_at_every_pixel_center(self, poly, width, height):
+        """Random, self-intersecting, tiny and frame-touching polygons at
+        non-square extents; zero-area polygons are the documented exception."""
+        scaled = poly * [width, height]
+        x, y = scaled[:, 0], scaled[:, 1]
+        assume(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) != 0.0)
+        mask = polygon_to_mask(poly, width, height)
+        want = [
+            [oracles.point_in_polygon(c + 0.5, r + 0.5, scaled) for c in range(width)]
+            for r in range(height)
+        ]
+        assert np.array_equal(mask, np.array(want, dtype=bool))
+
+    @pytest.mark.filterwarnings("ignore:degenerate zero-area polygon")
+    @given(strategies.unit_polygons(max_vertices=10), st.integers(1, 40), st.integers(1, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_crop_is_the_tight_window_of_the_mask(self, poly, width, height):
+        row0, col0, crop = polygon_to_crop(poly, width, height)
+        mask = polygon_to_mask(poly, width, height)
+        rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+        if not mask.any():
+            assert crop.shape == (0, 0)
+            return
+        assert (row0, col0) == (rows[0], cols[0])
+        assert crop.shape == (rows[-1] - rows[0] + 1, cols[-1] - cols[0] + 1)
+        assert np.array_equal(crop, mask[row0 : row0 + crop.shape[0], col0 : col0 + crop.shape[1]])
 
     def test_area_convergence(self):
         half = np.array([[0.25, 0.25], [0.75, 0.25], [0.75, 0.75], [0.25, 0.75]])
@@ -197,6 +246,18 @@ class TestPredictions:
         line = '{"image": "a", "class": 0, "score": 1.5, "polygon": [[0.1, 0.1], [0.5, 0.1], [0.3, 0.6]]}'
         with pytest.raises(OutOfRange):
             read_predictions(line)
+
+    @pytest.mark.parametrize(
+        "field",
+        ['"score": 1.5, "polygon": [[0.1, 0.1], [0.5, 0.1], [0.3, 0.6]]',
+         '"score": NaN, "polygon": [[0.1, 0.1], [0.5, 0.1], [0.3, 0.6]]',
+         '"score": 0.5, "polygon": [[0.1, 0.1], [NaN, 0.1], [0.3, 0.6]]',
+         '"score": 0.5, "polygon": [[0.1, 0.1], [0.5, 1.1], [0.3, 0.6]]'],
+    )
+    def test_out_of_range_names_line(self, field):
+        good = '{"image": "a", "class": 0, "score": 0.9, "polygon": [[0.1, 0.1], [0.5, 0.1], [0.3, 0.6]]}'
+        with pytest.raises(OutOfRange, match="^line 2: "):
+            read_predictions(good + '\n{"image": "a", "class": 0, ' + field + "}\n")
 
     def test_order_preserved(self):
         lines = []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crackscope import ops
-from crackscope.errors import NotDifferentiable
+from crackscope.errors import InvalidShape, NotDifferentiable
 from crackscope.gradcheck import (
     _BLOCKS,
     GradCheckReport,
@@ -25,6 +25,24 @@ class TestVjpHandCases:
         dx, dw = ops.vjp("broadcast_mul", (x, w), np.ones_like(x))
         assert np.allclose(dx, np.broadcast_to(w, x.shape))
         assert np.allclose(dw, x.sum(axis=(2, 3), keepdims=True))
+
+    def test_broadcast_upstream_rejected(self):
+        """An upstream numpy would broadcast to the output shape is still wrong."""
+        with pytest.raises(InvalidShape):
+            ops.vjp("sigmoid", (np.zeros((1, 2, 3, 3)),), np.ones(3))
+
+    def test_mismatched_broadcast_mul_upstream_rejected(self):
+        x = np.ones((1, 3, 2, 2))
+        w = np.ones((1, 3, 1, 1))
+        with pytest.raises(InvalidShape):
+            ops.vjp("broadcast_mul", (x, w), np.ones((1, 2, 2, 2)))
+
+    def test_channel_stats_upstream_pair_checked(self):
+        x = np.ones((1, 3, 2, 2))
+        with pytest.raises(InvalidShape):
+            ops.vjp("channel_stats", (x,), (np.ones((1, 1, 2, 2)), np.ones((1, 3, 2, 2))))
+        (grad,) = ops.vjp("channel_stats", (x,), (np.ones((1, 1, 2, 2)), np.ones((1, 1, 2, 2))))
+        assert grad.shape == x.shape
 
     def test_unknown_op_raises(self):
         with pytest.raises(NotDifferentiable):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from crackscope.errors import DegenerateComponent, InvalidImage, InvalidShape
+from crackscope.errors import DegenerateComponent, InvalidImage, InvalidShape, OutOfRange
 from crackscope.maskgeom import (
     ScaleConfig,
     analyze_component,
@@ -251,8 +251,13 @@ class TestAnalyzeComponent:
         assert first == second
 
     def test_bad_scale_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange):
             ScaleConfig(mm_per_px=0.0)
+
+    @pytest.mark.parametrize("value", [-1.0, np.inf, np.nan])
+    def test_non_positive_or_non_finite_scale_rejected(self, value):
+        with pytest.raises(OutOfRange):
+            ScaleConfig(mm_per_px=value)
 
 
 class TestMetrologyProperties:

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+import strategies
 from crackscope.boxes import BBox
+from crackscope.dataio import polygon_to_mask
 from crackscope.errors import InvalidShape, OutOfRange, UndefinedMetric
 from crackscope.metrics import (
     ConfusionCounts,
@@ -47,7 +51,7 @@ class TestConfusionMetrics:
             accuracy(ConfusionCounts())
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange):
             ConfusionCounts(tp=-1)
 
     def test_formulas_on_random_counts(self):
@@ -211,6 +215,18 @@ class TestMatchInstances:
         flags, fn = match_instances([pred], [gt], 0.95, mode="mask", extent=(64, 64))
         assert flags == [False] and fn == 1
 
+    def test_iou_tie_picks_first_ground_truth(self):
+        box = BBox(5, 5, 4, 4)
+        flags, fn = match_instances([_pred(0.9, box)], [_gt(BBox(9, 9, 1, 1)), _gt(box), _gt(box)], 0.5)
+        assert flags == [True] and fn == 2
+        # left and right shifts tie at IoU 0.6; the left one is listed first and
+        # taken, so the later prediction, which only clears 0.5 on it, misses
+        left, right = _gt(BBox(4, 5, 4, 4)), _gt(BBox(6, 5, 4, 4))
+        flags, fn = match_instances([_pred(0.9, box), _pred(0.8, BBox(3.5, 5, 4, 4))], [left, right], 0.5)
+        assert flags == [True, False] and fn == 1
+        flags, fn = match_instances([_pred(0.9, box), _pred(0.8, BBox(3.5, 5, 4, 4))], [right, left], 0.5)
+        assert flags == [True, True] and fn == 0
+
     def test_bad_threshold_rejected(self):
         with pytest.raises(OutOfRange):
             match_instances([], [], 0.0)
@@ -318,6 +334,126 @@ class TestAveragePrecision:
         assert envelope == sorted(envelope, reverse=True)
 
 
+_flagged = st.lists(st.tuples(strategies.scores, st.booleans()), max_size=60)
+
+
+class TestAveragePrecisionOracle:
+    """The one-pass envelope against the quadratic body it replaced."""
+
+    @given(_flagged, st.integers(0, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_quadratic_oracle_on_pr_curves(self, flagged, extra_gt):
+        total_gt = max(1, sum(1 for _, f in flagged if f) + extra_gt)
+        points = pr_curve(flagged, total_gt)
+        got = average_precision(points)
+        assert got == oracles.naive_average_precision(points)
+        if flagged:
+            assert abs(got - oracles.ap_by_threshold_enumeration(flagged, total_gt)) <= 1e-9
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.one_of(st.just(math.nan), st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0])),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_quadratic_oracle_on_raw_curves(self, steps):
+        """Arbitrary curves with NaN precisions and repeated recalls: the same
+        bits where the oracle's envelope exists, UndefinedMetric where it does not."""
+        recall_steps = np.cumsum([step for step, _ in steps]) / (4.0 * len(steps))
+        points = [PRPoint(1.0, p, float(r)) for r, (_, p) in zip(recall_steps, steps)]
+        try:
+            want = oracles.naive_average_precision(points)
+        except ValueError:  # max() of an empty sequence: every remaining precision is NaN
+            with pytest.raises(UndefinedMetric):
+                average_precision(points)
+        else:
+            assert average_precision(points) == want
+
+    def test_single_nan_point(self):
+        points = [PRPoint(1.0, math.nan, 0.0)]
+        assert average_precision(points) == oracles.naive_average_precision(points) == 0.0
+
+    def test_nan_envelope_raises_undefined_metric(self):
+        with pytest.raises(UndefinedMetric):
+            average_precision([PRPoint(0.9, 1.0, 0.2), PRPoint(0.5, math.nan, 0.4)])
+
+
+@st.composite
+def _image(draw, max_preds=8, max_gts=6):
+    """Detections and ground truths of one image, with mixed classes and
+    score ties; ground truths and predictions often copy an earlier ground
+    truth's polygon, which ties IoUs along a row."""
+    gts = []
+    for _ in range(draw(st.integers(0, max_gts))):
+        if gts and draw(st.booleans()):
+            polygon = gts[draw(st.integers(0, len(gts) - 1))].polygon
+        else:
+            polygon = draw(strategies.unit_polygons())
+        gts.append(DetectionRecord("img", draw(strategies.classes), 1.0, polygon=polygon))
+    preds = []
+    for _ in range(draw(st.integers(0, max_preds))):
+        if gts and draw(st.booleans()):
+            polygon = gts[draw(st.integers(0, len(gts) - 1))].polygon
+        else:
+            polygon = draw(strategies.unit_polygons())
+        preds.append(DetectionRecord("img", draw(strategies.classes), draw(strategies.scores),
+                                     polygon=polygon))
+    return preds, gts
+
+
+def _reference_match(preds, gts, thresh, pair_iou):
+    matrix = [
+        [pair_iou(p, g) if p.class_id == g.class_id else 0.0 for g in gts] for p in preds
+    ]
+    return oracles.greedy_match_reference([p.score for p in preds], gts, matrix, thresh)
+
+
+_thresholds = st.sampled_from([0.05, 0.3, 0.5, 1.0])
+
+
+class TestMatchInstancesOracle:
+    """Per-image IoU matrix matching against a pair-by-pair greedy reference."""
+
+    @given(_image(), _thresholds)
+    @settings(max_examples=200, deadline=None)
+    def test_box_mode(self, image, thresh):
+        preds, gts = image
+
+        def pair_iou(p, g):
+            return oracles.corner_iou(
+                oracles.polygon_corners(p.polygon), oracles.polygon_corners(g.polygon)
+            )
+
+        assert match_instances(preds, gts, thresh) == _reference_match(preds, gts, thresh, pair_iou)
+
+    @pytest.mark.filterwarnings("ignore:degenerate zero-area polygon")
+    @given(_image(), _thresholds, st.integers(1, 40), st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_mask_mode(self, image, thresh, width, height):
+        preds, gts = image
+
+        def pair_iou(p, g):
+            return mask_iou(
+                polygon_to_mask(p.polygon, width, height), polygon_to_mask(g.polygon, width, height)
+            )
+
+        got = match_instances(preds, gts, thresh, mode="mask", extent=(width, height))
+        assert got == _reference_match(preds, gts, thresh, pair_iou)
+
+    @pytest.mark.filterwarnings("ignore:degenerate zero-area polygon")
+    def test_empty_rasters_match_each_other(self):
+        """Two polygons too small to cover a pixel center score IoU 1.0, as in mask_iou."""
+        speck = np.array([[0.501, 0.501], [0.502, 0.501], [0.502, 0.502]])
+        pred = DetectionRecord("img", 0, 0.9, polygon=speck)
+        gt = DetectionRecord("img", 0, 1.0, polygon=speck + 0.3)
+        assert match_instances([pred], [gt], 1.0, mode="mask", extent=(8, 8)) == ([True], 0)
+
+
 class TestCsvExport:
     def test_format(self):
         points = [PRPoint(0.9, 1.0, 0.5), PRPoint(0.8, 0.5, 0.5)]
@@ -338,6 +474,13 @@ class TestDetectionRecord:
 
         with pytest.raises(MalformedPrediction):
             DetectionRecord("a", 0, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1, 1.1])
+    def test_polygon_coordinates_checked(self, bad):
+        polygon = np.array([[0.1, 0.1], [0.5, 0.1], [0.3, 0.6]])
+        polygon[1, 1] = bad
+        with pytest.raises(OutOfRange):
+            DetectionRecord("a", 0, 0.5, polygon=polygon)
 
     def test_short_polygon_rejected(self):
         from crackscope.errors import MalformedPrediction
