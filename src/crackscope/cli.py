@@ -10,9 +10,10 @@ Subcommands::
 
 Exit codes: 0 success, 1 validation error (single ``error: ...`` line on
 stderr), 2 usage error.  ``CRACKSCOPE_THREADS`` caps worker parallelism for
-per-image/per-component work; unset means single-threaded.  All file writes
-are atomic (temp file + rename) and outputs are emitted in deterministic
-input order regardless of thread count.
+``eval``'s per-image work; unset means single-threaded.  ``analyze`` runs on
+one thread, since its per-component work is cropped to each component's
+bbox.  All file writes are atomic (temp file + rename) and outputs are
+emitted in deterministic input order regardless of thread count.
 """
 
 from __future__ import annotations
@@ -75,14 +76,8 @@ def _cmd_analyze(args) -> int:
         gray = dataio.read_pgm(fh.read())
     mask = maskgeom.threshold_mask(gray)
     scale = None if args.scale_mm_per_px is None else maskgeom.ScaleConfig(args.scale_mm_per_px)
-    components = maskgeom.connected_components(mask)
-    reports = []
-    if components:
-        edt = maskgeom.distance_transform(mask)
-        skeleton = maskgeom.skeletonize(mask)
-        reports = _map_ordered(
-            lambda c: maskgeom.analyze_component(c, edt, skeleton, scale), components
-        )
+    _worker_count()  # analyze runs on one thread, but rejects a bad value as eval does
+    reports = maskgeom.analyze_mask(mask, scale)
     doc = json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
     dataio.atomic_write_text(args.out, doc)
     print(f"{len(reports)} component(s) analyzed -> {args.out}")

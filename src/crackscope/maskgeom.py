@@ -11,6 +11,14 @@ largest disk of pixel centers around it (pixel-center distance convention).
 The image border counts as background by default, so a crack touching the
 frame is measured to the frame edge; pass ``border_is_background=False`` to
 measure only against in-image background.
+
+The cost is linear in pixels, not components x pixels: the mask is labelled
+once and each component's pixels are read from its own ``find_objects``
+bbox; width and degree work for a component reads only the skeleton and
+distance field inside that bbox grown by one pixel; and thinning looks up
+each pixel's 8-neighbour code in one 256-entry removal table per
+subiteration, evaluating after the first two subiterations only the window
+where pixels were just removed.
 """
 
 from __future__ import annotations
@@ -37,6 +45,28 @@ __all__ = [
 ]
 
 _EIGHT = np.ones((3, 3), dtype=bool)
+
+# (row, col) offsets of the 8-neighbours p2 (north), p3 (north-east), ...
+# p9 (north-west), clockwise; p(k) is bit k - 2 of a pixel's 8-neighbour code
+_RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
+
+
+def _thinning_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Per 8-neighbour code, whether a foreground pixel is removed in the
+    first and the second subiteration (Zhang & Suen, CACM 1984): 2..6
+    foreground neighbours, one 0->1 transition around the ring, and the
+    subiteration's two winding products zero."""
+    ring = (np.arange(256)[:, None] >> np.arange(8)) & 1  # columns p2..p9
+    p2, _, p4, _, p6, _, p8, _ = ring.T
+    neighbors = ring.sum(axis=1)
+    transitions = ((ring == 0) & (np.roll(ring, -1, axis=1) == 1)).sum(axis=1)
+    simple = (neighbors >= 2) & (neighbors <= 6) & (transitions == 1)
+    first = simple & (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0)
+    second = simple & (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0)
+    return first, second
+
+
+_REMOVABLE = _thinning_tables()
 
 
 @dataclass(frozen=True)
@@ -114,20 +144,20 @@ def connected_components(mask) -> list[CrackComponent]:
     lexicographically smallest (row, col) pixel.  Ids count from 1."""
     mask = _require_mask(mask)
     labels, count = ndimage.label(mask, structure=_EIGHT)
+    if not count:
+        return []
     order = []
-    for lab in range(1, count + 1):
-        pixels = np.argwhere(labels == lab)  # row-major sorted
-        order.append((-len(pixels), int(pixels[0][0]), int(pixels[0][1]), pixels))
+    for lab, (rs, cs) in enumerate(ndimage.find_objects(labels), start=1):
+        pixels = np.argwhere(labels[rs, cs] == lab) + (rs.start, cs.start)  # row-major sorted
+        order.append((-len(pixels), int(pixels[0][0]), int(pixels[0][1]), pixels, rs, cs))
     order.sort(key=lambda item: item[:3])
     components = []
-    for new_id, (_, _, _, pixels) in enumerate(order, start=1):
-        rmin, cmin = pixels.min(axis=0)
-        rmax, cmax = pixels.max(axis=0)
+    for new_id, (_, _, _, pixels, rs, cs) in enumerate(order, start=1):
         bbox = BBox(
-            cx=(cmin + cmax + 1) / 2.0,
-            cy=(rmin + rmax + 1) / 2.0,
-            w=float(cmax - cmin + 1),
-            h=float(rmax - rmin + 1),
+            cx=(cs.start + cs.stop) / 2.0,
+            cy=(rs.start + rs.stop) / 2.0,
+            w=float(cs.stop - cs.start),
+            h=float(rs.stop - rs.start),
         )
         components.append(CrackComponent(new_id, pixels, bbox))
     return components
@@ -156,67 +186,81 @@ def skeletonize(mask) -> np.ndarray:
     Returns a boolean mask of skeleton pixels: a subset of the foreground
     that keeps each component 8-connected.  Isolated pixels survive; note
     that 2x2 blocks thin away completely (no skeleton).
+
+    Each subiteration looks up every pixel's 8-neighbour code in that
+    subiteration's removal table.  A verdict changes only where a neighbour
+    changed since the same table last ran, so from the third subiteration on
+    only the bbox of the pixels removed in the previous two, grown by one, is
+    evaluated; thinning stops when that window is empty.
     """
     mask = _require_mask(mask)
-    img = np.pad(mask, 1, constant_values=False).astype(np.uint8)
+    img = np.pad(mask, 1).view(np.uint8)  # 0/1 with a background ring
+    height, width = mask.shape
+    full = (0, height, 0, width)
+    removed = [full, full]  # removal bboxes of the last two subiterations
+    step = 0
     while True:
-        changed = False
-        for step in (0, 1):
-            p = img
-            center = p[1:-1, 1:-1]
-            p2 = p[:-2, 1:-1]
-            p3 = p[:-2, 2:]
-            p4 = p[1:-1, 2:]
-            p5 = p[2:, 2:]
-            p6 = p[2:, 1:-1]
-            p7 = p[2:, :-2]
-            p8 = p[1:-1, :-2]
-            p9 = p[:-2, :-2]
-            ring = (p2, p3, p4, p5, p6, p7, p8, p9)
-            neighbors = sum(int_ring := [r.astype(np.int64) for r in ring])
-            transitions = np.zeros_like(neighbors)
-            for a, b in zip(int_ring, int_ring[1:] + int_ring[:1]):
-                transitions += (a == 0) & (b == 1)
-            if step == 0:
-                winds = (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0)
-            else:
-                winds = (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0)
-            remove = (
-                (center == 1)
-                & (neighbors >= 2)
-                & (neighbors <= 6)
-                & (transitions == 1)
-                & winds
-            )
-            if remove.any():
-                center[remove] = 0
-                changed = True
-        if not changed:
+        window = _union_grown(*removed, height, width)
+        if window is None:
             return img[1:-1, 1:-1].astype(bool)
+        r0, r1, c0, c1 = window
+        code = np.zeros((r1 - r0, c1 - c0), dtype=np.uint8)
+        for bit, (dr, dc) in enumerate(_RING):
+            code |= img[1 + r0 + dr : 1 + r1 + dr, 1 + c0 + dc : 1 + c1 + dc] << bit
+        view = img[1 + r0 : 1 + r1, 1 + c0 : 1 + c1]
+        remove = _REMOVABLE[step][code] & (view == 1)
+        view[remove] = 0
+        rows = np.flatnonzero(remove.any(axis=1))
+        cols = np.flatnonzero(remove.any(axis=0))
+        box = (r0 + rows[0], r0 + rows[-1] + 1, c0 + cols[0], c0 + cols[-1] + 1) if len(rows) else None
+        removed = [removed[1], box]
+        step ^= 1
 
 
-def _component_mask(component: CrackComponent, shape) -> np.ndarray:
-    m = np.zeros(shape, dtype=bool)
-    m[component.pixels[:, 0], component.pixels[:, 1]] = True
-    return m
+def _union_grown(a, b, height, width):
+    """Bbox ``(r0, r1, c0, c1)`` covering boxes ``a`` and ``b`` (either may be
+    None) grown by one pixel and clipped to the frame; None if both are."""
+    boxes = [box for box in (a, b) if box is not None]
+    if not boxes:
+        return None
+    r0, r1, c0, c1 = zip(*boxes)
+    return max(min(r0) - 1, 0), min(max(r1) + 1, height), max(min(c0) - 1, 0), min(max(c1) + 1, width)
+
+
+def _component_skeleton(component: CrackComponent, edt, skeleton):
+    """The component's skeleton pixels in row-major order, with the width
+    ``2 * edt - 1`` and the 8-degree on the whole skeleton at each.
+
+    Only the component's bbox grown by one pixel is read: it holds every
+    8-neighbour of the component, and it is clipped to the frame, whose
+    outside counts as background.
+    """
+    skeleton = np.asarray(skeleton)
+    if skeleton.ndim != 2:
+        raise InvalidShape(f"skeleton must be 2-D, got shape {skeleton.shape}")
+    pixels = component.pixels
+    low, high = pixels.min(axis=0), pixels.max(axis=0)
+    r0, c0 = np.maximum(low - 1, 0)
+    window = skeleton[r0 : high[0] + 2, c0 : high[1] + 2].astype(bool)
+    inside = np.zeros_like(window)
+    inside[pixels[:, 0] - r0, pixels[:, 1] - c0] = True
+    local = np.argwhere(window & inside)
+    if len(local) == 0:
+        raise DegenerateComponent(
+            f"component {component.id} (rows {low[0]}-{high[0]}, cols {low[1]}-{high[1]}) "
+            "has no skeleton pixels"
+        )
+    counts = ndimage.convolve(window.view(np.uint8), _EIGHT.view(np.uint8), mode="constant")
+    own = local + (r0, c0)
+    widths = 2.0 * np.asarray(edt)[own[:, 0], own[:, 1]].astype(np.float64) - 1.0
+    return own, widths, counts[local[:, 0], local[:, 1]] - 1  # the 3x3 count holds the pixel
 
 
 def width_profile(component: CrackComponent, edt, skeleton) -> list[tuple[tuple[int, int], float]]:
     """Inscribed-disk width ``2 * edt - 1`` at each of the component's
     skeleton pixels, in row-major pixel order."""
-    edt = np.asarray(edt, dtype=np.float64)
-    skeleton = _require_mask(skeleton, "skeleton")
-    inside = _component_mask(component, skeleton.shape)
-    own = skeleton & inside
-    pixels = np.argwhere(own)
-    if len(pixels) == 0:
-        raise DegenerateComponent(f"component {component.id} has no skeleton pixels")
-    return [((int(r), int(c)), 2.0 * edt[r, c] - 1.0) for r, c in pixels]
-
-
-def _skeleton_degrees(skeleton: np.ndarray) -> np.ndarray:
-    counts = ndimage.convolve(skeleton.astype(np.int64), _EIGHT.astype(np.int64), mode="constant")
-    return counts - skeleton.astype(np.int64)
+    own, widths, _ = _component_skeleton(component, edt, skeleton)
+    return [((r, c), wd) for (r, c), wd in zip(own.tolist(), widths.tolist())]
 
 
 def analyze_component(
@@ -229,24 +273,21 @@ def analyze_component(
     maximum uses every skeleton pixel.  Argmax/argmin ties resolve to the
     lexicographically smallest (row, col).
     """
-    profile = width_profile(component, edt, skeleton)
-    skeleton = _require_mask(skeleton, "skeleton")
-    degrees = _skeleton_degrees(skeleton)
-
-    best = max(range(len(profile)), key=lambda i: profile[i][1])
-    interior = [i for i in range(len(profile)) if degrees[profile[i][0]] >= 2]
-    candidates = interior if interior else range(len(profile))
-    worst = min(candidates, key=lambda i: profile[i][1])
-    max_loc, max_width = profile[best]
-    min_loc, min_width = profile[worst]
+    own, widths, degrees = _component_skeleton(component, edt, skeleton)
+    interior = np.flatnonzero(degrees >= 2)
+    candidates = interior if len(interior) else np.arange(len(own))
+    best = int(np.argmax(widths))  # argmax/argmin take the first extreme
+    worst = int(candidates[np.argmin(widths[candidates])])
+    max_width = float(widths[best])
+    min_width = float(widths[worst])
     report = WidthReport(
         component_id=component.id,
         area_px=component.area,
         max_width_px=max_width,
-        max_width_location=max_loc,
+        max_width_location=tuple(own[best].tolist()),
         min_width_px=min_width,
-        min_width_location=min_loc,
-        skeleton_length_px=len(profile),
+        min_width_location=tuple(own[worst].tolist()),
+        skeleton_length_px=len(own),
     )
     if scale is not None:
         report = replace(

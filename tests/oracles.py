@@ -231,6 +231,49 @@ def reference_thinning(mask):
     return np.array(grid, dtype=bool)
 
 
+def naive_analyze_component(pixels, edt, skeleton):
+    """Full-frame width report of the component with the given [k, 2] pixels.
+
+    Builds the component's own full-frame mask, takes the skeleton pixels
+    inside it in row-major order with width ``2 * edt - 1``, and counts each
+    one's 8-neighbours on the whole (any nonzero) skeleton.  Returns
+    ``(profile, report)``: the ``[((r, c), width)]`` profile and the report
+    fields as a dict (no mm keys); None when the component has no skeleton
+    pixels.  Max over every pixel, min over interior ones (degree >= 2) when
+    any exist, first pixel on ties.
+    """
+    skeleton = np.asarray(skeleton).astype(bool)
+    edt = np.asarray(edt, dtype=np.float64)
+    h, w = skeleton.shape
+    inside = np.zeros((h, w), dtype=bool)
+    inside[pixels[:, 0], pixels[:, 1]] = True
+    own = np.argwhere(skeleton & inside)
+    if len(own) == 0:
+        return None
+    profile = [((int(r), int(c)), 2.0 * edt[r, c] - 1.0) for r, c in own]
+
+    def degree(r, c):
+        return sum(
+            1
+            for dr in (-1, 0, 1)
+            for dc in (-1, 0, 1)
+            if (dr or dc) and 0 <= r + dr < h and 0 <= c + dc < w and skeleton[r + dr, c + dc]
+        )
+
+    best = max(range(len(profile)), key=lambda i: profile[i][1])
+    interior = [i for i in range(len(profile)) if degree(*profile[i][0]) >= 2]
+    worst = min(interior or range(len(profile)), key=lambda i: profile[i][1])
+    report = {
+        "area_px": len(pixels),
+        "max_width_px": profile[best][1],
+        "max_width_location": profile[best][0],
+        "min_width_px": profile[worst][1],
+        "min_width_location": profile[worst][0],
+        "skeleton_length_px": len(profile),
+    }
+    return profile, report
+
+
 def max_inscribed_disk_width(mask, border_is_background=True):
     """Brute-force maximum width: 2*d - 1 over every foreground pixel,
     where d is the exhaustive nearest-background distance."""

@@ -91,7 +91,8 @@ class TestAnalyze:
         speck.write_bytes(write_pgm(gray))
         code = main(["analyze", "--mask", str(speck), "--out", str(tmp_path / "o.json")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err == "error: component 1 (rows 3-4, cols 3-4) has no skeleton pixels\n"
 
     def test_bad_threads_env_exits_1(self, bar_mask_path, tmp_path, capsys):
         os.environ["CRACKSCOPE_THREADS"] = "many"

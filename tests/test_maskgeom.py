@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 import oracles
 from crackscope.errors import DegenerateComponent, InvalidImage, InvalidShape, OutOfRange
@@ -13,6 +16,37 @@ from crackscope.maskgeom import (
     threshold_mask,
     width_profile,
 )
+
+
+@st.composite
+def masks(draw, max_side=24):
+    """Non-square boolean masks: random fill (often touching the frame),
+    dilated blobs, sparse single pixels, diagonal chains, isolated 2x2 blocks
+    (which thin away) or all foreground."""
+    kind = draw(st.sampled_from(["random", "blobs", "specks", "diagonal", "blocks", "full"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h, w = (int(v) for v in rng.integers(1, max_side + 1, 2))  # uniform, unlike drawn integers
+    if kind == "random":
+        return rng.random((h, w)) < draw(st.floats(0.05, 0.95))
+    if kind == "blobs":
+        seeds = rng.random((h, w)) < 0.08
+        return ndimage.binary_dilation(seeds, iterations=draw(st.integers(1, 3)))
+    if kind == "specks":
+        return rng.random((h, w)) < 0.05
+    mask = np.zeros((h, w), dtype=bool)
+    if kind == "diagonal":
+        for offset in rng.integers(-h, w, draw(st.integers(1, 3))):
+            rows = np.arange(h)
+            cols = rows + offset if rng.random() < 0.5 else w - 1 - rows - offset
+            keep = (cols >= 0) & (cols < w)
+            mask[rows[keep], cols[keep]] = True
+    elif kind == "blocks":
+        for r in range(0, h - 1, 3):
+            for c in range(0, w - 1, 3):
+                mask[r : r + 2, c : c + 2] = rng.random() < 0.7
+    else:
+        mask[:] = True
+    return mask
 
 
 class TestThreshold:
@@ -64,6 +98,25 @@ class TestComponents:
             assert sorted(got, key=sorted) == sorted(expected, key=sorted)
             areas = [c.area for c in comps]
             assert areas == sorted(areas, reverse=True)
+
+    @given(masks(max_side=30))
+    @settings(max_examples=150, deadline=None)
+    def test_pixels_and_order_match_flood_fill(self, mask):
+        # largest first, ties by the smallest (row, col) pixel
+        expected = sorted(oracles.flood_fill_components(mask), key=lambda s: (-len(s), min(s)))
+        comps = connected_components(mask)
+        assert [c.id for c in comps] == list(range(1, len(expected) + 1))
+        for comp, pixels in zip(comps, expected):
+            assert comp.pixels.tolist() == [list(p) for p in sorted(pixels)]
+            rows = [r for r, _ in pixels]
+            cols = [c for _, c in pixels]
+            bbox = comp.bbox
+            assert (bbox.w, bbox.h) == (max(cols) - min(cols) + 1, max(rows) - min(rows) + 1)
+            assert (bbox.cx, bbox.cy) == (
+                (min(cols) + max(cols) + 1) / 2,
+                (min(rows) + max(rows) + 1) / 2,
+            )
+        assert len(comps) == len(expected)
 
     def test_bbox_covers_pixels(self):
         mask = np.zeros((10, 10), dtype=bool)
@@ -128,6 +181,11 @@ class TestSkeletonize:
         for _ in range(20):
             mask = rng.random((16, 16)) < 0.55
             assert np.array_equal(skeletonize(mask), oracles.reference_thinning(mask))
+
+    @given(masks(max_side=40))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_thinning_on_random_masks(self, mask):
+        assert np.array_equal(skeletonize(mask), oracles.reference_thinning(mask))
 
     def test_subset_of_foreground(self):
         rng = np.random.default_rng(4)
@@ -258,6 +316,75 @@ class TestAnalyzeComponent:
     def test_non_positive_or_non_finite_scale_rejected(self, value):
         with pytest.raises(OutOfRange):
             ScaleConfig(mm_per_px=value)
+
+
+class TestAgainstFullFrameOracle:
+    """``width_profile`` and ``analyze_component`` read only a window around
+    the component; ``oracles.naive_analyze_component`` works on the full frame."""
+
+    @staticmethod
+    def _skeleton(mask, kind, rng):
+        skel = skeletonize(mask)
+        if kind == "uint8":  # nonzero values above 1 still mean skeleton
+            return skel.astype(np.uint8) * rng.integers(1, 256, mask.shape, dtype=np.uint8)
+        if kind == "arbitrary":  # neighbours outside the component count too
+            return (rng.random(mask.shape) < 0.5) | skel
+        return skel
+
+    @given(
+        masks(),
+        st.booleans(),
+        st.sampled_from(["thinned", "uint8", "arbitrary"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle(self, mask, border_is_background, skeleton_kind, seed):
+        edt = distance_transform(mask, border_is_background=border_is_background)
+        skel = self._skeleton(mask, skeleton_kind, np.random.default_rng(seed))
+        scale = ScaleConfig(mm_per_px=0.3)
+        for comp in connected_components(mask):
+            expected = oracles.naive_analyze_component(comp.pixels, edt, skel)
+            if expected is None:
+                with pytest.raises(DegenerateComponent):
+                    width_profile(comp, edt, skel)
+                with pytest.raises(DegenerateComponent):
+                    analyze_component(comp, edt, skel)
+                continue
+            profile, fields = expected
+            assert width_profile(comp, edt, skel) == profile
+            report = analyze_component(comp, edt, skel, scale)
+            assert report.component_id == comp.id
+            for name, value in fields.items():
+                assert getattr(report, name) == value, name
+            assert report.max_width_mm == fields["max_width_px"] * 0.3
+            assert report.min_width_mm == fields["min_width_px"] * 0.3
+            for name in ("max_width_px", "min_width_px", "max_width_mm", "min_width_mm"):
+                assert type(getattr(report, name)) is float, name
+            for name in ("max_width_location", "min_width_location"):
+                assert all(type(v) is int for v in getattr(report, name)), name
+
+    def test_all_foreground_without_border_is_infinite(self):
+        mask = np.ones((7, 12), dtype=bool)
+        edt = distance_transform(mask, border_is_background=False)
+        skel = skeletonize(mask)
+        (comp,) = connected_components(mask)
+        profile, fields = oracles.naive_analyze_component(comp.pixels, edt, skel)
+        assert width_profile(comp, edt, skel) == profile
+        report = analyze_component(comp, edt, skel)
+        assert report.max_width_px == report.min_width_px == np.inf
+        assert report.max_width_location == fields["max_width_location"]
+        assert report.min_width_location == fields["min_width_location"]
+
+    def test_two_by_two_blocks_raise_in_both_bodies(self):
+        mask = np.zeros((9, 11), dtype=bool)
+        mask[0:2, 0:2] = mask[4:6, 7:9] = True
+        edt = distance_transform(mask)
+        skel = skeletonize(mask)
+        for comp in connected_components(mask):
+            assert oracles.naive_analyze_component(comp.pixels, edt, skel) is None
+            for body in (width_profile, analyze_component):
+                with pytest.raises(DegenerateComponent):
+                    body(comp, edt, skel)
 
 
 class TestMetrologyProperties:
