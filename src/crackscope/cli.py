@@ -240,6 +240,8 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_attn_demo(args) -> int:
+    if args.seed < 0:
+        raise CrackscopeError(f"seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     x = rng.uniform(-1, 1, (1, 8, 12, 12))
     block = args.block

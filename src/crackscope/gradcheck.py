@@ -10,7 +10,9 @@ Inputs for max-based ops (and relu) are drawn from a shuffled evenly spaced
 grid so no two values lie within the probe distance of each other, nor of
 relu's kink at 0: the winning element never changes under the perturbation,
 which is exactly the tie-free regime where the subgradient convention is
-differentiable.
+differentiable.  sppf pools the outputs of a 1x1 convolution, which can land
+close together however spaced its inputs are, so its cases are redrawn until
+those outputs are spaced too.
 
 ``run_gradient_suite`` sweeps all ops, all attention blocks (input
 gradients) and the box-regression loss over many seeded random cases.
@@ -178,8 +180,23 @@ _BLOCKS = {
 }
 
 
-def _random_block_case(block: str, rng) -> tuple:
-    """Random small inputs ``(x, *params)`` for ``_BLOCKS[block]``."""
+def _pools_tie_free(x, p, eps) -> bool:
+    """Whether every ``[n, m]`` plane of sppf's 1x1 reduce output keeps its
+    values pairwise more than ``2 * eps * sum_c |reduce_kernel[m, c]|`` apart.
+
+    The pools pick among exactly these values, and a probe of one input
+    element moves one value of each plane by at most ``eps * max_c |k[m, c]|``,
+    so no probe can reorder a plane and cross a max kink."""
+    reduced = ops.conv2d(x, p.reduce_kernel, p.reduce_bias)
+    n, m = reduced.shape[:2]
+    planes = np.sort(reduced.reshape(n, m, -1), axis=2)
+    bound = 2.0 * eps * np.abs(p.reduce_kernel).sum(axis=(1, 2, 3))
+    return bool(np.all(np.diff(planes, axis=2) > bound[:, None]))
+
+
+def _random_block_case(block: str, rng, eps=1e-5) -> tuple:
+    """Random small inputs ``(x, *params)`` for ``_BLOCKS[block]``; sppf cases
+    are redrawn until ``_pools_tie_free`` holds at probe size ``eps``."""
     seed = int(rng.integers(0, 2**31))
     n = int(rng.integers(1, 3))
     c = int(rng.integers(2, 5))
@@ -197,7 +214,12 @@ def _random_block_case(block: str, rng) -> tuple:
     if block == "sppf":
         cmid = int(rng.integers(1, 3))
         cout = int(rng.integers(1, 4))
-        return x, attention.init_sppf(c, cmid, cout, seed=seed)
+        while True:
+            p = attention.init_sppf(c, cmid, cout, seed=seed)
+            if _pools_tie_free(x, p, eps):
+                return x, p
+            seed = int(rng.integers(0, 2**31))
+            x = _spaced(rng, (n, c, h, w))
     if block == "pipeline":
         cin = int(rng.integers(1, 3))
         x = _spaced(rng, (n, cin, h, w))
@@ -206,7 +228,7 @@ def _random_block_case(block: str, rng) -> tuple:
 
 
 def _check_block(block: str, rng, eps, tol) -> GradCheckReport:
-    inputs = _random_block_case(block, rng)
+    inputs = _random_block_case(block, rng, eps)
     return gradcheck_fn(
         block, _BLOCKS[block], inputs, eps=eps, tol=tol, seed=int(rng.integers(0, 2**31))
     )
@@ -242,6 +264,8 @@ def _check_ciou(rng, eps, tol) -> GradCheckReport:
 def run_gradient_suite(seed=0, eps=1e-5, tol=1e-4, cases=100) -> list[GradCheckReport]:
     """Check every op, every block and the box loss over ``cases`` random
     draws each; returns one aggregated report per subject (worst case)."""
+    if seed < 0:
+        raise CrackscopeError(f"seed must be >= 0, got {seed}")
     if cases < 1:
         raise CrackscopeError(f"cases must be >= 1, got {cases}")
     if not (math.isfinite(eps) and eps > 0):

@@ -12,8 +12,9 @@ closure idiom of ``jax.vjp``: it validates the inputs and computes the
 output once, and ``pullback(upstream)`` returns the exact gradients with
 respect to every *array* input, as a tuple in positional order (structural
 arguments such as pooling sizes get no gradient).  The pullback reuses what
-the forward saved (windows, padded arrays, sigmoid values, argmax inputs)
-and writes into none of it, so it may be called any number of times; the
+the forward saved (convolution windows, padded arrays, sigmoid values,
+argmax inputs; max pooling keeps only its input and output) and writes into
+none of it, so it may be called any number of times; the
 caller in turn must not write into the inputs or the output while it holds
 the pullback.  ``<op>(...)`` is ``<op>_vjp(...)[0]`` and
 ``vjp(op, inputs, upstream)`` dispatches by name and raises
@@ -98,7 +99,22 @@ def global_max_pool(x) -> np.ndarray:
     return global_max_pool_vjp(x)[0]
 
 
+def _shifted(a, axis: int, k: int, stride: int, count: int):
+    """The ``k`` views of ``a`` shifted by 0..k-1 along ``axis``, each sampled
+    at the ``count`` window starts 0, stride, 2*stride, ..."""
+    span = stride * (count - 1) + 1
+    index = [slice(None)] * a.ndim
+    for d in range(k):
+        index[axis] = slice(d, d + span, stride)
+        yield a[tuple(index)]
+
+
 def maxpool2d_vjp(x, k: int, stride: int = 1, pad: int = 0):
+    """Separable shifted maxima: a running max over ``k`` columns, then over
+    ``k`` rows, each taken at the window starts only (van Herk 1992; Gil &
+    Werman 1993).  The pullback finds each window's first row-major maximum
+    in two O(k) passes, over the padded input and its row-segment maxima,
+    and routes the upstream to it with one ``np.bincount``."""
     x = as_nchw(x, "x")
     if k < 1:
         raise InvalidShape(f"pooling window must be >= 1, got {k}")
@@ -111,21 +127,52 @@ def maxpool2d_vjp(x, k: int, stride: int = 1, pad: int = 0):
     hp, wp = h + 2 * pad, w + 2 * pad
     if k > hp or k > wp:
         raise InvalidShape(f"window {k} exceeds padded input {hp}x{wp}")
-    padded = np.full((n, c, hp, wp), -np.inf, dtype=np.float64)
-    padded[:, :, pad : pad + h, pad : pad + w] = x
-    windows = sliding_window_view(padded, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    ho, wo = windows.shape[2], windows.shape[3]
+    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
+
+    def running_max(a, axis, count):
+        views = _shifted(a, axis, k, stride, count)
+        best = next(views).copy()
+        for view in views:
+            np.maximum(best, view, out=best)
+        return best
+
+    def first_max(a, best, axis, count):
+        # offset 0..k-1 of the first shifted view equal to best, NaN counting
+        # as maximal (as argmax does); best is one of the k views' values, so
+        # offset k-1 wins where none of the first k-1 views match
+        first = np.full(best.shape, k - 1, dtype=np.min_scalar_type(k))
+        for d, view in reversed(list(enumerate(_shifted(a, axis, k - 1, stride, count)))):
+            hit = (view == best) | np.isnan(view)
+            first -= hit * (first - d)  # first = d at hits; a masked store is slower
+        return first
+
+    def row_segments():
+        # the -inf padded input and the max of each row segment, [n, c, hp, wo];
+        # rebuilt by the pullback rather than held for it
+        padded = np.full((n, c, hp, wp), -np.inf, dtype=np.float64)
+        padded[:, :, pad : pad + h, pad : pad + w] = x
+        return padded, running_max(padded, 3, wo)
+
+    out = running_max(row_segments()[1], 2, ho)
 
     def pullback(up):
-        winner = windows.reshape(n, c, ho, wo, k * k).argmax(axis=4)
-        grad_pad = np.zeros((n, c, hp, wp), dtype=np.float64)
-        ni, ci, oi, oj = np.indices((n, c, ho, wo))
-        rows = oi * stride + winner // k
-        cols = oj * stride + winner % k
-        np.add.at(grad_pad, (ni, ci, rows, cols), np.reshape(up, (n, c, ho, wo)))
-        return (grad_pad[:, :, pad : pad + h, pad : pad + w],)
+        padded, row_max = row_segments()
+        col = first_max(padded, row_max, 3, wo)  # winner's offset in each row segment
+        # each window's winning row, counted in the [n * c * hp, wp] stack of rows
+        rows = first_max(row_max, out, 2, ho) + stride * np.arange(ho)[:, None]
+        rows += hp * np.arange(n * c).reshape(n, c, 1, 1)
+        del padded, row_max
+        starts = np.arange(wo)
+        # flat padded-frame index of each window's winner, in output row-major
+        # order, so bincount adds in the order a sequential scatter-add would
+        dest = col.reshape(-1, wo)[rows, starts] + stride * starts
+        rows *= wp
+        dest += rows
+        del rows
+        grad = np.bincount(dest.ravel(), weights=np.ravel(up), minlength=n * c * hp * wp)
+        return (grad.reshape(n, c, hp, wp)[:, :, pad : pad + h, pad : pad + w],)
 
-    return windows.max(axis=(4, 5)), pullback
+    return out, pullback
 
 
 def maxpool2d(x, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:

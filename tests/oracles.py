@@ -8,6 +8,7 @@ it checks.
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +96,29 @@ def naive_maxpool2d(x, k, stride, pad):
                                 best = max(best, x[ni, ci, sy, sz])
                     out[ni, ci, y, z] = best
     return out
+
+
+def naive_maxpool2d_vjp(x, k, stride, pad):
+    """Max pooling as one k*k reduction per window, and its pullback by a
+    per-window ``argmax`` and an ``np.add.at`` scatter: the library's former
+    body, kept as the bit-for-bit reference for ``ops.maxpool2d_vjp``."""
+    n, c, h, w = x.shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    padded = np.full((n, c, hp, wp), -np.inf, dtype=np.float64)
+    padded[:, :, pad : pad + h, pad : pad + w] = x
+    windows = sliding_window_view(padded, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    ho, wo = windows.shape[2], windows.shape[3]
+
+    def pullback(up):
+        winner = windows.reshape(n, c, ho, wo, k * k).argmax(axis=4)
+        grad_pad = np.zeros((n, c, hp, wp), dtype=np.float64)
+        ni, ci, oi, oj = np.indices((n, c, ho, wo))
+        rows = oi * stride + winner // k
+        cols = oj * stride + winner % k
+        np.add.at(grad_pad, (ni, ci, rows, cols), np.reshape(up, (n, c, ho, wo)))
+        return (grad_pad[:, :, pad : pad + h, pad : pad + w],)
+
+    return windows.max(axis=(4, 5)), pullback
 
 
 def naive_matvec(x, weight, bias):

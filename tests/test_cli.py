@@ -313,6 +313,7 @@ class TestGradcheckCommand:
             ["--eps", "inf"],
             ["--tol", "-1"],
             ["--tol", "nan"],
+            ["--seed", "-1"],
         ],
     )
     def test_bad_argument_exits_1_with_one_error_line(self, flags, capsys):
@@ -351,6 +352,14 @@ class TestAttnDemo:
                 f"attention weights: {weights}\n"
                 "zero-init identity |out - 0.25*x| = 0.000e+00\n"
             )
+
+    @pytest.mark.parametrize("block", ["eca", "cam", "sam", "cbam", "sppf"])
+    @pytest.mark.parametrize("seed", ["-1", "-2147483648"])
+    def test_negative_seed_exits_1_with_one_error_line(self, block, seed, capsys):
+        code = main(["attn-demo", "--block", block, "--seed", seed])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: seed must be >= 0, got {seed}\n"
 
     def test_zero_init_identity_reported(self, capsys):
         main(["attn-demo", "--block", "cbam", "--seed", "1"])

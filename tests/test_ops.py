@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from crackscope import ops
@@ -129,6 +134,53 @@ class TestConv2d:
             ops.conv2d(np.ones((1, 1, 2, 2)), np.ones((1, 1, 5, 5)), np.zeros(1), 1)
 
 
+# integer-valued so that ties are common; the sign of 0 and of NaN is drawn too
+_POOL_VALUES = [-2.0, -1.0, 0.0, 1.0, 2.0, -0.0, np.nan, -np.nan, np.inf, -np.inf]
+# 1e16 against small values makes a sum depend on the order of its terms
+_UPSTREAM = st.one_of(st.sampled_from([1e16, -1e16]), st.floats(-4.0, 4.0))
+
+
+@st.composite
+def pool_cases(draw):
+    """``(x, k, stride, pad, upstream)`` for maxpool2d, k up to the padded
+    extent, non-square, with some planes all ``-inf``."""
+    k = draw(st.integers(1, 6))
+    stride = draw(st.integers(1, 3))
+    pad = draw(st.integers(0, k // 2))
+    h = draw(st.integers(max(0, k - 2 * pad), k + 5))
+    w = draw(st.integers(max(0, k - 2 * pad), k + 5))
+    n, c = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    x = draw(arrays(np.float64, (n, c, h, w), elements=st.sampled_from(_POOL_VALUES)))
+    if draw(st.booleans()):
+        x[draw(st.integers(0, n - 1)), draw(st.integers(0, c - 1))] = -np.inf
+    ho = (h + 2 * pad - k) // stride + 1
+    wo = (w + 2 * pad - k) // stride + 1
+    up = draw(arrays(np.float64, (n, c, ho, wo), elements=_UPSTREAM))
+    return x, k, stride, pad, up
+
+
+def _assert_matches_former_body(x, k, stride, pad, up):
+    """``out`` and the gradient equal the sliding-window/argmax/add.at body's
+    byte for byte.  Where the input holds -0.0 or a negative NaN, only
+    ``out``'s values are compared: which sign of a tied zero or NaN a max
+    returns is not fixed even for the former body (it depends on the
+    reduction order numpy picks)."""
+    out, pullback = ops.maxpool2d_vjp(x, k, stride, pad)
+    ref_out, ref_pullback = oracles.naive_maxpool2d_vjp(x, k, stride, pad)
+    assert out.shape == ref_out.shape
+    signed = np.signbit(x) & ((x == 0) | np.isnan(x))
+    if signed.any():
+        assert np.array_equal(out, ref_out, equal_nan=True)
+    else:
+        assert out.tobytes() == ref_out.tobytes()
+    if not np.isnan(x).any():  # the loop oracle skips NaN instead of propagating it
+        assert np.array_equal(out, oracles.naive_maxpool2d(x, k, stride, pad))
+    grad = pullback(up)[0]
+    ref_grad = ref_pullback(up)[0]
+    assert grad.shape == ref_grad.shape == x.shape
+    assert np.ascontiguousarray(grad).tobytes() == np.ascontiguousarray(ref_grad).tobytes()
+
+
 class TestMaxpool2d:
     def test_identity_window(self):
         rng = np.random.default_rng(9)
@@ -153,6 +205,34 @@ class TestMaxpool2d:
     def test_window_larger_than_padded_input(self):
         with pytest.raises(InvalidShape):
             ops.maxpool2d(np.ones((1, 1, 2, 2)), 5, 1, 1)
+
+    @given(pool_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_former_body_bit_for_bit(self, case):
+        _assert_matches_former_body(*case)
+
+    def test_pullback_adds_in_output_order(self):
+        # x0 wins windows 0, 1 and 2; summed in that order the three upstreams
+        # give 1.0, in any other order the 1.0 is lost against 1e16
+        x = np.zeros((1, 1, 1, 4))
+        up = np.array([1e16, -1e16, 1.0, 5.0]).reshape(1, 1, 1, 4)
+        _assert_matches_former_body(x, 5, 1, 2, up)
+        assert ops.maxpool2d_vjp(x, 5, 1, 2)[1](up)[0][0, 0, 0, 0] == 1.0
+
+    def test_peak_memory_stays_linear_in_the_input(self):
+        """A forward and one pullback at 1x32x80x80, k=5, allocate under 8x
+        the input at peak; a copied k*k window array alone would be 25x."""
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((1, 32, 80, 80))
+        up = rng.standard_normal((1, 32, 80, 80))
+        tracemalloc.start()
+        try:
+            _, pullback = ops.maxpool2d_vjp(x, 5, 1, 2)
+            pullback(up)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * x.nbytes
 
 
 class TestActivations:
