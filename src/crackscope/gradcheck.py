@@ -194,9 +194,15 @@ def _pools_tie_free(x, p, eps) -> bool:
     return bool(np.all(np.diff(planes, axis=2) > bound[:, None]))
 
 
+# the inputs are 0.02 apart, so an eps near 0.01 leaves no tie-free sppf
+# case; at eps=1e-3 the suite needs at most a few dozen draws
+_SPPF_DRAWS = 1000
+
+
 def _random_block_case(block: str, rng, eps=1e-5) -> tuple:
     """Random small inputs ``(x, *params)`` for ``_BLOCKS[block]``; sppf cases
-    are redrawn until ``_pools_tie_free`` holds at probe size ``eps``."""
+    are redrawn until ``_pools_tie_free`` holds at probe size ``eps``, and
+    raise :class:`CrackscopeError` after ``_SPPF_DRAWS`` failed draws."""
     seed = int(rng.integers(0, 2**31))
     n = int(rng.integers(1, 3))
     c = int(rng.integers(2, 5))
@@ -214,12 +220,16 @@ def _random_block_case(block: str, rng, eps=1e-5) -> tuple:
     if block == "sppf":
         cmid = int(rng.integers(1, 3))
         cout = int(rng.integers(1, 4))
-        while True:
+        for _ in range(_SPPF_DRAWS):
             p = attention.init_sppf(c, cmid, cout, seed=seed)
             if _pools_tie_free(x, p, eps):
                 return x, p
             seed = int(rng.integers(0, 2**31))
             x = _spaced(rng, (n, c, h, w))
+        raise CrackscopeError(
+            f"sppf: no case of shape {(n, c, h, w)} in {_SPPF_DRAWS} draws keeps its "
+            f"pooled values apart at eps={eps:g}; use a smaller eps"
+        )
     if block == "pipeline":
         cin = int(rng.integers(1, 3))
         x = _spaced(rng, (n, cin, h, w))

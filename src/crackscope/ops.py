@@ -13,9 +13,8 @@ output once, and ``pullback(upstream)`` returns the exact gradients with
 respect to every *array* input, as a tuple in positional order (structural
 arguments such as pooling sizes get no gradient).  The pullback reuses what
 the forward saved (convolution windows, padded arrays, sigmoid values,
-argmax inputs; max pooling keeps only its input and output) and writes into
-none of it, so it may be called any number of times; the
-caller in turn must not write into the inputs or the output while it holds
+argmax inputs, max pooling's row-segment maxima) and writes into none of
+it, so it may be called any number of times; the caller in turn must not write into the inputs or the output while it holds
 the pullback.  ``<op>(...)`` is ``<op>_vjp(...)[0]`` and
 ``vjp(op, inputs, upstream)`` dispatches by name and raises
 :class:`InvalidShape` unless the upstream has the output's shape (pullbacks
@@ -146,29 +145,22 @@ def maxpool2d_vjp(x, k: int, stride: int = 1, pad: int = 0):
             first -= hit * (first - d)  # first = d at hits; a masked store is slower
         return first
 
-    def row_segments():
-        # the -inf padded input and the max of each row segment, [n, c, hp, wo];
-        # rebuilt by the pullback rather than held for it
-        padded = np.full((n, c, hp, wp), -np.inf, dtype=np.float64)
-        padded[:, :, pad : pad + h, pad : pad + w] = x
-        return padded, running_max(padded, 3, wo)
-
-    out = running_max(row_segments()[1], 2, ho)
+    padded = np.full((n, c, hp, wp), -np.inf, dtype=np.float64)
+    padded[:, :, pad : pad + h, pad : pad + w] = x
+    row_max = running_max(padded, 3, wo)  # max of each row segment, [n, c, hp, wo]
+    out = running_max(row_max, 2, ho)
 
     def pullback(up):
-        padded, row_max = row_segments()
         col = first_max(padded, row_max, 3, wo)  # winner's offset in each row segment
         # each window's winning row, counted in the [n * c * hp, wp] stack of rows
         rows = first_max(row_max, out, 2, ho) + stride * np.arange(ho)[:, None]
         rows += hp * np.arange(n * c).reshape(n, c, 1, 1)
-        del padded, row_max
         starts = np.arange(wo)
         # flat padded-frame index of each window's winner, in output row-major
         # order, so bincount adds in the order a sequential scatter-add would
         dest = col.reshape(-1, wo)[rows, starts] + stride * starts
         rows *= wp
         dest += rows
-        del rows
         grad = np.bincount(dest.ravel(), weights=np.ravel(up), minlength=n * c * hp * wp)
         return (grad.reshape(n, c, hp, wp)[:, :, pad : pad + h, pad : pad + w],)
 

@@ -314,6 +314,7 @@ class TestGradcheckCommand:
             ["--tol", "-1"],
             ["--tol", "nan"],
             ["--seed", "-1"],
+            ["--eps", "0.1"],  # inputs 0.02 apart: no tie-free sppf case, the redraws stop
         ],
     )
     def test_bad_argument_exits_1_with_one_error_line(self, flags, capsys):
@@ -353,10 +354,9 @@ class TestAttnDemo:
                 "zero-init identity |out - 0.25*x| = 0.000e+00\n"
             )
 
-    @pytest.mark.parametrize("block", ["eca", "cam", "sam", "cbam", "sppf"])
     @pytest.mark.parametrize("seed", ["-1", "-2147483648"])
-    def test_negative_seed_exits_1_with_one_error_line(self, block, seed, capsys):
-        code = main(["attn-demo", "--block", block, "--seed", seed])
+    def test_negative_seed_exits_1_with_one_error_line(self, seed, capsys):
+        code = main(["attn-demo", "--block", "sppf", "--seed", seed])
         assert code == 1
         err = capsys.readouterr().err
         assert err == f"error: seed must be >= 0, got {seed}\n"
