@@ -70,8 +70,6 @@ __all__ = [
     "init_sam",
     "init_sppf",
     "init_pipeline",
-    "save_params",
-    "load_params",
 ]
 
 
@@ -462,79 +460,3 @@ def init_pipeline(
         sam=init_sam(seed=seed + 3, zero=zero_attention),
         sppf=init_sppf(channels, cmid, cout, seed=seed + 4),
     )
-
-
-# ---------------------------------------------------------------------------
-# plain-text parameter serialization: header with block type and dims,
-# then the row-major values (same syntax as the tensor fixture format)
-
-
-def save_params(p) -> str:
-    if isinstance(p, EcaParams):
-        values = np.concatenate([p.kernel, [p.gamma, p.b_offset]])
-        return _render("eca", [p.kernel.size], values)
-    if isinstance(p, CamParams):
-        values = np.concatenate([p.w1.ravel(), p.b1, p.w2.ravel(), p.b2])
-        return _render("cam", [p.channels, p.reduction], values)
-    if isinstance(p, SamParams):
-        values = np.concatenate([p.kernel.ravel(), [p.bias]])
-        return _render("sam", [7], values)
-    if isinstance(p, SppfParams):
-        cmid, cin = p.reduce_kernel.shape[:2]
-        cout = p.expand_kernel.shape[0]
-        values = np.concatenate(
-            [p.reduce_kernel.ravel(), p.reduce_bias, p.expand_kernel.ravel(), p.expand_bias]
-        )
-        return _render("sppf", [cin, cmid, cout], values)
-    raise TypeError(f"cannot serialize {type(p).__name__}")
-
-
-def _render(kind, dims, values):
-    header = " ".join([kind] + [str(d) for d in dims])
-    return header + "\n" + " ".join(repr(float(v)) for v in values) + "\n"
-
-
-def load_params(text: str):
-    lines = text.strip().splitlines()
-    if not lines:
-        raise InvalidShape("empty parameter file")
-    header = lines[0].split()
-    values = np.array(" ".join(lines[1:]).split(), dtype=np.float64)
-    kind, dims = header[0], [int(tok) for tok in header[1:]]
-    if kind == "eca":
-        (k,) = dims
-        _expect(values, k + 2, kind)
-        return EcaParams(values[:k], gamma=values[k], b_offset=values[k + 1])
-    if kind == "cam":
-        channels, reduction = dims
-        hidden = channels // reduction
-        _expect(values, 2 * hidden * channels + hidden + channels, kind)
-        pos = 0
-        w1, pos = _take(values, pos, (hidden, channels))
-        b1, pos = _take(values, pos, (hidden,))
-        w2, pos = _take(values, pos, (channels, hidden))
-        b2, pos = _take(values, pos, (channels,))
-        return CamParams(reduction, w1, b1, w2, b2)
-    if kind == "sam":
-        _expect(values, 2 * 7 * 7 + 1, kind)
-        return SamParams(values[:-1].reshape(1, 2, 7, 7), float(values[-1]))
-    if kind == "sppf":
-        cin, cmid, cout = dims
-        _expect(values, cmid * cin + cmid + cout * 4 * cmid + cout, kind)
-        pos = 0
-        rk, pos = _take(values, pos, (cmid, cin, 1, 1))
-        rb, pos = _take(values, pos, (cmid,))
-        ek, pos = _take(values, pos, (cout, 4 * cmid, 1, 1))
-        eb, pos = _take(values, pos, (cout,))
-        return SppfParams(rk, rb, ek, eb)
-    raise InvalidShape(f"unknown parameter block {kind!r}")
-
-
-def _expect(values, count, kind):
-    if values.size != count:
-        raise InvalidShape(f"{kind} parameters need {count} values, got {values.size}")
-
-
-def _take(values, pos, shape):
-    count = int(np.prod(shape))
-    return values[pos : pos + count].reshape(shape), pos + count

@@ -9,11 +9,9 @@ Subcommands::
     attn-demo  run one attention block on seeded data and show its behavior
 
 Exit codes: 0 success, 1 validation error (single ``error: ...`` line on
-stderr), 2 usage error.  ``CRACKSCOPE_THREADS`` caps worker parallelism for
-``eval``'s per-image work; unset means single-threaded.  ``analyze`` runs on
-one thread, since its per-component work is cropped to each component's
-bbox.  All file writes are atomic (temp file + rename) and outputs are
-emitted in deterministic input order regardless of thread count.
+stderr), 2 usage error.  Every command runs on one thread; ``eval`` visits
+images in sorted id order.  Input text files must be UTF-8.  All file writes
+are atomic (temp file + rename).
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -40,23 +37,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _worker_count() -> int:
-    value = os.environ.get("CRACKSCOPE_THREADS")
-    if not value:
-        return 1
+def _read_text(path) -> str:
+    """The file's UTF-8 text; a file that is not UTF-8 is an error naming the
+    offset of its first bad byte (``read()`` decodes the whole file in one
+    call, so the decoder's offset counts from the start of the file)."""
     try:
-        return max(1, int(value))
-    except ValueError:
-        raise CrackscopeError(f"CRACKSCOPE_THREADS must be an integer, got {value!r}") from None
-
-
-def _map_ordered(fn, items):
-    items = list(items)
-    workers = _worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise CrackscopeError(f"{path}: not UTF-8 text (bad byte at offset {exc.start})") from None
 
 
 def _json_value(x):
@@ -76,7 +65,6 @@ def _cmd_analyze(args) -> int:
         gray = dataio.read_pgm(fh.read())
     mask = maskgeom.threshold_mask(gray)
     scale = None if args.scale_mm_per_px is None else maskgeom.ScaleConfig(args.scale_mm_per_px)
-    _worker_count()  # analyze runs on one thread, but rejects a bad value as eval does
     reports = maskgeom.analyze_mask(mask, scale)
     doc = json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
     dataio.atomic_write_text(args.out, doc)
@@ -94,8 +82,7 @@ def _load_ground_truth(gt_dir):
         stem, ext = os.path.splitext(name)
         if ext.lower() != ".txt":
             continue
-        with open(os.path.join(gt_dir, name), "r", encoding="utf-8") as fh:
-            gts[stem] = dataio.parse_label_file(fh.read())
+        gts[stem] = dataio.parse_label_file(_read_text(os.path.join(gt_dir, name)))
     if not gts:
         raise CrackscopeError(f"no label files (*.txt) found in {gt_dir}")
     return gts
@@ -103,18 +90,17 @@ def _load_ground_truth(gt_dir):
 
 def _cmd_eval(args) -> int:
     if args.pr_out and args.mode != "instance":
-        print("error: --pr-out requires --mode instance", file=sys.stderr)
-        return 1
+        raise CrackscopeError("--pr-out requires --mode instance")
     if args.raster_size < 1:
         raise CrackscopeError(f"--raster-size must be >= 1, got {args.raster_size}")
     gts = _load_ground_truth(args.gt)
-    with open(args.pred, "r", encoding="utf-8") as fh:
-        preds = dataio.read_predictions(fh.read())
+    preds = dataio.read_predictions(_read_text(args.pred))
     unknown = sorted({p.image_id for p in preds} - set(gts))
     if unknown:
-        for image_id in unknown:
-            print(f"error: prediction references unknown image id {image_id!r}", file=sys.stderr)
-        return 1
+        raise CrackscopeError(
+            f"predictions reference {len(unknown)} unknown image id(s): "
+            + ", ".join(repr(image_id) for image_id in unknown)
+        )
 
     by_image = {image_id: [] for image_id in gts}
     for p in preds:
@@ -123,12 +109,12 @@ def _cmd_eval(args) -> int:
     image_ids = sorted(gts)
 
     if args.mode == "instance":
-        def match_one(image_id):
-            return metrics.match_instances(
+        results = [
+            metrics.match_instances(
                 by_image[image_id], gts[image_id], args.iou, mode=args.match, extent=extent
             )
-
-        results = _map_ordered(match_one, image_ids)
+            for image_id in image_ids
+        ]
         flagged = []
         fn_total = 0
         for image_id, (flags, fn) in zip(image_ids, results):
@@ -158,7 +144,7 @@ def _cmd_eval(args) -> int:
             pred_mask = _union_mask([p.polygon for p in by_image[image_id]], width, height)
             return metrics.pixel_confusion(pred_mask, gt_mask)
 
-        counts = sum(_map_ordered(confuse_one, image_ids), metrics.ConfusionCounts())
+        counts = sum((confuse_one(image_id) for image_id in image_ids), metrics.ConfusionCounts())
         points = None
         summary = {
             "mode": "pixel",
@@ -205,8 +191,7 @@ def _try_metric(fn, counts):
 
 
 def _cmd_split(args) -> int:
-    with open(args.list, "r", encoding="utf-8") as fh:
-        items = [line.strip() for line in fh if line.strip()]
+    items = [line.strip() for line in _read_text(args.list).split("\n") if line.strip()]
     spec = dataio.SplitSpec(train=args.train, val=args.val, test=args.test, seed=args.seed)
     train, val, test = dataio.split_dataset(items, spec)
     os.makedirs(args.out_dir, exist_ok=True)

@@ -47,7 +47,6 @@ from .metrics import DetectionRecord, check_unit_coordinates
 __all__ = [
     "LabelRecord",
     "SplitSpec",
-    "DatasetIndex",
     "parse_label_file",
     "serialize_label_file",
     "polygon_to_crop",
@@ -95,34 +94,6 @@ class SplitSpec:
     @property
     def total(self) -> int:
         return self.train + self.val + self.test
-
-
-@dataclass(frozen=True)
-class DatasetIndex:
-    """Image/label path pairs with per-image pixel extents."""
-
-    entries: tuple  # of (image_path, label_path, width, height)
-
-    @classmethod
-    def from_dirs(cls, image_dir: str, label_dir: str) -> "DatasetIndex":
-        """Pair ``<stem>.pgm`` images with ``<stem>.txt`` labels; every label
-        must parse and every image must carry positive extents."""
-        entries = []
-        for name in sorted(os.listdir(image_dir)):
-            stem, ext = os.path.splitext(name)
-            if ext.lower() != ".pgm":
-                continue
-            label_path = os.path.join(label_dir, stem + ".txt")
-            if not os.path.exists(label_path):
-                continue
-            image_path = os.path.join(image_dir, name)
-            with open(image_path, "rb") as fh:
-                image = read_pgm(fh.read())
-            with open(label_path, "r", encoding="utf-8") as fh:
-                parse_label_file(fh.read())
-            height, width = image.shape
-            entries.append((image_path, label_path, width, height))
-        return cls(tuple(entries))
 
 
 # ---------------------------------------------------------------------------

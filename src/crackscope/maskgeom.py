@@ -8,9 +8,8 @@ skeleton pixels where they occur.
 
 Width at a skeleton pixel is ``2 * edt - 1``, the diameter in pixels of the
 largest disk of pixel centers around it (pixel-center distance convention).
-The image border counts as background by default, so a crack touching the
-frame is measured to the frame edge; pass ``border_is_background=False`` to
-measure only against in-image background.
+The image border counts as background, so a crack touching the frame is
+measured to the frame edge.
 
 The cost is linear in pixels, not components x pixels: the mask is labelled
 once and each component's pixels are read from its own ``find_objects``
@@ -163,21 +162,16 @@ def connected_components(mask) -> list[CrackComponent]:
     return components
 
 
-def distance_transform(mask, border_is_background: bool = True) -> np.ndarray:
+def distance_transform(mask) -> np.ndarray:
     """Exact Euclidean distance from each pixel center to the nearest
     background pixel center; background pixels are 0.
 
-    With ``border_is_background`` the plane outside the image counts as
-    background, realised by a one-pixel background ring (any farther outside
-    pixel is dominated by the ring pixel in the same direction).
+    The plane outside the image counts as background, realised by a
+    one-pixel background ring (any farther outside pixel is dominated by the
+    ring pixel in the same direction).
     """
-    mask = _require_mask(mask)
-    if border_is_background:
-        padded = np.pad(mask, 1, constant_values=False)
-        return ndimage.distance_transform_edt(padded)[1:-1, 1:-1]
-    if mask.all():
-        return np.full(mask.shape, np.inf)  # no background anywhere
-    return ndimage.distance_transform_edt(mask)
+    padded = np.pad(_require_mask(mask), 1, constant_values=False)
+    return ndimage.distance_transform_edt(padded)[1:-1, 1:-1]
 
 
 def skeletonize(mask) -> np.ndarray:
@@ -298,15 +292,13 @@ def analyze_component(
     return report
 
 
-def analyze_mask(
-    mask, scale: ScaleConfig | None = None, border_is_background: bool = True
-) -> list[WidthReport]:
+def analyze_mask(mask, scale: ScaleConfig | None = None) -> list[WidthReport]:
     """Full pipeline for one mask: components, distance field, skeleton,
     then one report per component in id order."""
     mask = _require_mask(mask)
     components = connected_components(mask)
     if not components:
         return []
-    edt = distance_transform(mask, border_is_background=border_is_background)
+    edt = distance_transform(mask)
     skeleton = skeletonize(mask)
     return [analyze_component(c, edt, skeleton, scale) for c in components]

@@ -1,9 +1,7 @@
 """Dense 4-D tensors in batch/channel/height/width (NCHW) order.
 
 Tensors are plain ``numpy.float64`` arrays; this module provides the shape
-validation shared by all kernels and a plain-text fixture format used by
-tests and the parameter files: first line ``N C H W``, then the row-major
-values separated by whitespace.
+validation shared by all kernels.
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ import numpy as np
 
 from .errors import InvalidShape
 
-__all__ = ["as_nchw", "tensor_from_text", "tensor_to_text"]
+__all__ = ["as_nchw"]
 
 
 def as_nchw(x, name: str = "tensor") -> np.ndarray:
@@ -24,34 +22,3 @@ def as_nchw(x, name: str = "tensor") -> np.ndarray:
     if arr.ndim != 4:
         raise InvalidShape(f"{name} must be 4-D (N, C, H, W), got shape {arr.shape}")
     return arr
-
-
-def tensor_from_text(text: str) -> np.ndarray:
-    """Parse the plain-text fixture format into an NCHW tensor."""
-    lines = text.strip().splitlines()
-    if not lines:
-        raise InvalidShape("empty tensor literal")
-    header = lines[0].split()
-    if len(header) != 4:
-        raise InvalidShape(f"tensor header must be 'N C H W', got {lines[0]!r}")
-    try:
-        shape = tuple(int(tok) for tok in header)
-    except ValueError as exc:
-        raise InvalidShape(f"non-integer extent in header {lines[0]!r}") from exc
-    if any(extent < 0 for extent in shape):
-        raise InvalidShape(f"negative extent in header {lines[0]!r}")
-    values = np.array(" ".join(lines[1:]).split(), dtype=np.float64)
-    expected = int(np.prod(shape))
-    if values.size != expected:
-        raise InvalidShape(
-            f"tensor literal has {values.size} values, shape {shape} needs {expected}"
-        )
-    return values.reshape(shape)
-
-
-def tensor_to_text(x) -> str:
-    """Serialize an NCHW tensor to the plain-text fixture format."""
-    arr = as_nchw(x)
-    header = " ".join(str(extent) for extent in arr.shape)
-    body = " ".join(repr(float(v)) for v in arr.ravel())
-    return f"{header}\n{body}\n"

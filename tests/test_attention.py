@@ -261,31 +261,3 @@ class TestBlockGradients:
         rng = np.random.default_rng(18)
         p = attention.init_pipeline(2, 4, 2, 3, seed=0)
         self._check(attention.pipeline_vjp, _rand(rng, (1, 2, 5, 5)), p)
-
-
-class TestSerialization:
-    @pytest.mark.parametrize(
-        "params",
-        [
-            attention.init_eca(8, seed=3),
-            attention.init_cam(8, reduction=4, seed=4),
-            attention.init_sam(seed=5),
-            attention.init_sppf(6, 3, 5, seed=6),
-        ],
-        ids=["eca", "cam", "sam", "sppf"],
-    )
-    def test_round_trip(self, params):
-        text = attention.save_params(params)
-        again = attention.load_params(text)
-        assert type(again) is type(params)
-        for field in vars(params):
-            a, b = getattr(params, field), getattr(again, field)
-            assert np.array_equal(np.asarray(a), np.asarray(b)), field
-
-    def test_unknown_header_rejected(self):
-        with pytest.raises(InvalidShape):
-            attention.load_params("mystery 3\n1 2 3\n")
-
-    def test_value_count_checked(self):
-        with pytest.raises(InvalidShape):
-            attention.load_params("eca 3\n1.0 2.0\n")

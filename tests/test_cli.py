@@ -94,17 +94,6 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err == "error: component 1 (rows 3-4, cols 3-4) has no skeleton pixels\n"
 
-    def test_bad_threads_env_exits_1(self, bar_mask_path, tmp_path, capsys):
-        os.environ["CRACKSCOPE_THREADS"] = "many"
-        try:
-            code = main(
-                ["analyze", "--mask", str(bar_mask_path), "--out", str(tmp_path / "o.json")]
-            )
-        finally:
-            del os.environ["CRACKSCOPE_THREADS"]
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error:")
-
 
 class TestEval:
     def test_instance_mode_hand_counts(self, eval_fixture, tmp_path, capsys):
@@ -180,9 +169,9 @@ class TestEval:
         pred_path.write_text(pred_path.read_text() + json.dumps(extra) + "\n")
         code = main(["eval", "--gt", str(gt_dir), "--pred", str(pred_path)])
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "ghost" in err
+        assert capsys.readouterr().err == (
+            "error: predictions reference 1 unknown image id(s): 'ghost'\n"
+        )
 
     def test_stdout_when_no_out_flag(self, eval_fixture, capsys):
         gt_dir, pred_path = eval_fixture
@@ -263,6 +252,38 @@ class TestBadValues:
         err = capsys.readouterr().err
         _one_error_line(err)
         assert "line 4:" in err
+
+    @pytest.mark.parametrize("target", ["label", "pred", "list"])
+    def test_non_utf8_input_names_the_file(self, eval_fixture, tmp_path, target, capsys):
+        gt_dir, pred_path = eval_fixture
+        bad = {"label": gt_dir / "img2.txt", "pred": pred_path, "list": tmp_path / "all.txt"}
+        # the bad byte lies past the first 8 KiB read buffer, at offset 9005
+        bad[target].write_bytes(b"0 0.1" + b" " * 9000 + b"\xff 0.1 0.9 0.1 0.5 0.9\n")
+        if target == "list":
+            argv = ["split", str(bad[target]), "--train", "1", "--val", "0", "--test", "0",
+                    "--out-dir", str(tmp_path / "splits")]
+        else:
+            argv = ["eval", "--gt", str(gt_dir), "--pred", str(pred_path)]
+        code = main(argv)
+        assert code in (1, 2)
+        err = capsys.readouterr().err
+        _one_error_line(err)
+        assert str(bad[target]) in err
+        assert "offset 9005" in err
+
+    def test_unknown_ids_give_one_line(self, eval_fixture, capsys):
+        gt_dir, pred_path = eval_fixture
+        ghosts = [
+            {"image": image_id, "class": 0, "score": 0.5,
+             "polygon": [[0.1, 0.1], [0.2, 0.1], [0.2, 0.2]]}
+            for image_id in ("zed", "ghost")
+        ]
+        pred_path.write_text(pred_path.read_text() + "".join(json.dumps(g) + "\n" for g in ghosts))
+        code = main(["eval", "--gt", str(gt_dir), "--pred", str(pred_path)])
+        assert code in (1, 2)
+        err = capsys.readouterr().err
+        _one_error_line(err)
+        assert "2 unknown image id(s): 'ghost', 'zed'" in err
 
 
 class TestSplit:

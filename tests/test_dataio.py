@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import oracles
 import strategies
 from crackscope.dataio import (
-    DatasetIndex,
     LabelRecord,
     SplitSpec,
     atomic_write_text,
@@ -284,23 +283,6 @@ class TestPredictions:
         assert again[0].image_id == records[0].image_id
         assert np.array_equal(again[0].polygon, records[0].polygon)
         assert serialize_predictions(again) == serialize_predictions(records)
-
-
-class TestDatasetIndex:
-    def test_pairs_by_stem(self, tmp_path):
-        images = tmp_path / "images"
-        labels = tmp_path / "labels"
-        images.mkdir()
-        labels.mkdir()
-        img = np.zeros((4, 6), dtype=np.uint8)
-        (images / "a.pgm").write_bytes(write_pgm(img))
-        (images / "b.pgm").write_bytes(write_pgm(img))
-        (labels / "a.txt").write_text("0 0.1 0.1 0.9 0.1 0.5 0.9\n")
-        index = DatasetIndex.from_dirs(str(images), str(labels))
-        assert len(index.entries) == 1
-        path, label, width, height = index.entries[0]
-        assert path.endswith("a.pgm") and label.endswith("a.txt")
-        assert (width, height) == (6, 4)
 
 
 class TestAtomicWrite:

@@ -147,16 +147,6 @@ class TestDistanceTransform:
         mask = np.ones((5, 9), dtype=bool)
         edt = distance_transform(mask)
         assert edt[2, 4] == 3.0  # three rows from the virtual border ring
-        free = distance_transform(mask, border_is_background=False)
-        assert np.isinf(free[2, 4])  # no background anywhere in-image
-
-    def test_exactness_with_border_disabled(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            mask = rng.random((40, 40)) < 0.5
-            got = distance_transform(mask, border_is_background=False)
-            want = oracles.brute_force_edt(mask, border_is_background=False)
-            assert np.array_equal(got, want)
 
 
 class TestSkeletonize:
@@ -333,13 +323,12 @@ class TestAgainstFullFrameOracle:
 
     @given(
         masks(),
-        st.booleans(),
         st.sampled_from(["thinned", "uint8", "arbitrary"]),
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_oracle(self, mask, border_is_background, skeleton_kind, seed):
-        edt = distance_transform(mask, border_is_background=border_is_background)
+    def test_matches_oracle(self, mask, skeleton_kind, seed):
+        edt = distance_transform(mask)
         skel = self._skeleton(mask, skeleton_kind, np.random.default_rng(seed))
         scale = ScaleConfig(mm_per_px=0.3)
         for comp in connected_components(mask):
@@ -362,18 +351,6 @@ class TestAgainstFullFrameOracle:
                 assert type(getattr(report, name)) is float, name
             for name in ("max_width_location", "min_width_location"):
                 assert all(type(v) is int for v in getattr(report, name)), name
-
-    def test_all_foreground_without_border_is_infinite(self):
-        mask = np.ones((7, 12), dtype=bool)
-        edt = distance_transform(mask, border_is_background=False)
-        skel = skeletonize(mask)
-        (comp,) = connected_components(mask)
-        profile, fields = oracles.naive_analyze_component(comp.pixels, edt, skel)
-        assert width_profile(comp, edt, skel) == profile
-        report = analyze_component(comp, edt, skel)
-        assert report.max_width_px == report.min_width_px == np.inf
-        assert report.max_width_location == fields["max_width_location"]
-        assert report.min_width_location == fields["min_width_location"]
 
     def test_two_by_two_blocks_raise_in_both_bodies(self):
         mask = np.zeros((9, 11), dtype=bool)

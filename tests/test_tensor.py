@@ -2,41 +2,7 @@ import numpy as np
 import pytest
 
 from crackscope.errors import InvalidShape
-from crackscope.tensor import as_nchw, tensor_from_text, tensor_to_text
-
-
-def test_round_trip_preserves_values():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((2, 3, 4, 5))
-    again = tensor_from_text(tensor_to_text(x))
-    assert again.shape == x.shape
-    assert np.array_equal(again, x)
-
-
-def test_parse_simple_literal():
-    x = tensor_from_text("1 2 2 2\n1 2 3 4 5 6 7 8")
-    assert x.shape == (1, 2, 2, 2)
-    assert x[0, 1, 1, 1] == 8.0
-
-
-def test_values_may_span_lines():
-    x = tensor_from_text("1 1 2 2\n1 2\n3 4\n")
-    assert np.array_equal(x.ravel(), [1, 2, 3, 4])
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "1 2 2\n1 2 3 4",  # three extents
-        "1 1 2 2\n1 2 3",  # wrong count
-        "1 1 -2 2\n",  # negative extent
-        "a b c d\n1",
-    ],
-)
-def test_bad_literals_rejected(text):
-    with pytest.raises(InvalidShape):
-        tensor_from_text(text)
+from crackscope.tensor import as_nchw
 
 
 def test_as_nchw_requires_four_dims():
