@@ -214,7 +214,12 @@ def _cmd_gradcheck(args) -> int:
         print(report)
     failed = [r for r in reports if not r.passed]
     if failed:
-        print(f"error: {len(failed)} gradient check(s) failed", file=sys.stderr)
+        last = max(r.case for r in failed)
+        print(
+            f"error: {len(failed)} gradient check(s) failed; --seed {args.seed} "
+            f"--cases {last + 1} reruns up to the last failing case",
+            file=sys.stderr,
+        )
         return 1
     print(f"all {len(reports)} gradient checks passed")
     return 0

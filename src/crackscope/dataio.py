@@ -306,9 +306,7 @@ def read_predictions(text: str) -> list[DetectionRecord]:
         if not isinstance(doc, dict):
             raise MalformedPrediction(f"line {lineno}: expected a JSON object")
         try:
-            image_id = str(doc["image"])
-            class_id = int(doc["class"])
-            score = float(doc["score"])
+            image_id, class_id, score = doc["image"], doc["class"], doc["score"]
             polygon = np.asarray(doc["polygon"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedPrediction(f"line {lineno}: {exc}") from None

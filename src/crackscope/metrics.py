@@ -21,6 +21,7 @@ it is therefore only computed from pixel-level confusion counts
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,19 @@ class DetectionRecord:
     box: object | None = None  # BBox
 
     def __post_init__(self):
+        if not isinstance(self.image_id, str):
+            raise MalformedPrediction(f"image id must be a string, got {self.image_id!r}")
+        # exact-type tests first: the ABC checks are slow, and bool is an int
+        if type(self.class_id) is not int:
+            if isinstance(self.class_id, bool) or not isinstance(self.class_id, numbers.Integral):
+                raise MalformedPrediction(f"class must be an integer, got {self.class_id!r}")
+            object.__setattr__(self, "class_id", int(self.class_id))
+        if self.class_id < 0:
+            raise MalformedPrediction(f"class id must be >= 0, got {self.class_id}")
+        if type(self.score) is not float:
+            if isinstance(self.score, bool) or not isinstance(self.score, numbers.Real):
+                raise MalformedPrediction(f"score must be a number, got {self.score!r}")
+            object.__setattr__(self, "score", float(self.score))
         if not 0.0 <= self.score <= 1.0:
             raise OutOfRange(f"score must be in [0, 1], got {self.score}")
         if self.polygon is not None:

@@ -193,6 +193,21 @@ class TestEval:
         assert single.read_text() == multi.read_text()
 
 
+# (key, raw JSON value) of one bad prediction line
+BAD_PREDICTION_VALUES = [
+    ("polygon", "[[NaN, 0.1], [0.2, 0.1], [0.2, 0.2]]"),
+    ("polygon", "[[0.1, 0.1], [1.2, 0.1], [0.2, 0.2]]"),
+    ("polygon", "[[0.1, 0.1], [0.2, -0.1], [0.2, 0.2]]"),
+    ("polygon", "[[0.1, 0.1], [Infinity, 0.1], [0.2, 0.2]]"),
+    ("class", "1e400"),
+    ("class", "1.5"),
+    ("class", "true"),
+    ("class", "-1"),
+    ("score", '"0.5"'),
+    ("image", "3"),
+]
+
+
 def _one_error_line(err):
     assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
     assert "Traceback" not in err
@@ -239,13 +254,16 @@ class TestBadValues:
         assert "line 1:" in err
 
     @pytest.mark.parametrize(
-        "polygon",
-        ["[[NaN, 0.1], [0.2, 0.1], [0.2, 0.2]]", "[[0.1, 0.1], [1.2, 0.1], [0.2, 0.2]]",
-         "[[0.1, 0.1], [0.2, -0.1], [0.2, 0.2]]", "[[0.1, 0.1], [Infinity, 0.1], [0.2, 0.2]]"],
+        "field, value",
+        BAD_PREDICTION_VALUES,
+        ids=[v if f == "polygon" else f"{f}={v}" for f, v in BAD_PREDICTION_VALUES],
     )
-    def test_bad_prediction_polygon(self, eval_fixture, polygon, capsys):
+    def test_bad_prediction_polygon(self, eval_fixture, field, value, capsys):
+        """A bad polygon, class, score or image id is one error naming its line."""
         gt_dir, pred_path = eval_fixture
-        bad = '{"image": "img1", "class": 0, "score": 0.5, "polygon": %s}' % polygon
+        fields = {"image": '"img1"', "class": "0", "score": "0.5",
+                  "polygon": "[[0.1, 0.1], [0.2, 0.1], [0.2, 0.2]]", field: value}
+        bad = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
         pred_path.write_text(pred_path.read_text() + bad + "\n")
         code = main(["eval", "--gt", str(gt_dir), "--pred", str(pred_path)])
         assert code in (1, 2)
@@ -318,10 +336,16 @@ class TestGradcheckCommand:
         assert "all" in out and "passed" in out
         assert "conv2d" in out and "cbam" in out and "ciou" in out
 
+    def test_seed_295_passes(self, capsys):
+        assert main(["gradcheck", "--seed", "295", "--cases", "1"]) == 0
+
     def test_impossible_tolerance_fails(self, capsys):
         code = main(["gradcheck", "--cases", "1", "--tol", "1e-18"])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error:")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "--seed 0 --cases 1 reruns" in captured.err
+        assert "FAIL case=0 shapes=" in captured.out
 
     @pytest.mark.parametrize(
         "flags",
@@ -335,7 +359,7 @@ class TestGradcheckCommand:
             ["--tol", "-1"],
             ["--tol", "nan"],
             ["--seed", "-1"],
-            ["--eps", "0.1"],  # inputs 0.02 apart: no tie-free sppf case, the redraws stop
+            ["--eps", "0.1"],  # too coarse: finite differences miss the tolerance
         ],
     )
     def test_bad_argument_exits_1_with_one_error_line(self, flags, capsys):

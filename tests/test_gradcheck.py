@@ -7,9 +7,10 @@ from crackscope.gradcheck import (
     _BLOCKS,
     GradCheckReport,
     _random_block_case,
-    _spaced,
     gradcheck,
+    gradcheck_fn,
     random_op_case,
+    run_gradient_suite,
 )
 
 
@@ -107,16 +108,43 @@ def test_every_op_passes_gradcheck(op):
         assert report.passed, f"{op} case {case}: {report}"
 
 
-def test_spaced_inputs_avoid_ties_and_the_relu_kink():
-    """Every value at least gap/4 from 0 and gap/2 from every other value."""
-    rng = np.random.default_rng(0)
-    gap = 0.02
-    for _ in range(2000):
-        shape = tuple(int(d) for d in rng.integers(1, 6, size=4))
-        values = np.sort(_spaced(rng, shape, gap).ravel())
-        assert np.abs(values).min() >= gap / 4 * (1 - 1e-9)
-        if values.size > 1:
-            assert np.diff(values).min() >= gap / 2
+class TestKinkRule:
+    def test_relu_probe_straddling_zero_is_at_kink(self):
+        x = np.array([3e-6, 0.5, -0.5]).reshape(1, 1, 1, 3)
+        report = gradcheck("relu", (x,), eps=1e-5, tol=1e-4)
+        assert report.at_kink and not report.passed
+        away = gradcheck("relu", (x + 0.1,), eps=1e-5, tol=1e-4)
+        assert not away.at_kink and away.passed
+
+    def test_wrong_smooth_pullback_fails_off_any_kink(self, monkeypatch):
+        def half_sigmoid(x):
+            out, pullback = ops.sigmoid_vjp(x)
+            return out, lambda up: (0.5 * pullback(up)[0],)
+
+        monkeypatch.setitem(ops.VJP_OPS, "sigmoid", half_sigmoid)
+        (report,) = [r for r in run_gradient_suite(cases=2) if r.op == "sigmoid"]
+        assert not report.passed and not report.at_kink
+
+    def test_worst_case_replays_with_fewer_cases(self):
+        full = run_gradient_suite(seed=3, cases=3)
+        for case in {r.case for r in full}:
+            replay = run_gradient_suite(seed=3, cases=case + 1)
+            for a, b in zip(full, replay):
+                if a.case == case:
+                    assert a == b
+
+    def test_fail_line_names_case_shapes_and_kink(self):
+        report = GradCheckReport("relu", 0.3, (0.3,), 1e-4, False, True, 4, ((1, 2, 3, 3),))
+        assert str(report) == (
+            "relu: max_rel_error=3.000e-01 tol=1.0e-04 FAIL case=4 shapes=1x2x3x3"
+            " (a probe straddles a kink; lower --eps)"
+        )
+
+    def test_report_records_array_input_shapes(self):
+        rng = np.random.default_rng(7)
+        inputs = random_op_case("conv2d", rng)
+        report = gradcheck_fn("conv2d", ops.VJP_OPS["conv2d"], inputs)
+        assert report.shapes == tuple(a.shape for a in inputs[:3])
 
 
 def _assert_pure_pullback(body, inputs, rng):

@@ -482,6 +482,22 @@ class TestDetectionRecord:
         with pytest.raises(OutOfRange):
             DetectionRecord("a", 0, 0.5, polygon=polygon)
 
+    @pytest.mark.parametrize(
+        "image, cls, score",
+        [(3, 0, 0.5), ("a", True, 0.5), ("a", 1.5, 0.5), ("a", math.inf, 0.5), ("a", -1, 0.5),
+         ("a", 0, True), ("a", 0, "0.5")],
+    )
+    def test_field_types_checked(self, image, cls, score):
+        from crackscope.errors import MalformedPrediction
+
+        with pytest.raises(MalformedPrediction):
+            DetectionRecord(image, cls, score, box=BBox(0, 0, 1, 1))
+
+    def test_numpy_and_integer_values_accepted(self):
+        record = DetectionRecord("a", np.int64(2), 1, box=BBox(0, 0, 1, 1))
+        assert type(record.class_id) is int and record.class_id == 2
+        assert type(record.score) is float and record.score == 1.0
+
     def test_short_polygon_rejected(self):
         from crackscope.errors import MalformedPrediction
 
