@@ -6,8 +6,8 @@ Four parameterized blocks built from the kernels in :mod:`crackscope.ops`:
   convolution across channels, sigmoid, channel-wise scale.
 * ``cam``  -- channel attention from avg- and max-pooled vectors pushed
   through one shared two-layer MLP, summed, squashed by sigmoid.
-* ``sam``  -- spatial attention from the per-pixel channel max/mean maps,
-  concatenated and convolved with a 7x7 kernel.
+* ``sam``  -- spatial attention: the per-pixel channel max and mean, one
+  ``[N, 2, H, W]`` map, convolved with a 7x7 kernel.
 * ``cbam`` -- ``cam`` followed by ``sam``.
 * ``sppf`` -- 1x1 reduce convolution, three chained 5x5 stride-1 max pools,
   channel concat, 1x1 expand convolution.
@@ -31,7 +31,6 @@ from .errors import InvalidKernel, InvalidShape
 from .ops import (
     broadcast_mul_vjp,
     channel_stats_vjp,
-    concat_channels_vjp,
     conv1d_channels_vjp,
     conv2d_vjp,
     global_avg_pool_vjp,
@@ -79,18 +78,14 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class EcaParams:
-    """Odd-length channel-convolution kernel plus the adaptive-size constants."""
+    """Odd-length channel-convolution kernel."""
 
     kernel: np.ndarray
-    gamma: float = 2.0
-    b_offset: float = 1.0
 
     def __post_init__(self):
         kernel = np.asarray(self.kernel, dtype=np.float64)
         if kernel.ndim != 1 or kernel.size < 1 or kernel.size % 2 == 0:
             raise InvalidKernel(f"kernel must be a 1-D odd-length vector, got {kernel.shape}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
         object.__setattr__(self, "kernel", kernel)
 
 
@@ -134,7 +129,7 @@ class CamParams:
 
 @dataclass(frozen=True, eq=False)
 class SamParams:
-    """7x7 convolution over the stacked channel-max/channel-mean maps."""
+    """7x7 convolution over the ``[N, 2, H, W]`` channel-max/channel-mean map."""
 
     kernel: np.ndarray  # [1, 2, 7, 7]
     bias: float = 0.0
@@ -305,13 +300,12 @@ def cam_forward(x, p: CamParams) -> np.ndarray:
 
 def _sam_map_vjp(x, p: SamParams):
     stats, stats_pullback = channel_stats_vjp(x)
-    stacked, concat_pullback = concat_channels_vjp(*stats)
-    z, conv_pullback = conv2d_vjp(stacked, p.kernel, np.array([p.bias]), SamParams.PAD)
+    z, conv_pullback = conv2d_vjp(stats, p.kernel, np.array([p.bias]), SamParams.PAD)
     m, sigmoid_pullback = sigmoid_vjp(z)
 
     def pullback(dm):
         (dz,) = sigmoid_pullback(dm)
-        return stats_pullback(concat_pullback(conv_pullback(dz)[0]))[0]
+        return stats_pullback(conv_pullback(dz)[0])[0]
 
     return m, pullback
 
@@ -397,18 +391,10 @@ def _uniform(rng, shape):
     return rng.uniform(-0.5, 0.5, shape)
 
 
-def init_eca(
-    channels: int,
-    seed: int = 0,
-    kernel_size: int | None = None,
-    gamma: float = 2.0,
-    b_offset: float = 1.0,
-    zero: bool = False,
-) -> EcaParams:
-    k = kernel_size if kernel_size is not None else eca_kernel_size(channels, gamma, b_offset)
-    k = min(k, 2 * channels - 1)  # longer kernels only hit zero padding
+def init_eca(channels: int, seed: int = 0, zero: bool = False) -> EcaParams:
+    k = min(eca_kernel_size(channels), 2 * channels - 1)  # longer kernels only hit zero padding
     kernel = np.zeros(k) if zero else _uniform(np.random.default_rng(seed), k)
-    return EcaParams(kernel, gamma, b_offset)
+    return EcaParams(kernel)
 
 
 def init_cam(channels: int, reduction: int = 16, seed: int = 0, zero: bool = False) -> CamParams:

@@ -48,6 +48,16 @@ def _read_text(path) -> str:
         raise CrackscopeError(f"{path}: not UTF-8 text (bad byte at offset {exc.start})") from None
 
 
+def _parse_file(parse, path):
+    """``parse`` of the file's text; its error, which names the line, is
+    prefixed with the file."""
+    text = _read_text(path)
+    try:
+        return parse(text)
+    except CrackscopeError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def _json_value(x):
     if x is None:
         return None
@@ -82,7 +92,7 @@ def _load_ground_truth(gt_dir):
         stem, ext = os.path.splitext(name)
         if ext.lower() != ".txt":
             continue
-        gts[stem] = dataio.parse_label_file(_read_text(os.path.join(gt_dir, name)))
+        gts[stem] = _parse_file(dataio.parse_label_file, os.path.join(gt_dir, name))
     if not gts:
         raise CrackscopeError(f"no label files (*.txt) found in {gt_dir}")
     return gts
@@ -94,7 +104,7 @@ def _cmd_eval(args) -> int:
     if args.raster_size < 1:
         raise CrackscopeError(f"--raster-size must be >= 1, got {args.raster_size}")
     gts = _load_ground_truth(args.gt)
-    preds = dataio.read_predictions(_read_text(args.pred))
+    preds = _parse_file(dataio.read_predictions, args.pred)
     unknown = sorted({p.image_id for p in preds} - set(gts))
     if unknown:
         raise CrackscopeError(

@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,7 +142,7 @@ def polygon_to_crop(polygon, width: int, height: int):
     every foreground pixel; the rest of the frame is background.  Crossings
     are found in absolute pixel coordinates, so the crop is bit-identical to
     the same window of :func:`polygon_to_mask`.  A zero-area polygon
-    rasterizes to an empty ``(0, 0)`` crop with a warning.
+    rasterizes to an empty ``(0, 0)`` crop.
     """
     if hasattr(polygon, "polygon"):
         polygon = polygon.polygon
@@ -152,7 +151,6 @@ def polygon_to_crop(polygon, width: int, height: int):
     x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
     empty = (0, 0, np.zeros((0, 0), dtype=bool))
     if np.sum(x1 * y2 - x2 * y1) == 0.0:
-        warnings.warn("degenerate zero-area polygon rasterizes to an empty mask", stacklevel=2)
         return empty
     # a row can only be hit when its center lies in [min y, max y)
     first_row = max(0, int(np.ceil(y1.min() - 0.5)))
@@ -306,12 +304,11 @@ def read_predictions(text: str) -> list[DetectionRecord]:
         if not isinstance(doc, dict):
             raise MalformedPrediction(f"line {lineno}: expected a JSON object")
         try:
-            image_id, class_id, score = doc["image"], doc["class"], doc["score"]
-            polygon = np.asarray(doc["polygon"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedPrediction(f"line {lineno}: {exc}") from None
+            fields = doc["image"], doc["class"], doc["score"], doc["polygon"]
+        except KeyError as exc:
+            raise MalformedPrediction(f"line {lineno}: missing key {exc}") from None
         try:
-            records.append(DetectionRecord(image_id, class_id, score, polygon))
+            records.append(DetectionRecord(*fields))
         except (MalformedPrediction, OutOfRange) as exc:
             raise type(exc)(f"line {lineno}: {exc}") from None
     return records

@@ -10,11 +10,17 @@ Max selections and relu are differentiable only away from their kinks, and
 a probe that straddles one measures a blend of two slopes.  The checker
 spots this from the evaluations it already makes: next to the central
 difference it forms the one-sided slopes ``(f(x+eps) - f(x)) / eps`` and
-``(f(x) - f(x-eps)) / eps``.  A failing probe whose one-sided slopes differ
-by more than the tolerance, on the same relative scale, marks the report
-``at_kink``.  A wrong pullback in a smooth region fails with slopes that
-agree, so the pass bound is unchanged; a kink makes them differ by about
-twice the error it causes.
+``(f(x) - f(x-eps)) / eps``.  At a kink the pullback takes the slope of one
+side, so its error is about half the gap between the two slopes; a failing
+probe whose slope gap stands above rounding noise and whose error lies
+within a quarter of that gap of half of it marks the report ``at_kink``.
+Curvature parts the slopes too, by about ``eps * f''``, but leaves a right
+pullback at their mean, and a wrong pullback in a smooth region errs by far
+more than they part, so neither is marked at any ``tol``.  Only near an
+inflection point, where ``f''`` is about ``eps * f'''``, does curvature look
+like a kink; its error there is about ``eps**2 * f''' / 6``, which fails
+only at a coarse ``eps`` or a tiny ``tol``.  The pass bound does not depend
+on the mark.
 
 ``run_gradient_suite`` sweeps all ops, all attention blocks (input
 gradients) and the box-regression loss over many seeded random cases, and
@@ -68,18 +74,14 @@ def gradcheck_fn(name, fn, inputs, eps=1e-5, tol=1e-4, seed=0) -> GradCheckRepor
     rng = np.random.default_rng(seed)
     inputs = list(inputs)
     out, pullback = fn(*inputs)
-    multi = isinstance(out, tuple)
-    if multi:
-        upstream = tuple(rng.standard_normal(np.shape(o)) for o in out)
-    else:
-        upstream = rng.standard_normal(np.shape(out))
+    upstream = rng.standard_normal(np.shape(out))
 
     def project(result):
-        if multi:
-            return sum(float(np.sum(u * r)) for u, r in zip(upstream, result))
         return float(np.sum(upstream * result))
 
     centre = project(out)
+    # rounding in the projection, as a slope over eps, with a wide margin
+    noise = 100 * np.finfo(np.float64).eps * float(np.sum(np.abs(upstream * out))) / eps
     analytic = pullback(upstream)
     array_positions = [i for i, a in enumerate(inputs) if isinstance(a, np.ndarray)]
     if len(analytic) != len(array_positions):
@@ -109,7 +111,8 @@ def gradcheck_fn(name, fn, inputs, eps=1e-5, tol=1e-4, seed=0) -> GradCheckRepor
         gap = np.abs(grad - numeric) / scale
         slope_gap = np.abs((hi - centre) - (centre - lo)) / eps / scale
         errors.append(float(gap.max()) if gap.size else 0.0)
-        at_kink = at_kink or bool(np.any((gap > tol) & (slope_gap > tol)))
+        one_side = (slope_gap > noise) & (np.abs(gap - slope_gap / 2) < slope_gap / 4)
+        at_kink = at_kink or bool(np.any((gap > tol) & one_side))
 
     worst = max(errors) if errors else 0.0
     return GradCheckReport(
@@ -169,9 +172,6 @@ def random_op_case(op: str, rng) -> tuple:
         else:
             weights = rng.uniform(-1, 1, (n, 1, h, w))
         return (rng.uniform(-1, 1, (n, c, h, w)), weights)
-    if op == "concat_channels":
-        cb = int(rng.integers(0, 4))
-        return (rng.uniform(-1, 1, (n, c, h, w)), rng.uniform(-1, 1, (n, cb, h, w)))
     raise NotDifferentiable(f"no random case builder for {op!r}")
 
 

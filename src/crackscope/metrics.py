@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -48,6 +49,18 @@ def check_unit_coordinates(polygon: np.ndarray) -> None:
     """Raise :class:`OutOfRange` unless every coordinate is finite and in [0, 1]."""
     if not (polygon.min() >= 0.0 and polygon.max() <= 1.0):  # a NaN fails both
         raise OutOfRange("polygon coordinates must be finite and lie in [0, 1]")
+
+
+def _all_numbers(polygon) -> bool:
+    """Whether a ``[k, 2]`` polygon holds only numbers: ``np.asarray`` would
+    turn ``"0.5"`` and ``True`` into floats."""
+    if isinstance(polygon, np.ndarray):
+        return polygon.dtype.kind in "fiu"
+    types = set(map(type, chain.from_iterable(polygon)))
+    # exact types first, as JSON gives them: the ABC checks are slow
+    return types <= {float, int} or all(
+        issubclass(t, numbers.Real) and not issubclass(t, bool) for t in types
+    )
 
 
 @dataclass(frozen=True)
@@ -97,9 +110,14 @@ class DetectionRecord:
         if not 0.0 <= self.score <= 1.0:
             raise OutOfRange(f"score must be in [0, 1], got {self.score}")
         if self.polygon is not None:
-            poly = np.asarray(self.polygon, dtype=np.float64)
+            try:
+                poly = np.asarray(self.polygon, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise MalformedPrediction(f"polygon is not an array of numbers ({exc})") from None
             if poly.ndim != 2 or poly.shape[1] != 2 or poly.shape[0] < 3:
                 raise MalformedPrediction(f"polygon needs >= 3 (x, y) vertices, got {poly.shape}")
+            if not _all_numbers(self.polygon):
+                raise MalformedPrediction("polygon coordinates must be numbers, not text or bools")
             check_unit_coordinates(poly)
             object.__setattr__(self, "polygon", poly)
         if self.polygon is None and self.box is None:

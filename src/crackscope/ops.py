@@ -8,18 +8,20 @@ padding never wins; where a max has tied arguments the gradient flows to
 the first (lowest row-major index) maximal element.
 
 Each op has one body, ``<op>_vjp(*inputs) -> (out, pullback)``, the
-closure idiom of ``jax.vjp``: it validates the inputs and computes the
-output once, and ``pullback(upstream)`` returns the exact gradients with
-respect to every *array* input, as a tuple in positional order (structural
-arguments such as pooling sizes get no gradient).  The pullback reuses what
-the forward saved (convolution windows, padded arrays, sigmoid values,
-argmax inputs, max pooling's row-segment maxima) and writes into none of
-it, so it may be called any number of times; the caller in turn must not write into the inputs or the output while it holds
-the pullback.  ``<op>(...)`` is ``<op>_vjp(...)[0]`` and
-``vjp(op, inputs, upstream)`` dispatches by name and raises
-:class:`InvalidShape` unless the upstream has the output's shape (pullbacks
-called directly trust their caller).  There is no autodiff
-graph: composite blocks chain the pullbacks by hand in reverse order.
+closure idiom of ``jax.vjp``: it validates the inputs and computes its one
+array output once, and ``pullback(upstream)`` takes one upstream of the
+output's shape and returns the exact gradients with respect to every
+*array* input, one per input and of its shape, as a tuple in positional
+order (structural arguments such as pooling sizes get no gradient).  The
+pullback reuses what the forward saved (convolution windows, padded arrays,
+sigmoid values, argmax inputs, max pooling's row-segment maxima) and writes
+into none of it, so it may be called any number of times; the caller in
+turn must not write into the inputs or the output while it holds the
+pullback.  ``<op>(...)`` is ``<op>_vjp(...)[0]`` and ``vjp(op, inputs,
+upstream)`` dispatches by name and raises :class:`InvalidShape` unless the
+upstream has the output's shape (pullbacks called directly trust their
+caller).  There is no autodiff graph: composite blocks chain the pullbacks
+by hand in reverse order.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ __all__ = [
     "relu_vjp",
     "broadcast_mul",
     "broadcast_mul_vjp",
-    "concat_channels",
-    "concat_channels_vjp",
     "channel_stats",
     "channel_stats_vjp",
     "vjp",
@@ -208,8 +208,8 @@ def conv1d_channels(w, kernel) -> np.ndarray:
     return conv1d_channels_vjp(w, kernel)[0]
 
 
-def conv2d_vjp(x, kernel, bias=None, pad: int = 0):
-    """The pullback returns ``(dx, dkernel)``, plus ``dbias`` when a bias is given."""
+def conv2d_vjp(x, kernel, bias, pad: int = 0):
+    """The pullback returns ``(dx, dkernel, dbias)``."""
     x = as_nchw(x, "x")
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim != 4:
@@ -222,8 +222,7 @@ def conv2d_vjp(x, kernel, bias=None, pad: int = 0):
         raise InvalidShape(f"input has {c} channels, kernel expects {cin}")
     if kh > h + 2 * pad or kw > w + 2 * pad:
         raise InvalidShape(f"kernel {kh}x{kw} exceeds padded input {h + 2 * pad}x{w + 2 * pad}")
-    has_bias = bias is not None
-    bias = np.asarray(bias, dtype=np.float64) if has_bias else np.zeros(cout)
+    bias = np.asarray(bias, dtype=np.float64)
     if bias.shape != (cout,):
         raise InvalidShape(f"bias must have length {cout}, got shape {bias.shape}")
     padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
@@ -237,15 +236,12 @@ def conv2d_vjp(x, kernel, bias=None, pad: int = 0):
         dx_pad = np.einsum(
             "nohwij,ocij->nchw", up_windows, kernel[:, :, ::-1, ::-1], optimize=True
         )
-        dx = dx_pad[:, :, pad : pad + h, pad : pad + w]
-        if has_bias:
-            return dx, dkernel, up.sum(axis=(0, 2, 3))
-        return dx, dkernel
+        return dx_pad[:, :, pad : pad + h, pad : pad + w], dkernel, up.sum(axis=(0, 2, 3))
 
     return out + bias[None, :, None, None], pullback
 
 
-def conv2d(x, kernel, bias=None, pad: int = 0) -> np.ndarray:
+def conv2d(x, kernel, bias, pad: int = 0) -> np.ndarray:
     """Stride-1 cross-correlation with zero padding.
 
     ``kernel`` is ``[Cout, Cin, kh, kw]``; output spatial extent is
@@ -309,39 +305,26 @@ def broadcast_mul(x, w) -> np.ndarray:
     return broadcast_mul_vjp(x, w)[0]
 
 
-def concat_channels_vjp(a, b):
-    a = as_nchw(a, "a")
-    b = as_nchw(b, "b")
-    if (a.shape[0], a.shape[2], a.shape[3]) != (b.shape[0], b.shape[2], b.shape[3]):
-        raise InvalidShape(f"cannot concat {a.shape} with {b.shape}")
-    ca = a.shape[1]
-    return np.concatenate([a, b], axis=1), lambda up: (up[:, :ca].copy(), up[:, ca:].copy())
-
-
-def concat_channels(a, b) -> np.ndarray:
-    """Stack the channels of ``a`` then ``b``; N, H, W must match."""
-    return concat_channels_vjp(a, b)[0]
-
-
 def channel_stats_vjp(x):
-    """The pullback takes its upstream as a ``(max_map, mean_map)`` pair."""
+    """The pullback takes one ``[N, 2, H, W]`` upstream, max channel first."""
     x = as_nchw(x, "x")
     c = x.shape[1]
     if c < 1:
         raise InvalidShape("channel_stats needs at least one channel")
 
     def pullback(up):
-        up_max, up_mean = up
         winner = x.argmax(axis=1, keepdims=True)  # first maximal channel at ties
         scatter = np.zeros_like(x)
-        np.put_along_axis(scatter, winner, up_max, axis=1)
-        return (up_mean / c + scatter,)
+        np.put_along_axis(scatter, winner, up[:, :1], axis=1)
+        return (up[:, 1:] / c + scatter,)
 
-    return (x.max(axis=1, keepdims=True), x.mean(axis=1, keepdims=True)), pullback
+    out = np.concatenate([x.max(axis=1, keepdims=True), x.mean(axis=1, keepdims=True)], axis=1)
+    return out, pullback
 
 
-def channel_stats(x):
-    """Per-pixel max and mean across channels -> two ``[N, 1, H, W]`` maps."""
+def channel_stats(x) -> np.ndarray:
+    """Per-pixel max and mean across channels, stacked as ``[N, 2, H, W]``:
+    channel 0 is the max, channel 1 the mean (CBAM's spatial descriptor)."""
     return channel_stats_vjp(x)[0]
 
 
@@ -357,7 +340,6 @@ VJP_OPS = {
     "sigmoid": sigmoid_vjp,
     "relu": relu_vjp,
     "broadcast_mul": broadcast_mul_vjp,
-    "concat_channels": concat_channels_vjp,
     "channel_stats": channel_stats_vjp,
 }
 
@@ -373,10 +355,8 @@ def vjp(op: str, inputs, upstream):
     except KeyError:
         raise NotDifferentiable(f"no vector-Jacobian product registered for {op!r}") from None
     out, pullback = body(*inputs)
-    # channel_stats has a pair of outputs, and takes a pair of upstreams
-    pieces, ups = (out, tuple(upstream)) if isinstance(out, tuple) else ((out,), (upstream,))
-    want = [piece.shape for piece in pieces]
-    got = [np.shape(up) for up in ups]
-    if got != want:
-        raise InvalidShape(f"{op}: upstream shape {got} differs from the output's {want}")
+    if np.shape(upstream) != out.shape:
+        raise InvalidShape(
+            f"{op}: upstream shape {np.shape(upstream)} differs from the output's {out.shape}"
+        )
     return pullback(upstream)

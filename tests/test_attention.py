@@ -129,9 +129,9 @@ class TestSam:
     def test_single_channel_stats_degenerate(self):
         rng = np.random.default_rng(8)
         x = _rand(rng, (1, 1, 4, 4))
-        mx, mean = ops.channel_stats(x)
-        assert np.array_equal(mx, x)
-        assert np.allclose(mean, x)
+        stats = ops.channel_stats(x)
+        assert np.array_equal(stats[:, :1], x)
+        assert np.allclose(stats[:, 1:], x)
 
     def test_map_shape_and_range(self):
         rng = np.random.default_rng(9)

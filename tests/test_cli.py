@@ -199,6 +199,8 @@ BAD_PREDICTION_VALUES = [
     ("polygon", "[[0.1, 0.1], [1.2, 0.1], [0.2, 0.2]]"),
     ("polygon", "[[0.1, 0.1], [0.2, -0.1], [0.2, 0.2]]"),
     ("polygon", "[[0.1, 0.1], [Infinity, 0.1], [0.2, 0.2]]"),
+    ("polygon", '[["0.1", "0.1"], [0.2, 0.1], [0.2, 0.2]]'),
+    ("polygon", "[[true, 0.1], [0.2, 0.1], [0.2, 0.2]]"),
     ("class", "1e400"),
     ("class", "1.5"),
     ("class", "true"),
@@ -251,7 +253,7 @@ class TestBadValues:
         assert code in (1, 2)
         err = capsys.readouterr().err
         _one_error_line(err)
-        assert "line 1:" in err
+        assert f"error: {gt_dir / 'img1.txt'}: line 1: polygon coordinates must be" in err
 
     @pytest.mark.parametrize(
         "field, value",
@@ -259,7 +261,7 @@ class TestBadValues:
         ids=[v if f == "polygon" else f"{f}={v}" for f, v in BAD_PREDICTION_VALUES],
     )
     def test_bad_prediction_polygon(self, eval_fixture, field, value, capsys):
-        """A bad polygon, class, score or image id is one error naming its line."""
+        """A bad polygon, class, score or image id is one error naming its file and line."""
         gt_dir, pred_path = eval_fixture
         fields = {"image": '"img1"', "class": "0", "score": "0.5",
                   "polygon": "[[0.1, 0.1], [0.2, 0.1], [0.2, 0.2]]", field: value}
@@ -269,7 +271,7 @@ class TestBadValues:
         assert code in (1, 2)
         err = capsys.readouterr().err
         _one_error_line(err)
-        assert "line 4:" in err
+        assert f"error: {pred_path}: line 4: " in err
 
     @pytest.mark.parametrize("target", ["label", "pred", "list"])
     def test_non_utf8_input_names_the_file(self, eval_fixture, tmp_path, target, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -101,8 +103,10 @@ class TestPolygonToMask:
         assert mask[3].all() and mask.sum() == 4
 
     def test_degenerate_polygon_warns_empty(self):
+        """A zero-area polygon rasterizes empty, and without a warning."""
         flat = LabelRecord(0, np.array([[0.2, 0.2], [0.8, 0.2], [0.5, 0.2]]))
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             mask = polygon_to_mask(flat, 8, 8)
         assert not mask.any()
 
@@ -140,7 +144,6 @@ class TestPolygonToMask:
         ]
         assert np.array_equal(mask, np.array(want, dtype=bool))
 
-    @pytest.mark.filterwarnings("ignore:degenerate zero-area polygon")
     @given(strategies.unit_polygons(max_vertices=10), st.integers(1, 40), st.integers(1, 40))
     @settings(max_examples=200, deadline=None)
     def test_crop_is_the_tight_window_of_the_mask(self, poly, width, height):

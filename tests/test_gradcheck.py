@@ -39,10 +39,12 @@ class TestVjpHandCases:
             ops.vjp("broadcast_mul", (x, w), np.ones((1, 2, 2, 2)))
 
     def test_channel_stats_upstream_pair_checked(self):
+        """The (max, mean) upstream is one [N, 2, H, W] array."""
         x = np.ones((1, 3, 2, 2))
-        with pytest.raises(InvalidShape):
-            ops.vjp("channel_stats", (x,), (np.ones((1, 1, 2, 2)), np.ones((1, 3, 2, 2))))
-        (grad,) = ops.vjp("channel_stats", (x,), (np.ones((1, 1, 2, 2)), np.ones((1, 1, 2, 2))))
+        for wrong in (np.ones((1, 1, 2, 2)), (np.ones((1, 1, 2, 2)), np.ones((1, 1, 2, 2)))):
+            with pytest.raises(InvalidShape):
+                ops.vjp("channel_stats", (x,), wrong)
+        (grad,) = ops.vjp("channel_stats", (x,), np.ones((1, 2, 2, 2)))
         assert grad.shape == x.shape
 
     def test_unknown_op_raises(self):
@@ -116,6 +118,19 @@ class TestKinkRule:
         away = gradcheck("relu", (x + 0.1,), eps=1e-5, tol=1e-4)
         assert not away.at_kink and away.passed
 
+    def test_curvature_at_a_tiny_tolerance_is_no_kink(self):
+        """One-sided slopes part by about eps * f'' on any curved function;
+        every case of a suite at an impossible tolerance is drawn once."""
+        x = np.random.default_rng(8).uniform(-1, 1, (1, 2, 3, 3))
+        report = gradcheck("sigmoid", (x,), tol=1e-18)
+        assert not report.passed and not report.at_kink
+        assert not any(r.at_kink or r.passed for r in run_gradient_suite(cases=1, tol=1e-18))
+
+    def test_coarse_eps_on_a_smooth_function_is_no_kink(self):
+        x = np.linspace(0.15, 0.4, 6).repeat(2).reshape(1, 1, 3, 4) * [1, -1, 1, -1]
+        report = gradcheck("sigmoid", (x,), eps=0.1, tol=1e-4)
+        assert not report.passed and not report.at_kink
+
     def test_wrong_smooth_pullback_fails_off_any_kink(self, monkeypatch):
         def half_sigmoid(x):
             out, pullback = ops.sigmoid_vjp(x)
@@ -148,18 +163,19 @@ class TestKinkRule:
 
 
 def _assert_pure_pullback(body, inputs, rng):
-    """One pullback called with two upstreams matches fresh pullbacks and
-    leaves the saved inputs and the output as they were."""
+    """The output is one array and the pullback returns one gradient per
+    array input, of its shape.  One pullback called with two upstreams
+    matches fresh pullbacks and leaves the saved inputs and the output as
+    they were."""
     saved = [np.copy(a) if isinstance(a, np.ndarray) else a for a in inputs]
     out, pullback = body(*inputs)
-    outs = out if isinstance(out, tuple) else (out,)
-    outs_before = [np.copy(o) for o in outs]
-    ups = []
-    for _ in range(2):
-        up = tuple(rng.standard_normal(np.shape(o)) for o in outs)
-        ups.append(up if isinstance(out, tuple) else up[0])
+    assert type(out) is np.ndarray
+    out_before = np.copy(out)
+    ups = [rng.standard_normal(out.shape) for _ in range(2)]
     first = [pullback(up) for up in ups]
+    arrays = [a for a in inputs if isinstance(a, np.ndarray)]
     for up, grads in zip(ups, first):
+        assert [(type(g), g.shape) for g in grads] == [(np.ndarray, a.shape) for a in arrays]
         fresh = body(*inputs)[1](up)
         assert len(grads) == len(fresh)
         for g, f in zip(grads, fresh):
@@ -167,8 +183,7 @@ def _assert_pure_pullback(body, inputs, rng):
     for a, b in zip(inputs, saved):
         if isinstance(b, np.ndarray):
             assert np.array_equal(a, b)
-    for o, b in zip(outs, outs_before):
-        assert np.array_equal(o, b)
+    assert np.array_equal(out, out_before)
 
 
 @pytest.mark.parametrize("op", sorted(ops.VJP_OPS))

@@ -431,7 +431,6 @@ class TestMatchInstancesOracle:
 
         assert match_instances(preds, gts, thresh) == _reference_match(preds, gts, thresh, pair_iou)
 
-    @pytest.mark.filterwarnings("ignore:degenerate zero-area polygon")
     @given(_image(), _thresholds, st.integers(1, 40), st.integers(1, 40))
     @settings(max_examples=150, deadline=None)
     def test_mask_mode(self, image, thresh, width, height):
@@ -445,7 +444,6 @@ class TestMatchInstancesOracle:
         got = match_instances(preds, gts, thresh, mode="mask", extent=(width, height))
         assert got == _reference_match(preds, gts, thresh, pair_iou)
 
-    @pytest.mark.filterwarnings("ignore:degenerate zero-area polygon")
     def test_empty_rasters_match_each_other(self):
         """Two polygons too small to cover a pixel center score IoU 1.0, as in mask_iou."""
         speck = np.array([[0.501, 0.501], [0.502, 0.501], [0.502, 0.502]])
@@ -493,10 +491,24 @@ class TestDetectionRecord:
         with pytest.raises(MalformedPrediction):
             DetectionRecord(image, cls, score, box=BBox(0, 0, 1, 1))
 
+    @pytest.mark.parametrize(
+        "polygon",
+        [[["0.1", "0.1"], [0.5, 0.1], [0.3, 0.6]], [[True, 0.1], [0.5, 0.1], [0.3, 0.6]],
+         [[10**400, 0.1], [0.5, 0.1], [0.3, 0.6]], np.ones((3, 2), dtype=bool)],
+        ids=["text", "bool", "huge-int", "bool-array"],
+    )
+    def test_polygon_coordinate_types_checked(self, polygon):
+        from crackscope.errors import MalformedPrediction
+
+        with pytest.raises(MalformedPrediction):
+            DetectionRecord("a", 0, 0.5, polygon=polygon)
+
     def test_numpy_and_integer_values_accepted(self):
         record = DetectionRecord("a", np.int64(2), 1, box=BBox(0, 0, 1, 1))
         assert type(record.class_id) is int and record.class_id == 2
         assert type(record.score) is float and record.score == 1.0
+        record = DetectionRecord("a", 0, 0.5, polygon=[[0, 0], [1, np.float32(0.5)], [0.5, 1]])
+        assert np.array_equal(record.polygon, [[0, 0], [1, 0.5], [0.5, 1]])
 
     def test_short_polygon_rejected(self):
         from crackscope.errors import MalformedPrediction
