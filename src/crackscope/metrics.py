@@ -56,11 +56,12 @@ def _all_numbers(polygon) -> bool:
     turn ``"0.5"`` and ``True`` into floats."""
     if isinstance(polygon, np.ndarray):
         return polygon.dtype.kind in "fiu"
-    types = set(map(type, chain.from_iterable(polygon)))
-    # exact types first, as JSON gives them: the ABC checks are slow
-    return types <= {float, int} or all(
-        issubclass(t, numbers.Real) and not issubclass(t, bool) for t in types
-    )
+    for x, y in polygon:
+        # exact types first, as JSON gives them: the ABC checks are slow
+        if type(x) is not float or type(y) is not float:
+            values = chain.from_iterable(polygon)
+            return all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values)
+    return True
 
 
 @dataclass(frozen=True)

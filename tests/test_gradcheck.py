@@ -119,8 +119,9 @@ class TestKinkRule:
         assert not away.at_kink and away.passed
 
     def test_curvature_at_a_tiny_tolerance_is_no_kink(self):
-        """One-sided slopes part by about eps * f'' on any curved function;
-        every case of a suite at an impossible tolerance is drawn once."""
+        """One-sided slopes part by about eps * f'' on any curved function,
+        and by rounding noise on a linear one: neither marks a kink, even
+        where every probe fails."""
         x = np.random.default_rng(8).uniform(-1, 1, (1, 2, 3, 3))
         report = gradcheck("sigmoid", (x,), tol=1e-18)
         assert not report.passed and not report.at_kink
