@@ -11,16 +11,17 @@ a probe that straddles one measures a blend of two slopes.  The checker
 spots this from the evaluations it already makes: next to the central
 difference it forms the one-sided slopes ``(f(x+eps) - f(x)) / eps`` and
 ``(f(x) - f(x-eps)) / eps``.  At a kink the pullback takes the slope of one
-side, so its error is about half the gap between the two slopes; a failing
-probe whose slope gap stands above rounding noise and whose error lies
-within a quarter of that gap of half of it marks the report ``at_kink``.
-Curvature parts the slopes too, by about ``eps * f''``, but leaves a right
-pullback at their mean, and a wrong pullback in a smooth region errs by far
-more than they part, so neither is marked at any ``tol``.  Only near an
-inflection point, where ``f''`` is about ``eps * f'''``, does curvature look
-like a kink; its error there is about ``eps**2 * f''' / 6``, which fails
-only at a coarse ``eps`` or a tiny ``tol``.  The pass bound does not depend
-on the mark.
+side, so its error is about half the gap between the two slopes, and the
+gap is a step that does not shrink with ``eps``.  A failing probe whose
+slope gap exceeds ``eps`` and whose error lies within a quarter of that gap
+of half of it marks the report ``at_kink``.  Curvature parts the slopes by
+about ``eps * f''`` but leaves a right pullback at their mean, and a wrong
+pullback in a smooth region errs by far more than they part.  Only near an
+inflection point, where ``f''`` is about ``eps * f''' / 3``, does curvature
+take the kink's signature, and there the slopes part by only about
+``eps**2 * f''' / 3``, below ``eps``; rounding parts them by less still at
+any ``eps`` above about 1e-7.  So the mark does not depend on ``tol``, and
+the pass bound does not depend on the mark.
 
 ``run_gradient_suite`` sweeps all ops, all attention blocks (input
 gradients) and the box-regression loss over many seeded random cases, and
@@ -80,8 +81,6 @@ def gradcheck_fn(name, fn, inputs, eps=1e-5, tol=1e-4, seed=0) -> GradCheckRepor
         return float(np.sum(upstream * result))
 
     centre = project(out)
-    # rounding in the projection, as a slope over eps, with a wide margin
-    noise = 100 * np.finfo(np.float64).eps * float(np.sum(np.abs(upstream * out))) / eps
     analytic = pullback(upstream)
     array_positions = [i for i, a in enumerate(inputs) if isinstance(a, np.ndarray)]
     if len(analytic) != len(array_positions):
@@ -111,7 +110,7 @@ def gradcheck_fn(name, fn, inputs, eps=1e-5, tol=1e-4, seed=0) -> GradCheckRepor
         gap = np.abs(grad - numeric) / scale
         slope_gap = np.abs((hi - centre) - (centre - lo)) / eps / scale
         errors.append(float(gap.max()) if gap.size else 0.0)
-        one_side = (slope_gap > noise) & (np.abs(gap - slope_gap / 2) < slope_gap / 4)
+        one_side = (slope_gap > eps) & (np.abs(gap - slope_gap / 2) < slope_gap / 4)
         at_kink = at_kink or bool(np.any((gap > tol) & one_side))
 
     worst = max(errors) if errors else 0.0
