@@ -8,9 +8,9 @@ Run: ``python demos/detection_evaluation.py``
 """
 
 from crackscope.boxes import BBox
+from crackscope.dataio import DetectionRecord
 from crackscope.metrics import (
     ConfusionCounts,
-    DetectionRecord,
     average_precision,
     match_instances,
     pr_curve,

@@ -13,25 +13,17 @@ Subpackages by concern:
   transform, thinning, width metrology.
 * :mod:`crackscope.metrics` -- instance matching, PR curves, average
   precision, pixel confusion.
-* :mod:`crackscope.dataio` -- label/prediction/graymap formats and the
-  pinned-PRNG dataset split.
+* :mod:`crackscope.dataio` -- label and prediction records (one polygon
+  check for both), graymap format, rasterization and the pinned-PRNG
+  dataset split.
 * :mod:`crackscope.cli` -- the ``crackscope`` command.
+
+Importing the package loads no submodule; import the one you need.  Only
+:mod:`crackscope.maskgeom` loads scipy.
 """
 
-from . import attention, boxes, dataio, gradcheck, maskgeom, metrics, ops, tensor
 from .errors import CrackscopeError
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "attention",
-    "boxes",
-    "dataio",
-    "gradcheck",
-    "maskgeom",
-    "metrics",
-    "ops",
-    "tensor",
-    "CrackscopeError",
-    "__version__",
-]
+__all__ = ["CrackscopeError", "__version__"]

@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import attention, dataio, gradcheck, maskgeom, metrics
+from . import attention, dataio, gradcheck, metrics
 from .errors import CrackscopeError
 
 __all__ = ["main"]
@@ -71,6 +71,8 @@ def _json_value(x):
 
 
 def _cmd_analyze(args) -> int:
+    from . import maskgeom  # here, not at the top: only analyze needs scipy
+
     with open(args.mask, "rb") as fh:
         gray = dataio.read_pgm(fh.read())
     mask = maskgeom.threshold_mask(gray)
@@ -348,10 +350,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except CrackscopeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CrackscopeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,16 +20,20 @@ vectorised body fills only the rows and columns the polygon can cover and
 returns that crop with its offset (:func:`polygon_to_crop`);
 :func:`polygon_to_mask` places the crop in the full frame.
 
-Label and prediction records accept only finite polygon coordinates in
-[0, 1]; the file readers prefix the record's error with its line number.
+Label records (:class:`LabelRecord`) and scored predictions
+(:class:`DetectionRecord`) share one polygon check and one class-id check:
+a polygon is >= 3 (x, y) vertices of finite numbers in [0, 1].  The file
+readers prefix the record's error with its line number.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -41,10 +45,10 @@ from .errors import (
     OutOfRange,
     UnsupportedFormat,
 )
-from .metrics import DetectionRecord, check_unit_coordinates
 
 __all__ = [
     "LabelRecord",
+    "DetectionRecord",
     "SplitSpec",
     "parse_label_file",
     "serialize_label_file",
@@ -60,6 +64,48 @@ __all__ = [
 ]
 
 
+def _class_id(value, error) -> int:
+    """``value`` as a class id, an integer >= 0; anything else is ``error``."""
+    # exact-type test first: the ABC check is slow, and bool is an int
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise error(f"class must be an integer, got {value!r}")
+        value = int(value)
+    if value < 0:
+        raise error(f"class id must be >= 0, got {value}")
+    return value
+
+
+def _all_numbers(polygon) -> bool:
+    """Whether a ``[k, 2]`` polygon holds only numbers: ``np.asarray`` would
+    turn ``"0.5"`` and ``True`` into floats."""
+    if isinstance(polygon, np.ndarray):
+        return polygon.dtype.kind in "fiu"
+    for x, y in polygon:
+        # exact types first, as JSON gives them: the ABC checks are slow
+        if type(x) is not float or type(y) is not float:
+            values = chain.from_iterable(polygon)
+            return all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values)
+    return True
+
+
+def _polygon(value, error) -> np.ndarray:
+    """``value`` as a ``[k >= 3, 2]`` float array.  A bad shape or a value
+    that is not a number is ``error``; a value that is not finite and in
+    [0, 1] is :class:`OutOfRange`."""
+    try:
+        poly = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"polygon is not an array of numbers ({exc})") from None
+    if poly.ndim != 2 or poly.shape[1] != 2 or poly.shape[0] < 3:
+        raise error(f"polygon needs >= 3 (x, y) vertices, got shape {poly.shape}")
+    if not _all_numbers(value):
+        raise error("polygon coordinates must be numbers, not text or bools")
+    if not (poly.min() >= 0.0 and poly.max() <= 1.0):  # a NaN fails both
+        raise OutOfRange("polygon coordinates must be finite and lie in [0, 1]")
+    return poly
+
+
 @dataclass(frozen=True, eq=False)
 class LabelRecord:
     """One labeled polygon: class id plus >= 3 normalized (x, y) vertices."""
@@ -68,13 +114,35 @@ class LabelRecord:
     polygon: np.ndarray
 
     def __post_init__(self):
-        poly = np.asarray(self.polygon, dtype=np.float64)
-        if self.class_id < 0:
-            raise MalformedLabel(f"class id must be >= 0, got {self.class_id}")
-        if poly.ndim != 2 or poly.shape[1] != 2 or poly.shape[0] < 3:
-            raise MalformedLabel(f"polygon needs >= 3 (x, y) vertices, got shape {poly.shape}")
-        check_unit_coordinates(poly)
-        object.__setattr__(self, "polygon", poly)
+        object.__setattr__(self, "class_id", _class_id(self.class_id, MalformedLabel))
+        object.__setattr__(self, "polygon", _polygon(self.polygon, MalformedLabel))
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionRecord:
+    """One scored prediction: image id, class, confidence and geometry
+    (a normalized polygon, a center-format box, or both)."""
+
+    image_id: str
+    class_id: int
+    score: float
+    polygon: np.ndarray | None = None  # [k >= 3, 2] normalized vertices
+    box: object | None = None  # BBox
+
+    def __post_init__(self):
+        if not isinstance(self.image_id, str):
+            raise MalformedPrediction(f"image id must be a string, got {self.image_id!r}")
+        object.__setattr__(self, "class_id", _class_id(self.class_id, MalformedPrediction))
+        if type(self.score) is not float:
+            if isinstance(self.score, bool) or not isinstance(self.score, numbers.Real):
+                raise MalformedPrediction(f"score must be a number, got {self.score!r}")
+            object.__setattr__(self, "score", float(self.score))
+        if not 0.0 <= self.score <= 1.0:
+            raise OutOfRange(f"score must be in [0, 1], got {self.score}")
+        if self.polygon is not None:
+            object.__setattr__(self, "polygon", _polygon(self.polygon, MalformedPrediction))
+        elif self.box is None:
+            raise MalformedPrediction("prediction has neither polygon nor box geometry")
 
 
 @dataclass(frozen=True)
@@ -301,6 +369,8 @@ def read_predictions(text: str) -> list[DetectionRecord]:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedPrediction(f"line {lineno}: invalid JSON ({exc.msg})") from None
+        except RecursionError:
+            raise MalformedPrediction(f"line {lineno}: invalid JSON (nested too deeply)") from None
         if not isinstance(doc, dict):
             raise MalformedPrediction(f"line {lineno}: expected a JSON object")
         try:

@@ -41,6 +41,10 @@ class UnsupportedFormat(CrackscopeError):
     """Input file is not in a supported format."""
 
 
+class UnsupportedMode(CrackscopeError):
+    """A mode argument names no supported mode."""
+
+
 class CorruptImage(CrackscopeError):
     """Image file header parsed but the pixel data is incomplete."""
 

@@ -244,8 +244,11 @@ def run_gradient_suite(seed=0, eps=1e-5, tol=1e-4, cases=100) -> list[GradCheckR
         raise CrackscopeError(f"seed must be >= 0, got {seed}")
     if cases < 1:
         raise CrackscopeError(f"cases must be >= 1, got {cases}")
-    if not (math.isfinite(eps) and eps > 0):
-        raise CrackscopeError(f"eps must be finite and > 0, got {eps}")
+    if not 0 < eps < 0.5:
+        raise CrackscopeError(
+            f"eps must lie in (0, 0.5): ciou box sides start at 0.5 and a probe "
+            f"subtracts eps, got {eps}"
+        )
     if not (math.isfinite(tol) and tol >= 0):
         raise CrackscopeError(f"tol must be finite and >= 0, got {tol}")
     # (name, stream seed, draw: rng -> (fn, inputs))

@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
-from .boxes import BBox
 from .errors import DegenerateComponent, InvalidImage, InvalidShape, OutOfRange
 
 __all__ = [
@@ -81,11 +80,13 @@ class ScaleConfig:
 
 @dataclass(frozen=True, eq=False)
 class CrackComponent:
-    """One 8-connected foreground region; pixels are (row, col) in row-major order."""
+    """One 8-connected foreground region; pixels are (row, col) in row-major
+    order, inside the frame rows ``rows`` and columns ``cols``."""
 
     id: int
     pixels: np.ndarray  # [k, 2]
-    bbox: BBox
+    rows: slice
+    cols: slice
 
     @property
     def area(self) -> int:
@@ -150,16 +151,8 @@ def connected_components(mask) -> list[CrackComponent]:
         pixels = np.argwhere(labels[rs, cs] == lab) + (rs.start, cs.start)  # row-major sorted
         order.append((-len(pixels), int(pixels[0][0]), int(pixels[0][1]), pixels, rs, cs))
     order.sort(key=lambda item: item[:3])
-    components = []
-    for new_id, (_, _, _, pixels, rs, cs) in enumerate(order, start=1):
-        bbox = BBox(
-            cx=(cs.start + cs.stop) / 2.0,
-            cy=(rs.start + rs.stop) / 2.0,
-            w=float(cs.stop - cs.start),
-            h=float(rs.stop - rs.start),
-        )
-        components.append(CrackComponent(new_id, pixels, bbox))
-    return components
+    return [CrackComponent(new_id, pixels, rs, cs)
+            for new_id, (*_, pixels, rs, cs) in enumerate(order, start=1)]
 
 
 def distance_transform(mask) -> np.ndarray:
@@ -232,17 +225,16 @@ def _component_skeleton(component: CrackComponent, edt, skeleton):
     skeleton = np.asarray(skeleton)
     if skeleton.ndim != 2:
         raise InvalidShape(f"skeleton must be 2-D, got shape {skeleton.shape}")
-    pixels = component.pixels
-    low, high = pixels.min(axis=0), pixels.max(axis=0)
-    r0, c0 = np.maximum(low - 1, 0)
-    window = skeleton[r0 : high[0] + 2, c0 : high[1] + 2].astype(bool)
+    pixels, rows, cols = component.pixels, component.rows, component.cols
+    r0, c0 = max(rows.start - 1, 0), max(cols.start - 1, 0)
+    window = skeleton[r0 : rows.stop + 1, c0 : cols.stop + 1].astype(bool)
     inside = np.zeros_like(window)
     inside[pixels[:, 0] - r0, pixels[:, 1] - c0] = True
     local = np.argwhere(window & inside)
     if len(local) == 0:
         raise DegenerateComponent(
-            f"component {component.id} (rows {low[0]}-{high[0]}, cols {low[1]}-{high[1]}) "
-            "has no skeleton pixels"
+            f"component {component.id} (rows {rows.start}-{rows.stop - 1}, "
+            f"cols {cols.start}-{cols.stop - 1}) has no skeleton pixels"
         )
     counts = ndimage.convolve(window.view(np.uint8), _EIGHT.view(np.uint8), mode="constant")
     own = local + (r0, c0)

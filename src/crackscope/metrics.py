@@ -1,12 +1,14 @@
 """Detection evaluation: confusion-count metrics, instance matching,
 precision-recall curves and average precision.
 
-Matching is greedy by descending score (ties keep input order): each
-prediction claims the unmatched ground truth of highest IoU at or above the
-threshold (the first such at IoU ties), and every ground truth is claimed
-at most once.  Each image's ``len(preds) x len(gts)`` IoU matrix is built
-once: box IoU from per-record corners with numpy, mask IoU from one cropped
-raster per record (:func:`crackscope.dataio.polygon_to_crop`), counting the
+Matching takes the records of :mod:`crackscope.dataio`: predictions are
+``DetectionRecord``s, ground truths ``LabelRecord``s or ``DetectionRecord``s.
+It is greedy by descending score (ties keep input order): each prediction
+claims the unmatched ground truth of highest IoU at or above the threshold
+(the first such at IoU ties), and every ground truth is claimed at most
+once.  Each image's ``len(preds) x len(gts)`` IoU matrix is built once: box
+IoU from per-record corners with numpy, mask IoU from one cropped raster
+per record (:func:`crackscope.dataio.polygon_to_crop`), counting the
 intersection only where two crops overlap.  Average precision integrates
 the all-points interpolated precision envelope ``p(r) = max over r' >= r
 of p(r')`` over recall, built by one backward running max, so only the
@@ -21,17 +23,15 @@ it is therefore only computed from pixel-level confusion counts
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .errors import InvalidShape, MalformedPrediction, OutOfRange, UndefinedMetric
+from .dataio import polygon_to_crop
+from .errors import InvalidShape, OutOfRange, UndefinedMetric, UnsupportedMode
 
 __all__ = [
     "ConfusionCounts",
-    "DetectionRecord",
     "PRPoint",
     "recall",
     "precision",
@@ -43,25 +43,6 @@ __all__ = [
     "average_precision",
     "pr_curve_to_csv",
 ]
-
-
-def check_unit_coordinates(polygon: np.ndarray) -> None:
-    """Raise :class:`OutOfRange` unless every coordinate is finite and in [0, 1]."""
-    if not (polygon.min() >= 0.0 and polygon.max() <= 1.0):  # a NaN fails both
-        raise OutOfRange("polygon coordinates must be finite and lie in [0, 1]")
-
-
-def _all_numbers(polygon) -> bool:
-    """Whether a ``[k, 2]`` polygon holds only numbers: ``np.asarray`` would
-    turn ``"0.5"`` and ``True`` into floats."""
-    if isinstance(polygon, np.ndarray):
-        return polygon.dtype.kind in "fiu"
-    for x, y in polygon:
-        # exact types first, as JSON gives them: the ABC checks are slow
-        if type(x) is not float or type(y) is not float:
-            values = chain.from_iterable(polygon)
-            return all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values)
-    return True
 
 
 @dataclass(frozen=True)
@@ -81,48 +62,6 @@ class ConfusionCounts:
         return ConfusionCounts(
             self.tp + other.tp, self.fp + other.fp, self.fn + other.fn, self.tn + other.tn
         )
-
-
-@dataclass(frozen=True, eq=False)
-class DetectionRecord:
-    """One scored prediction: image id, class, confidence and geometry
-    (a normalized polygon, a center-format box, or both)."""
-
-    image_id: str
-    class_id: int
-    score: float
-    polygon: np.ndarray | None = None  # [k >= 3, 2] normalized vertices
-    box: object | None = None  # BBox
-
-    def __post_init__(self):
-        if not isinstance(self.image_id, str):
-            raise MalformedPrediction(f"image id must be a string, got {self.image_id!r}")
-        # exact-type tests first: the ABC checks are slow, and bool is an int
-        if type(self.class_id) is not int:
-            if isinstance(self.class_id, bool) or not isinstance(self.class_id, numbers.Integral):
-                raise MalformedPrediction(f"class must be an integer, got {self.class_id!r}")
-            object.__setattr__(self, "class_id", int(self.class_id))
-        if self.class_id < 0:
-            raise MalformedPrediction(f"class id must be >= 0, got {self.class_id}")
-        if type(self.score) is not float:
-            if isinstance(self.score, bool) or not isinstance(self.score, numbers.Real):
-                raise MalformedPrediction(f"score must be a number, got {self.score!r}")
-            object.__setattr__(self, "score", float(self.score))
-        if not 0.0 <= self.score <= 1.0:
-            raise OutOfRange(f"score must be in [0, 1], got {self.score}")
-        if self.polygon is not None:
-            try:
-                poly = np.asarray(self.polygon, dtype=np.float64)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise MalformedPrediction(f"polygon is not an array of numbers ({exc})") from None
-            if poly.ndim != 2 or poly.shape[1] != 2 or poly.shape[0] < 3:
-                raise MalformedPrediction(f"polygon needs >= 3 (x, y) vertices, got {poly.shape}")
-            if not _all_numbers(self.polygon):
-                raise MalformedPrediction("polygon coordinates must be numbers, not text or bools")
-            check_unit_coordinates(poly)
-            object.__setattr__(self, "polygon", poly)
-        if self.polygon is None and self.box is None:
-            raise MalformedPrediction("prediction has neither polygon nor box geometry")
 
 
 @dataclass(frozen=True)
@@ -220,8 +159,6 @@ def _box_iou_matrix(preds, gts) -> np.ndarray:
 def _mask_iou_matrix(preds, gts, extent) -> np.ndarray:
     """Pixel IoU of every pair from one cropped raster per record; two empty
     rasters score 1.0, as in :func:`mask_iou`."""
-    from .dataio import polygon_to_crop  # deferred: dataio builds records from this module
-
     width, height = extent
     crops = [[polygon_to_crop(r.polygon, width, height) for r in side] for side in (preds, gts)]
 
@@ -257,7 +194,7 @@ def match_instances(
     if not 0.0 < iou_thresh <= 1.0:
         raise OutOfRange(f"iou threshold must be in (0, 1], got {iou_thresh}")
     if mode not in ("box", "mask"):
-        raise ValueError(f"unknown matching mode {mode!r}")
+        raise UnsupportedMode(f"unknown matching mode {mode!r}")
     flags = [False] * len(preds)
     if not preds or not gts:
         return flags, len(gts)

@@ -224,6 +224,9 @@ class TestBadValues:
             ["--raster-size", "-5"],
             ["--raster-size", "0", "--match", "mask"],
             ["--raster-size", "0", "--mode", "pixel"],
+            # too large to allocate: pixel mode asks for the 10^16-byte frame
+            # before it touches a page (mask mode would first rasterize polygons)
+            ["--raster-size", "100000000", "--mode", "pixel"],
         ],
     )
     def test_bad_raster_size(self, eval_fixture, flags, capsys):
@@ -272,6 +275,22 @@ class TestBadValues:
         err = capsys.readouterr().err
         _one_error_line(err)
         assert f"error: {pred_path}: line 4: " in err
+
+    @pytest.mark.parametrize(
+        "line",
+        ["[" * 100_000 + "]" * 100_000,
+         '{"image": "img1", "class": 0, "score": 0.5, "polygon": '
+         + "[" * 5_000 + "0.1" + "]" * 5_000 + "}"],
+        ids=["nested-array", "nested-polygon"],
+    )
+    def test_deeply_nested_json(self, eval_fixture, line, capsys):
+        gt_dir, pred_path = eval_fixture
+        pred_path.write_text(pred_path.read_text() + line + "\n")
+        code = main(["eval", "--gt", str(gt_dir), "--pred", str(pred_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        _one_error_line(err)
+        assert err.startswith(f"error: {pred_path}: line 4: invalid JSON")
 
     @pytest.mark.parametrize("target", ["label", "pred", "list"])
     def test_non_utf8_input_names_the_file(self, eval_fixture, tmp_path, target, capsys):
@@ -362,14 +381,17 @@ class TestGradcheckCommand:
             ["--tol", "nan"],
             ["--seed", "-1"],
             ["--eps", "0.1"],  # too coarse: finite differences miss the tolerance
+            ["--eps", "0.6"],  # a ciou probe would leave the box domain
+            ["--eps", "1e300"],
         ],
     )
     def test_bad_argument_exits_1_with_one_error_line(self, flags, capsys):
         code = main(["gradcheck", "--cases", "1", *flags])
         assert code == 1
         err = capsys.readouterr().err
-        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
-        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        if flags != ["--eps", "0.1"]:  # a rejected argument, not a failed check
+            assert f"{flags[0][2:]} must" in err
 
 
 CBAM_WEIGHT_LINES = {

@@ -70,6 +70,16 @@ class TestLabelFiles:
         with pytest.raises(OutOfRange):
             LabelRecord(0, polygon)
 
+    @pytest.mark.parametrize(
+        "class_id, polygon",
+        [(True, [[0.1, 0.1], [0.9, 0.1], [0.5, 0.9]]), (1.5, [[0.1, 0.1], [0.9, 0.1], [0.5, 0.9]]),
+         (0, [["0.1", 0.1], [0.9, 0.1], [0.5, 0.9]]), (0, np.ones((3, 2), dtype=bool))],
+        ids=["bool-class", "float-class", "text", "bool-array"],
+    )
+    def test_record_checks_types_as_a_prediction_does(self, class_id, polygon):
+        with pytest.raises(MalformedLabel):
+            LabelRecord(class_id, polygon)
+
     def test_garbage_token(self):
         with pytest.raises(MalformedLabel):
             parse_label_file("0 0.1 0.1 x 0.1 0.5 0.9\n")

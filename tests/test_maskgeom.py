@@ -110,11 +110,9 @@ class TestComponents:
             assert comp.pixels.tolist() == [list(p) for p in sorted(pixels)]
             rows = [r for r, _ in pixels]
             cols = [c for _, c in pixels]
-            bbox = comp.bbox
-            assert (bbox.w, bbox.h) == (max(cols) - min(cols) + 1, max(rows) - min(rows) + 1)
-            assert (bbox.cx, bbox.cy) == (
-                (min(cols) + max(cols) + 1) / 2,
-                (min(rows) + max(rows) + 1) / 2,
+            assert (comp.rows, comp.cols) == (
+                slice(min(rows), max(rows) + 1),
+                slice(min(cols), max(cols) + 1),
             )
         assert len(comps) == len(expected)
 
@@ -122,8 +120,7 @@ class TestComponents:
         mask = np.zeros((10, 10), dtype=bool)
         mask[2:5, 3:9] = True
         comp = connected_components(mask)[0]
-        assert comp.bbox.w == 6.0 and comp.bbox.h == 3.0
-        assert comp.bbox.cx == 6.0 and comp.bbox.cy == 3.5
+        assert (comp.rows, comp.cols) == (slice(2, 5), slice(3, 9))
 
 
 class TestDistanceTransform:

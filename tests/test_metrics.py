@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 import oracles
 import strategies
 from crackscope.boxes import BBox
-from crackscope.dataio import polygon_to_mask
-from crackscope.errors import InvalidShape, OutOfRange, UndefinedMetric
+from crackscope.dataio import DetectionRecord, polygon_to_mask
+from crackscope.errors import CrackscopeError, InvalidShape, OutOfRange, UndefinedMetric
 from crackscope.metrics import (
     ConfusionCounts,
-    DetectionRecord,
     PRPoint,
     accuracy,
     average_precision,
@@ -214,6 +213,11 @@ class TestMatchInstances:
         assert flags == [True] and fn == 0
         flags, fn = match_instances([pred], [gt], 0.95, mode="mask", extent=(64, 64))
         assert flags == [False] and fn == 1
+
+    def test_unknown_mode_is_a_library_error(self):
+        box = BBox(5, 5, 4, 4)
+        with pytest.raises(CrackscopeError, match="unknown matching mode 'poly'"):
+            match_instances([_pred(0.9, box)], [_gt(box)], 0.5, mode="poly")
 
     def test_iou_tie_picks_first_ground_truth(self):
         box = BBox(5, 5, 4, 4)
