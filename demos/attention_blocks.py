@@ -60,8 +60,8 @@ print(
 # --- sppf: three chained 5-pools see the same window as one 13-pool
 print("\n== pyramid pooling equivalence ==")
 y = rng.uniform(-1, 1, (1, 4, 12, 12))
-chained = ops.maxpool2d(ops.maxpool2d(ops.maxpool2d(y, 5, 1, 2), 5, 1, 2), 5, 1, 2)
-single = ops.maxpool2d(y, 13, 1, 6)
+chained = ops.maxpool2d(ops.maxpool2d(ops.maxpool2d(y, 5), 5), 5)
+single = ops.maxpool2d(y, 13)
 print(f"  maxpool5^3 == maxpool13 exactly: {np.array_equal(chained, single)}")
 sppf = attention.init_sppf(8, 4, 8, seed=4)
 print(f"  sppf output shape: {attention.sppf_forward(x, sppf).shape} (spatial preserved)")

@@ -18,7 +18,7 @@ print(f"parsed {len(records)} polygon(s):")
 for record in records:
     print(f"  class {record.class_id}, {len(record.polygon)} vertices")
 
-mask = polygon_to_mask(records[0], 48, 16)
+mask = polygon_to_mask(records[0].polygon, 48, 16)
 print("\nfirst polygon rasterized at 48 x 16 (pixel-center rule):")
 for row in mask:
     print("".join("#" if v else "." for v in row))

@@ -7,6 +7,8 @@ precision/recall curve, and integrates the interpolated envelope.
 Run: ``python demos/detection_evaluation.py``
 """
 
+import numpy as np
+
 from crackscope.boxes import BBox
 from crackscope.dataio import DetectionRecord
 from crackscope.metrics import (
@@ -18,6 +20,14 @@ from crackscope.metrics import (
     precision,
     recall,
 )
+
+
+def polygon(box: BBox) -> np.ndarray:
+    """The box, given in pixels of a 128-px frame, as a normalized rectangle;
+    dividing by a power of two keeps every IoU exactly as in pixels."""
+    x0, y0, x1, y1 = np.array(box.corners) / 128
+    return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+
 
 # one crack class; three images with hand-designed hits and misses
 scenes = {
@@ -39,10 +49,8 @@ flagged = []
 fn_total = 0
 total_gt = 0
 for image_id, scene in scenes.items():
-    preds = [
-        DetectionRecord(image_id, 0, score, box=box) for score, box in scene["preds"]
-    ]
-    gts = [DetectionRecord(image_id, 0, 1.0, box=box) for box in scene["gts"]]
+    preds = [DetectionRecord(image_id, 0, score, polygon(box)) for score, box in scene["preds"]]
+    gts = [DetectionRecord(image_id, 0, 1.0, polygon(box)) for box in scene["gts"]]
     flags, fn = match_instances(preds, gts, iou_thresh=0.5)
     for record, flag in zip(preds, flags):
         flagged.append((record.score, flag))

@@ -2,9 +2,8 @@
 
 Subpackages by concern:
 
-* :mod:`crackscope.tensor`, :mod:`crackscope.ops`, :mod:`crackscope.gradcheck`
-  -- NCHW kernels with hand-written vector-Jacobian products and
-  finite-difference verification.
+* :mod:`crackscope.ops`, :mod:`crackscope.gradcheck` -- NCHW kernels with
+  hand-written vector-Jacobian products and finite-difference verification.
 * :mod:`crackscope.attention` -- channel/spatial attention blocks and fast
   pyramid pooling.
 * :mod:`crackscope.boxes` -- IoU, the complete-IoU loss with analytic

@@ -9,8 +9,14 @@ Four parameterized blocks built from the kernels in :mod:`crackscope.ops`:
 * ``sam``  -- spatial attention: the per-pixel channel max and mean, one
   ``[N, 2, H, W]`` map, convolved with a 7x7 kernel.
 * ``cbam`` -- ``cam`` followed by ``sam``.
-* ``sppf`` -- 1x1 reduce convolution, three chained 5x5 stride-1 max pools,
-  channel concat, 1x1 expand convolution.
+* ``sppf`` -- 1x1 reduce convolution, three chained 5x5 max pools, channel
+  concat, 1x1 expand convolution.
+
+Every window is stride 1 with "same" padding, so each block keeps the
+input's spatial extent, and each block takes the rest of its shape from its
+weights: ECA's kernel length, CBAM's hidden width (``max(C // 16, 1)`` as
+drawn by :func:`init_cam`) and SPPF's widths.  The ops check the weights at
+the forward; a container checks only what no op does.
 
 Each block has one body, ``<block>_vjp(x, *params) -> (out, pullback)``,
 that chains the op-level pullbacks of :mod:`crackscope.ops`;
@@ -27,8 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidKernel, InvalidShape
+from .errors import InvalidShape
 from .ops import (
+    as_nchw,
     broadcast_mul_vjp,
     channel_stats_vjp,
     conv1d_channels_vjp,
@@ -39,7 +46,6 @@ from .ops import (
     relu_vjp,
     sigmoid_vjp,
 )
-from .tensor import as_nchw
 
 __all__ = [
     "EcaParams",
@@ -82,21 +88,14 @@ class EcaParams:
 
     kernel: np.ndarray
 
-    def __post_init__(self):
-        kernel = np.asarray(self.kernel, dtype=np.float64)
-        if kernel.ndim != 1 or kernel.size < 1 or kernel.size % 2 == 0:
-            raise InvalidKernel(f"kernel must be a 1-D odd-length vector, got {kernel.shape}")
-        object.__setattr__(self, "kernel", kernel)
-
 
 @dataclass(frozen=True, eq=False)
 class CamParams:
     """Shared two-layer MLP applied to both pooled channel vectors."""
 
-    reduction: int
-    w1: np.ndarray  # [C/r, C]
-    b1: np.ndarray  # [C/r]
-    w2: np.ndarray  # [C, C/r]
+    w1: np.ndarray  # [hidden, C]
+    b1: np.ndarray  # [hidden]
+    w2: np.ndarray  # [C, hidden]
     b2: np.ndarray  # [C]
 
     def __post_init__(self):
@@ -104,16 +103,9 @@ class CamParams:
         b1 = np.asarray(self.b1, dtype=np.float64)
         w2 = np.asarray(self.w2, dtype=np.float64)
         b2 = np.asarray(self.b2, dtype=np.float64)
-        if self.reduction < 1:
-            raise InvalidShape(f"reduction must be >= 1, got {self.reduction}")
         if w1.ndim != 2 or w2.ndim != 2 or b1.ndim != 1 or b2.ndim != 1:
             raise InvalidShape("MLP parameters must be matrix/vector/matrix/vector")
         hidden, channels = w1.shape
-        if channels % self.reduction != 0 or channels // self.reduction != hidden:
-            raise InvalidShape(
-                f"{channels} channels not divisible into hidden size {hidden}"
-                f" by reduction {self.reduction}"
-            )
         if w2.shape != (channels, hidden) or b1.shape != (hidden,) or b2.shape != (channels,):
             raise InvalidShape(
                 f"inconsistent MLP shapes: w1 {w1.shape}, b1 {b1.shape},"
@@ -134,15 +126,6 @@ class SamParams:
     kernel: np.ndarray  # [1, 2, 7, 7]
     bias: float = 0.0
 
-    PAD = 3  # keeps the spatial extent; fixed by the 7x7 kernel
-
-    def __post_init__(self):
-        kernel = np.asarray(self.kernel, dtype=np.float64)
-        if kernel.shape != (1, 2, 7, 7):
-            raise InvalidShape(f"spatial-attention kernel must be [1, 2, 7, 7], got {kernel.shape}")
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "bias", float(self.bias))
-
 
 @dataclass(frozen=True, eq=False)
 class SppfParams:
@@ -154,30 +137,6 @@ class SppfParams:
     expand_bias: np.ndarray  # [Cout]
 
     POOL = 5
-    STRIDE = 1
-    PAD = 2
-
-    def __post_init__(self):
-        rk = np.asarray(self.reduce_kernel, dtype=np.float64)
-        rb = np.asarray(self.reduce_bias, dtype=np.float64)
-        ek = np.asarray(self.expand_kernel, dtype=np.float64)
-        eb = np.asarray(self.expand_bias, dtype=np.float64)
-        if rk.ndim != 4 or rk.shape[2:] != (1, 1) or ek.ndim != 4 or ek.shape[2:] != (1, 1):
-            raise InvalidShape("reduce/expand kernels must be 1x1 convolutions")
-        cmid = rk.shape[0]
-        if ek.shape[1] != 4 * cmid:
-            raise InvalidShape(
-                f"expand kernel consumes {ek.shape[1]} channels, concat provides {4 * cmid}"
-            )
-        if rb.shape != (cmid,) or eb.shape != (ek.shape[0],):
-            raise InvalidShape("bias lengths do not match their kernels")
-        for name, arr in (
-            ("reduce_kernel", rk),
-            ("reduce_bias", rb),
-            ("expand_kernel", ek),
-            ("expand_bias", eb),
-        ):
-            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,12 +176,13 @@ def _gate_vjp(x, weights_vjp, p):
 # channel attention (1-D convolution flavour)
 
 
-def eca_kernel_size(channels: int, gamma: float = 2.0, b_offset: float = 1.0) -> int:
+def eca_kernel_size(channels: int) -> int:
     """Adaptive channel-kernel size: smallest odd integer not below
-    ``|log2(C)/gamma + b_offset/gamma|``, floored at 3."""
+    ``|log2(C)/gamma + b/gamma|`` with ECA-Net's gamma = 2 and b = 1,
+    floored at 3."""
     if channels < 1:
         raise InvalidShape(f"channel count must be >= 1, got {channels}")
-    target = abs(math.log2(channels) / gamma + b_offset / gamma)
+    target = abs(math.log2(channels) / 2 + 1 / 2)
     k = math.ceil(target)
     if k % 2 == 0:
         k += 1
@@ -231,8 +191,8 @@ def eca_kernel_size(channels: int, gamma: float = 2.0, b_offset: float = 1.0) ->
 
 def _eca_weights_vjp(x, p: EcaParams):
     c = x.shape[1]
-    if p.kernel.size > 2 * c - 1:
-        raise InvalidShape(f"kernel length {p.kernel.size} exceeds 2*C-1 = {2 * c - 1}")
+    if np.size(p.kernel) > 2 * c - 1:
+        raise InvalidShape(f"kernel length {np.size(p.kernel)} exceeds 2*C-1 = {2 * c - 1}")
     pooled, pool_pullback = global_avg_pool_vjp(x)
     z, conv_pullback = conv1d_channels_vjp(pooled, p.kernel)
     w, sigmoid_pullback = sigmoid_vjp(z)
@@ -300,7 +260,7 @@ def cam_forward(x, p: CamParams) -> np.ndarray:
 
 def _sam_map_vjp(x, p: SamParams):
     stats, stats_pullback = channel_stats_vjp(x)
-    z, conv_pullback = conv2d_vjp(stats, p.kernel, np.array([p.bias]), SamParams.PAD)
+    z, conv_pullback = conv2d_vjp(stats, p.kernel, [p.bias])
     m, sigmoid_pullback = sigmoid_vjp(z)
 
     def pullback(dm):
@@ -341,9 +301,9 @@ def cbam_forward(x, cam: CamParams, sam: SamParams) -> np.ndarray:
 def sppf_vjp(x, p: SppfParams):
     """Reduce, pool three times, concat the four stages, expand."""
     y0, reduce_pullback = conv2d_vjp(x, p.reduce_kernel, p.reduce_bias)
-    y1, pool1_pullback = maxpool2d_vjp(y0, p.POOL, p.STRIDE, p.PAD)
-    y2, pool2_pullback = maxpool2d_vjp(y1, p.POOL, p.STRIDE, p.PAD)
-    y3, pool3_pullback = maxpool2d_vjp(y2, p.POOL, p.STRIDE, p.PAD)
+    y1, pool1_pullback = maxpool2d_vjp(y0, p.POOL)
+    y2, pool2_pullback = maxpool2d_vjp(y1, p.POOL)
+    y3, pool3_pullback = maxpool2d_vjp(y2, p.POOL)
     stacked = np.concatenate([y0, y1, y2, y3], axis=1)
     out, expand_pullback = conv2d_vjp(stacked, p.expand_kernel, p.expand_bias)
 
@@ -363,7 +323,7 @@ def sppf_forward(x, p: SppfParams) -> np.ndarray:
 
 def pipeline_vjp(x, p: PipelineParams):
     """Smoke-test composition: 3x3 conv, then eca, cbam and sppf in order."""
-    y0, conv_pullback = conv2d_vjp(x, p.conv_kernel, p.conv_bias, 1)
+    y0, conv_pullback = conv2d_vjp(x, p.conv_kernel, p.conv_bias)
     y1, eca_pullback = eca_vjp(y0, p.eca)
     y2, cbam_pullback = cbam_vjp(y1, p.cam, p.sam)
     out, sppf_pullback = sppf_vjp(y2, p.sppf)
@@ -397,19 +357,16 @@ def init_eca(channels: int, seed: int = 0, zero: bool = False) -> EcaParams:
     return EcaParams(kernel)
 
 
-def init_cam(channels: int, reduction: int = 16, seed: int = 0, zero: bool = False) -> CamParams:
-    r = min(reduction, channels)  # keep the hidden layer nonempty
-    if channels % r != 0:
-        raise InvalidShape(f"{channels} channels are not divisible by reduction {r}")
-    hidden = channels // r
+def init_cam(channels: int, seed: int = 0, zero: bool = False) -> CamParams:
+    """CBAM's MLP with reduction ratio 16: ``max(channels // 16, 1)`` hidden units."""
+    hidden = max(channels // 16, 1)
     if zero:
         return CamParams(
-            r, np.zeros((hidden, channels)), np.zeros(hidden),
+            np.zeros((hidden, channels)), np.zeros(hidden),
             np.zeros((channels, hidden)), np.zeros(channels),
         )
     rng = np.random.default_rng(seed)
     return CamParams(
-        r,
         _uniform(rng, (hidden, channels)),
         _uniform(rng, hidden),
         _uniform(rng, (channels, hidden)),

@@ -74,8 +74,8 @@ def _cmd_analyze(args) -> int:
     from . import maskgeom  # here, not at the top: only analyze needs scipy
 
     with open(args.mask, "rb") as fh:
-        gray = dataio.read_pgm(fh.read())
-    mask = maskgeom.threshold_mask(gray)
+        gray, maxval = dataio.read_pgm(fh.read())
+    mask = maskgeom.threshold_mask(gray, maxval)
     scale = None if args.scale_mm_per_px is None else maskgeom.ScaleConfig(args.scale_mm_per_px)
     reports = maskgeom.analyze_mask(mask, scale)
     doc = json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
@@ -153,7 +153,7 @@ def _cmd_eval(args) -> int:
         def confuse_one(image_id):
             width, height = extent
             gt_mask = _union_mask(gts[image_id], width, height)
-            pred_mask = _union_mask([p.polygon for p in by_image[image_id]], width, height)
+            pred_mask = _union_mask(by_image[image_id], width, height)
             return metrics.pixel_confusion(pred_mask, gt_mask)
 
         counts = sum((confuse_one(image_id) for image_id in image_ids), metrics.ConfusionCounts())
@@ -183,10 +183,10 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _union_mask(polygons, width, height):
+def _union_mask(records, width, height):
     mask = np.zeros((height, width), dtype=bool)
-    for poly in polygons:
-        row0, col0, crop = dataio.polygon_to_crop(poly, width, height)
+    for record in records:
+        row0, col0, crop = dataio.polygon_to_crop(record.polygon, width, height)
         mask[row0 : row0 + crop.shape[0], col0 : col0 + crop.shape[1]] |= crop
     return mask
 

@@ -6,7 +6,8 @@ Formats::
                        normalized coordinates in [0, 1] and >= 3 vertices
     prediction files   one JSON object per line with keys
                        ``image``, ``class``, ``score``, ``polygon``
-    masks              binary (P5) portable graymaps, maxval <= 255
+    masks              binary (P5) portable graymaps, maxval <= 255, no
+                       sample above maxval; written at maxval 255
 
 The train/val/test split shuffles with a pinned 64-bit linear congruential
 generator (state' = 6364136223846793005 * state + 1442695040888963407
@@ -59,7 +60,6 @@ __all__ = [
     "write_pgm",
     "read_predictions",
     "serialize_predictions",
-    "atomic_write_bytes",
     "atomic_write_text",
 ]
 
@@ -120,14 +120,13 @@ class LabelRecord:
 
 @dataclass(frozen=True, eq=False)
 class DetectionRecord:
-    """One scored prediction: image id, class, confidence and geometry
-    (a normalized polygon, a center-format box, or both)."""
+    """One scored prediction: image id, class, confidence and a polygon of
+    >= 3 normalized (x, y) vertices."""
 
     image_id: str
     class_id: int
     score: float
-    polygon: np.ndarray | None = None  # [k >= 3, 2] normalized vertices
-    box: object | None = None  # BBox
+    polygon: np.ndarray
 
     def __post_init__(self):
         if not isinstance(self.image_id, str):
@@ -139,10 +138,7 @@ class DetectionRecord:
             object.__setattr__(self, "score", float(self.score))
         if not 0.0 <= self.score <= 1.0:
             raise OutOfRange(f"score must be in [0, 1], got {self.score}")
-        if self.polygon is not None:
-            object.__setattr__(self, "polygon", _polygon(self.polygon, MalformedPrediction))
-        elif self.box is None:
-            raise MalformedPrediction("prediction has neither polygon nor box geometry")
+        object.__setattr__(self, "polygon", _polygon(self.polygon, MalformedPrediction))
 
 
 @dataclass(frozen=True)
@@ -204,16 +200,14 @@ def serialize_label_file(records) -> str:
 def polygon_to_crop(polygon, width: int, height: int):
     """Scanline even-odd fill at pixel centers, inside the polygon's own window.
 
-    ``polygon`` is a LabelRecord or an [k, 2] array of normalized vertices;
-    x scales by ``width``, y by ``height``.  Returns ``(row0, col0, crop)``:
-    ``crop`` holds frame rows ``row0 ..`` and columns ``col0 ..`` and spans
-    every foreground pixel; the rest of the frame is background.  Crossings
+    ``polygon`` is a [k, 2] array of normalized vertices; x scales by
+    ``width``, y by ``height``.  Returns ``(row0, col0, crop)``: ``crop``
+    holds frame rows ``row0 ..`` and columns ``col0 ..`` and spans every
+    foreground pixel; the rest of the frame is background.  Crossings
     are found in absolute pixel coordinates, so the crop is bit-identical to
     the same window of :func:`polygon_to_mask`.  A zero-area polygon
     rasterizes to an empty ``(0, 0)`` crop.
     """
-    if hasattr(polygon, "polygon"):
-        polygon = polygon.polygon
     pts = np.asarray(polygon, dtype=np.float64) * np.array([width, height])
     x1, y1 = pts[:, 0], pts[:, 1]
     x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
@@ -303,11 +297,12 @@ def split_dataset(items, spec: SplitSpec):
 # portable graymap (binary P5)
 
 
-def read_pgm(data: bytes) -> np.ndarray:
-    """Parse a binary P5 graymap with maxval <= 255 into a uint8 array.
+def read_pgm(data: bytes) -> tuple[np.ndarray, int]:
+    """Parse a binary P5 graymap with maxval <= 255 into a uint8 array and
+    its maxval.
 
     Header comments (``#`` through end of line) are honored; ASCII (P2) and
-    other magics are rejected.
+    other magics are rejected, and so is a sample above maxval.
     """
     if not data.startswith(b"P5"):
         raise UnsupportedFormat("not a binary P5 graymap")
@@ -340,19 +335,26 @@ def read_pgm(data: bytes) -> np.ndarray:
     raster = data[pos : pos + width * height]
     if len(raster) != width * height:
         raise CorruptImage(f"raster has {len(raster)} bytes, needs {width * height}")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
+    gray = np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
+    if gray.max() > maxval:
+        raise CorruptImage(f"sample {gray.max()} exceeds maxval {maxval}")
+    return gray, maxval
 
 
-def write_pgm(image, maxval: int = 255) -> bytes:
-    """Serialize a uint8 image as canonical binary P5 (round-trip stable)."""
+def write_pgm(image) -> bytes:
+    """Serialize an image of integers in [0, 255] as canonical binary P5 at
+    maxval 255 (round-trip stable).  Any other value, NaN included, is
+    :class:`OutOfRange`."""
     arr = np.asarray(image)
     if arr.ndim != 2 or arr.size == 0:
         raise CorruptImage(f"image must be nonempty 2-D, got shape {arr.shape}")
-    if not 0 < maxval <= 255:
-        raise UnsupportedFormat(f"maxval {maxval} outside 8-bit range")
+    if arr.dtype.kind not in "uif":
+        raise OutOfRange(f"image samples must be numbers, got dtype {arr.dtype}")
+    # a NaN fails every comparison
+    if not (np.all(arr >= 0) and np.all(arr <= 255) and np.all(arr == np.floor(arr))):
+        raise OutOfRange("image samples must be integers in [0, 255]")
     height, width = arr.shape
-    header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
-    return header + arr.astype(np.uint8).tobytes()
+    return f"P5\n{width} {height}\n255\n".encode("ascii") + arr.astype(np.uint8).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -401,18 +403,16 @@ def serialize_predictions(records) -> str:
 # atomic writes (write to a temp file in the target directory, then rename)
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
+def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path`` so that a reader sees the old file
+    or the whole new one, never a part."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.write(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))

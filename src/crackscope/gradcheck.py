@@ -38,7 +38,7 @@ import numpy as np
 from . import attention, boxes, ops
 from .errors import CrackscopeError, NotDifferentiable
 
-__all__ = ["GradCheckReport", "gradcheck", "gradcheck_fn", "random_op_case", "run_gradient_suite"]
+__all__ = ["GradCheckReport", "gradcheck_fn", "random_op_case", "run_gradient_suite"]
 
 
 @dataclass(frozen=True)
@@ -119,15 +119,6 @@ def gradcheck_fn(name, fn, inputs, eps=1e-5, tol=1e-4, seed=0) -> GradCheckRepor
     )
 
 
-def gradcheck(op: str, inputs, eps=1e-5, tol=1e-4, seed=0) -> GradCheckReport:
-    """Finite-difference check of one registered op at the given inputs."""
-    try:
-        fn = ops.VJP_OPS[op]
-    except KeyError:
-        raise NotDifferentiable(f"no vector-Jacobian product registered for {op!r}") from None
-    return gradcheck_fn(op, fn, inputs, eps=eps, tol=tol, seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # random case generation
 
@@ -147,23 +138,18 @@ def random_op_case(op: str, rng) -> tuple:
     if op in ("global_avg_pool", "global_max_pool", "sigmoid", "relu", "channel_stats"):
         return (rng.uniform(-1, 1, (n, c, h, w)),)
     if op == "maxpool2d":
-        k = int(rng.integers(1, min(h, w) + 1))
-        pad = int(rng.integers(0, k // 2 + 1))
-        stride = int(rng.integers(1, 3))
-        return (rng.uniform(-1, 1, (n, c, h, w)), k, stride, pad)
+        return (rng.uniform(-1, 1, (n, c, h, w)), int(rng.choice([1, 3, 5])))
     if op == "conv1d_channels":
         k = int(rng.choice([1, 3, 5]))
         return (rng.uniform(-1, 1, (n, c, 1, 1)), rng.uniform(-1, 1, k))
     if op == "conv2d":
         cout = int(rng.integers(1, 4))
-        kh = int(rng.choice([1, 3]))
-        kw = int(rng.choice([1, 3]))
-        pad = int(rng.integers(0, 2))
+        kh = int(rng.choice([1, 3, 5]))
+        kw = int(rng.choice([1, 3, 5]))
         return (
             rng.uniform(-1, 1, (n, c, h, w)),
             rng.uniform(-1, 1, (cout, c, kh, kw)),
             rng.uniform(-1, 1, cout),
-            pad,
         )
     if op == "broadcast_mul":
         if rng.integers(0, 2):

@@ -1,6 +1,7 @@
 """Width metrology for binary crack masks.
 
-From a segmentation mask this module extracts 8-connected foreground
+A grayscale mask is binarized at half its maxval (:func:`threshold_mask`).
+From a binary mask this module extracts 8-connected foreground
 components, the exact Euclidean distance to the nearest background pixel
 center, a one-pixel-wide skeleton by iterative thinning, and per-component
 width reports: the maximum and minimum inscribed-disk widths and the
@@ -131,12 +132,13 @@ def _require_mask(m, name="mask") -> np.ndarray:
     return arr.astype(bool)
 
 
-def threshold_mask(gray, thresh: int = 128) -> np.ndarray:
-    """Binarize an 8-bit grayscale image: foreground iff value >= thresh."""
+def threshold_mask(gray, maxval: int) -> np.ndarray:
+    """Binarize a grayscale image at half its maxval: foreground iff
+    ``2 * value > maxval`` (``value >= 128`` at maxval 255)."""
     arr = np.asarray(gray)
     if arr.ndim != 2 or arr.size == 0:
         raise InvalidImage(f"expected a nonempty 2-D grayscale image, got shape {arr.shape}")
-    return arr.astype(np.int64) >= thresh
+    return 2 * arr.astype(np.int64) > maxval
 
 
 def connected_components(mask) -> list[CrackComponent]:

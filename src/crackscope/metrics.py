@@ -123,19 +123,11 @@ def pixel_confusion(pred, gt) -> ConfusionCounts:
 
 
 def _corners(records) -> np.ndarray:
-    """``[n, 4]`` corners ``(x0, y0, x1, y1)``: each record's box, else its polygon's bounds."""
-    boxes = [getattr(record, "box", None) for record in records]
-    boxed = np.array([box is not None for box in boxes], dtype=bool)
-    corners = np.empty((len(records), 4))
-    if boxed.any():
-        corners[boxed] = [box.corners for box in boxes if box is not None]
-    polygons = [record.polygon for record, box in zip(records, boxes) if box is None]
-    if polygons:
-        vertices = np.concatenate(polygons)
-        starts = np.cumsum([0] + [len(polygon) for polygon in polygons[:-1]])
-        corners[~boxed, :2] = np.minimum.reduceat(vertices, starts)
-        corners[~boxed, 2:] = np.maximum.reduceat(vertices, starts)
-    return corners
+    """``[n, 4]`` corners ``(x0, y0, x1, y1)``: each record's polygon bounds."""
+    polygons = [record.polygon for record in records]
+    vertices = np.concatenate(polygons)
+    starts = np.cumsum([0] + [len(polygon) for polygon in polygons[:-1]])
+    return np.hstack([np.minimum.reduceat(vertices, starts), np.maximum.reduceat(vertices, starts)])
 
 
 def _overlap(a, b):

@@ -2,10 +2,14 @@
 
 Every operation needed by the attention blocks lives here: pooling,
 convolution, activations, broadcasting and the channel-wise reductions.
-All arithmetic runs in double precision; convolution is cross-correlation
-(no kernel flip) with stride fixed at 1; max pooling pads with ``-inf`` so
-padding never wins; where a max has tied arguments the gradient flows to
-the first (lowest row-major index) maximal element.
+Tensors are plain ``numpy.float64`` arrays in batch/channel/height/width
+(NCHW) order, and all arithmetic runs in double precision.  Every windowed
+op has stride 1 and "same" padding derived from its odd window: a window of
+``k`` pads each side by ``k // 2``, so the output keeps the input's extent,
+and an even window is :class:`InvalidKernel`.  Convolution is
+cross-correlation (no kernel flip) with zero padding; max pooling pads with
+``-inf`` so padding never wins; where a max has tied arguments the gradient
+flows to the first (lowest row-major index) maximal element.
 
 Each op has one body, ``<op>_vjp(*inputs) -> (out, pullback)``, the
 closure idiom of ``jax.vjp``: it validates the inputs and computes its one
@@ -30,9 +34,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidKernel, InvalidShape, NotDifferentiable
-from .tensor import as_nchw
 
 __all__ = [
+    "as_nchw",
     "global_avg_pool",
     "global_avg_pool_vjp",
     "global_max_pool",
@@ -54,6 +58,24 @@ __all__ = [
     "vjp",
     "VJP_OPS",
 ]
+
+
+def as_nchw(x, name: str = "tensor") -> np.ndarray:
+    """``x`` as a float64 array; anything but 4 dimensions is :class:`InvalidShape`."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 4:
+        raise InvalidShape(f"{name} must be 4-D (N, C, H, W), got shape {arr.shape}")
+    return arr
+
+
+def _same_padding(x, name: str, *window: int) -> tuple[int, ...]:
+    """Each side's padding, ``k // 2``, for the odd window sizes over ``x``'s
+    two spatial axes; ``x`` must have a nonempty spatial extent."""
+    if any(k < 1 or k % 2 == 0 for k in window):
+        raise InvalidKernel(f"{name} window must be odd, got {'x'.join(map(str, window))}")
+    if x.shape[2] * x.shape[3] == 0:
+        raise InvalidShape(f"{name} needs a nonempty spatial extent, got {x.shape}")
+    return tuple(k // 2 for k in window)
 
 
 # ---------------------------------------------------------------------------
@@ -98,38 +120,28 @@ def global_max_pool(x) -> np.ndarray:
     return global_max_pool_vjp(x)[0]
 
 
-def _shifted(a, axis: int, k: int, stride: int, count: int):
-    """The ``k`` views of ``a`` shifted by 0..k-1 along ``axis``, each sampled
-    at the ``count`` window starts 0, stride, 2*stride, ..."""
-    span = stride * (count - 1) + 1
+def _shifted(a, axis: int, k: int, count: int):
+    """The ``k`` views of ``a`` shifted by 0..k-1 along ``axis``, each
+    ``count`` long."""
     index = [slice(None)] * a.ndim
     for d in range(k):
-        index[axis] = slice(d, d + span, stride)
+        index[axis] = slice(d, d + count)
         yield a[tuple(index)]
 
 
-def maxpool2d_vjp(x, k: int, stride: int = 1, pad: int = 0):
+def maxpool2d_vjp(x, k: int):
     """Separable shifted maxima: a running max over ``k`` columns, then over
-    ``k`` rows, each taken at the window starts only (van Herk 1992; Gil &
-    Werman 1993).  The pullback finds each window's first row-major maximum
-    in two O(k) passes, over the padded input and its row-segment maxima,
-    and routes the upstream to it with one ``np.bincount``."""
+    ``k`` rows (van Herk 1992; Gil & Werman 1993).  The pullback finds each
+    window's first row-major maximum in two O(k) passes, over the padded
+    input and its row-segment maxima, and routes the upstream to it with one
+    ``np.bincount``."""
     x = as_nchw(x, "x")
-    if k < 1:
-        raise InvalidShape(f"pooling window must be >= 1, got {k}")
-    if stride < 1:
-        raise InvalidShape(f"stride must be >= 1, got {stride}")
-    if not 0 <= pad <= k // 2:
-        # larger padding would yield windows of pure -inf filler
-        raise InvalidShape(f"padding must be in [0, k//2] = [0, {k // 2}], got {pad}")
+    (pad,) = _same_padding(x, "pooling", k)
     n, c, h, w = x.shape
     hp, wp = h + 2 * pad, w + 2 * pad
-    if k > hp or k > wp:
-        raise InvalidShape(f"window {k} exceeds padded input {hp}x{wp}")
-    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
 
     def running_max(a, axis, count):
-        views = _shifted(a, axis, k, stride, count)
+        views = _shifted(a, axis, k, count)
         best = next(views).copy()
         for view in views:
             np.maximum(best, view, out=best)
@@ -140,25 +152,25 @@ def maxpool2d_vjp(x, k: int, stride: int = 1, pad: int = 0):
         # as maximal (as argmax does); best is one of the k views' values, so
         # offset k-1 wins where none of the first k-1 views match
         first = np.full(best.shape, k - 1, dtype=np.min_scalar_type(k))
-        for d, view in reversed(list(enumerate(_shifted(a, axis, k - 1, stride, count)))):
+        for d, view in reversed(list(enumerate(_shifted(a, axis, k - 1, count)))):
             hit = (view == best) | np.isnan(view)
             first -= hit * (first - d)  # first = d at hits; a masked store is slower
         return first
 
     padded = np.full((n, c, hp, wp), -np.inf, dtype=np.float64)
     padded[:, :, pad : pad + h, pad : pad + w] = x
-    row_max = running_max(padded, 3, wo)  # max of each row segment, [n, c, hp, wo]
-    out = running_max(row_max, 2, ho)
+    row_max = running_max(padded, 3, w)  # max of each row segment, [n, c, hp, w]
+    out = running_max(row_max, 2, h)
 
     def pullback(up):
-        col = first_max(padded, row_max, 3, wo)  # winner's offset in each row segment
+        col = first_max(padded, row_max, 3, w)  # winner's offset in each row segment
         # each window's winning row, counted in the [n * c * hp, wp] stack of rows
-        rows = first_max(row_max, out, 2, ho) + stride * np.arange(ho)[:, None]
+        rows = first_max(row_max, out, 2, h) + np.arange(h)[:, None]
         rows += hp * np.arange(n * c).reshape(n, c, 1, 1)
-        starts = np.arange(wo)
+        starts = np.arange(w)
         # flat padded-frame index of each window's winner, in output row-major
         # order, so bincount adds in the order a sequential scatter-add would
-        dest = col.reshape(-1, wo)[rows, starts] + stride * starts
+        dest = col.reshape(-1, w)[rows, starts] + starts
         rows *= wp
         dest += rows
         grad = np.bincount(dest.ravel(), weights=np.ravel(up), minlength=n * c * hp * wp)
@@ -167,9 +179,9 @@ def maxpool2d_vjp(x, k: int, stride: int = 1, pad: int = 0):
     return out, pullback
 
 
-def maxpool2d(x, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Window max with ``-inf`` padding semantics."""
-    return maxpool2d_vjp(x, k, stride, pad)[0]
+def maxpool2d(x, k: int) -> np.ndarray:
+    """Max over each odd ``k`` x ``k`` window, ``-inf`` padded to keep the extent."""
+    return maxpool2d_vjp(x, k)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -208,24 +220,21 @@ def conv1d_channels(w, kernel) -> np.ndarray:
     return conv1d_channels_vjp(w, kernel)[0]
 
 
-def conv2d_vjp(x, kernel, bias, pad: int = 0):
+def conv2d_vjp(x, kernel, bias):
     """The pullback returns ``(dx, dkernel, dbias)``."""
     x = as_nchw(x, "x")
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim != 4:
         raise InvalidShape(f"kernel must be [Cout, Cin, kh, kw], got shape {kernel.shape}")
     cout, cin, kh, kw = kernel.shape
-    if pad < 0:
-        raise InvalidShape(f"padding must be >= 0, got {pad}")
+    ph, pw = _same_padding(x, "convolution", kh, kw)
     n, c, h, w = x.shape
     if c != cin:
         raise InvalidShape(f"input has {c} channels, kernel expects {cin}")
-    if kh > h + 2 * pad or kw > w + 2 * pad:
-        raise InvalidShape(f"kernel {kh}x{kw} exceeds padded input {h + 2 * pad}x{w + 2 * pad}")
     bias = np.asarray(bias, dtype=np.float64)
     if bias.shape != (cout,):
         raise InvalidShape(f"bias must have length {cout}, got shape {bias.shape}")
-    padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     windows = sliding_window_view(padded, (kh, kw), axis=(2, 3))
     out = np.einsum("nchwij,ocij->nohw", windows, kernel, optimize=True)
 
@@ -236,18 +245,17 @@ def conv2d_vjp(x, kernel, bias, pad: int = 0):
         dx_pad = np.einsum(
             "nohwij,ocij->nchw", up_windows, kernel[:, :, ::-1, ::-1], optimize=True
         )
-        return dx_pad[:, :, pad : pad + h, pad : pad + w], dkernel, up.sum(axis=(0, 2, 3))
+        return dx_pad[:, :, ph : ph + h, pw : pw + w], dkernel, up.sum(axis=(0, 2, 3))
 
     return out + bias[None, :, None, None], pullback
 
 
-def conv2d(x, kernel, bias, pad: int = 0) -> np.ndarray:
-    """Stride-1 cross-correlation with zero padding.
+def conv2d(x, kernel, bias) -> np.ndarray:
+    """Stride-1 cross-correlation, zero padded to keep the input's extent.
 
-    ``kernel`` is ``[Cout, Cin, kh, kw]``; output spatial extent is
-    ``H + 2*pad - kh + 1`` by ``W + 2*pad - kw + 1``.
+    ``kernel`` is ``[Cout, Cin, kh, kw]`` with ``kh`` and ``kw`` odd.
     """
-    return conv2d_vjp(x, kernel, bias, pad)[0]
+    return conv2d_vjp(x, kernel, bias)[0]
 
 
 # ---------------------------------------------------------------------------

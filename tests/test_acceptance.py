@@ -60,7 +60,7 @@ def test_criterion_3_permutation_invariances():
     def check():
         rng = np.random.default_rng(3)
         eca = attention.init_eca(6, seed=1)
-        cam = attention.init_cam(6, reduction=3, seed=2)
+        cam = attention.init_cam(6, seed=2)
         sam = attention.init_sam(seed=3)
         for _ in range(50):
             x = rng.uniform(-2, 2, (1, 6, 6, 6))
@@ -85,11 +85,11 @@ def test_criterion_4_sppf_stacked_pool_equivalence():
         rng = np.random.default_rng(4)
         for _ in range(50):
             y0 = rng.uniform(-1, 1, (1, 3, 10, 11))
-            y1 = ops.maxpool2d(y0, 5, 1, 2)
-            y2 = ops.maxpool2d(y1, 5, 1, 2)
-            y3 = ops.maxpool2d(y2, 5, 1, 2)
-            assert np.array_equal(y2, ops.maxpool2d(y0, 9, 1, 4))
-            assert np.array_equal(y3, ops.maxpool2d(y0, 13, 1, 6))
+            y1 = ops.maxpool2d(y0, 5)
+            y2 = ops.maxpool2d(y1, 5)
+            y3 = ops.maxpool2d(y2, 5)
+            assert np.array_equal(y2, ops.maxpool2d(y0, 9))
+            assert np.array_equal(y3, ops.maxpool2d(y0, 13))
 
     _report(4, "chained 5-pools equal single 9- and 13-pools exactly", check)
 

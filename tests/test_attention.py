@@ -68,8 +68,9 @@ class TestEca:
             attention.eca_forward(np.ones((1, 2, 2, 2)), p)
 
     def test_even_kernel_rejected(self):
+        p = attention.EcaParams(np.ones(4))
         with pytest.raises(InvalidKernel):
-            attention.EcaParams(np.ones(4))
+            attention.eca_forward(np.ones((1, 4, 2, 2)), p)
 
 
 class TestCam:
@@ -81,7 +82,7 @@ class TestCam:
 
     def test_weights_invariant_under_spatial_shuffle(self):
         rng = np.random.default_rng(5)
-        p = attention.init_cam(6, reduction=2, seed=3)
+        p = attention.init_cam(6, seed=3)
         x = _rand(rng, (1, 6, 5, 5))
         perm = rng.permutation(25)
         shuffled = x.reshape(1, 6, 25)[:, :, perm].reshape(1, 6, 5, 5)
@@ -98,12 +99,17 @@ class TestCam:
         expected = ops.sigmoid(2.0 * single).reshape(1, 4, 1, 1)
         assert np.allclose(attention.cam_weights(x, p), expected)
 
-    def test_reduction_clamped_and_divisibility_enforced(self):
-        p = attention.init_cam(4, reduction=16)
-        assert p.reduction == 4
-        assert p.w1.shape == (1, 4)
+    def test_hidden_size_is_channels_over_16_at_least_1(self):
+        rng = np.random.default_rng(24)
+        for channels, hidden in ((4, 1), (24, 1), (40, 2), (64, 4)):
+            p = attention.init_cam(channels, seed=1)
+            assert p.w1.shape == (hidden, channels) and p.w2.shape == (channels, hidden)
+            x = _rand(rng, (1, channels, 3, 3))
+            assert attention.cam_forward(x, p).shape == x.shape
+
+    def test_inconsistent_mlp_shapes_rejected(self):
         with pytest.raises(InvalidShape):
-            attention.init_cam(6, reduction=4)
+            attention.CamParams(np.zeros((2, 4)), np.zeros(2), np.zeros((4, 3)), np.zeros(4))
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(InvalidShape):
@@ -140,8 +146,9 @@ class TestSam:
         assert np.all(m > 0.0) and np.all(m < 1.0)
 
     def test_wrong_kernel_shape_rejected(self):
+        p = attention.SamParams(np.zeros((1, 3, 7, 7)))
         with pytest.raises(InvalidShape):
-            attention.SamParams(np.zeros((1, 3, 7, 7)))
+            attention.sam_forward(np.ones((1, 2, 4, 4)), p)
 
 
 class TestCbam:
@@ -172,11 +179,11 @@ class TestSppf:
     def test_stacked_pools_equal_single_wide_pools(self):
         rng = np.random.default_rng(13)
         y0 = _rand(rng, (1, 3, 12, 12))
-        y1 = ops.maxpool2d(y0, 5, 1, 2)
-        y2 = ops.maxpool2d(y1, 5, 1, 2)
-        y3 = ops.maxpool2d(y2, 5, 1, 2)
-        assert np.array_equal(y2, ops.maxpool2d(y0, 9, 1, 4))
-        assert np.array_equal(y3, ops.maxpool2d(y0, 13, 1, 6))
+        y1 = ops.maxpool2d(y0, 5)
+        y2 = ops.maxpool2d(y1, 5)
+        y3 = ops.maxpool2d(y2, 5)
+        assert np.array_equal(y2, ops.maxpool2d(y0, 9))
+        assert np.array_equal(y3, ops.maxpool2d(y0, 13))
 
     def test_identity_reduce_conv_exposes_stacked_pools(self):
         # with an identity reduce conv (cmid = cin) and an expand conv that
@@ -187,19 +194,20 @@ class TestSppf:
         identity = np.zeros((cin, cin, 1, 1))
         for c in range(cin):
             identity[c, c, 0, 0] = 1.0
-        for block, k, pad in ((2, 9, 4), (3, 13, 6)):
+        for block, k in ((2, 9), (3, 13)):
             selector = np.zeros((cin, 4 * cin, 1, 1))
             for c in range(cin):
                 selector[c, block * cin + c, 0, 0] = 1.0
             p = attention.SppfParams(identity, np.zeros(cin), selector, np.zeros(cin))
             out = attention.sppf_forward(x, p)
-            assert np.array_equal(out, ops.maxpool2d(x, k, 1, pad))
+            assert np.array_equal(out, ops.maxpool2d(x, k))
 
     def test_concat_width_validated(self):
+        p = attention.SppfParams(
+            np.zeros((4, 8, 1, 1)), np.zeros(4), np.zeros((8, 12, 1, 1)), np.zeros(8)
+        )
         with pytest.raises(InvalidShape):
-            attention.SppfParams(
-                np.zeros((4, 8, 1, 1)), np.zeros(4), np.zeros((8, 12, 1, 1)), np.zeros(8)
-            )
+            attention.sppf_forward(np.ones((1, 8, 4, 4)), p)
 
 
 class TestPipeline:
@@ -208,7 +216,7 @@ class TestPipeline:
         rng = np.random.default_rng(14)
         x = _rand(rng, (1, 2, 8, 8))
         p = attention.init_pipeline(2, 4, 2, 3, seed=0, zero_attention=True)
-        conv_out = ops.conv2d(x, p.conv_kernel, p.conv_bias, pad=1)
+        conv_out = ops.conv2d(x, p.conv_kernel, p.conv_bias)
         expected = attention.sppf_forward(0.125 * conv_out, p.sppf)
         assert np.abs(attention.demo_pipeline(x, p) - expected).max() <= 1e-12
 
@@ -261,3 +269,13 @@ class TestBlockGradients:
         rng = np.random.default_rng(18)
         p = attention.init_pipeline(2, 4, 2, 3, seed=0)
         self._check(attention.pipeline_vjp, _rand(rng, (1, 2, 5, 5)), p)
+
+    def test_pipeline_with_24_channels(self):
+        """24 channels give CBAM one hidden unit: no divisibility rule applies."""
+        rng = np.random.default_rng(25)
+        p = attention.init_pipeline(3, 24, 12, 24, seed=0)
+        self._check(attention.pipeline_vjp, _rand(rng, (1, 3, 3, 3)), p)
+
+    def test_cam_with_40_channels(self):
+        rng = np.random.default_rng(26)
+        self._check(attention.cam_vjp, _rand(rng, (1, 40, 2, 2)), attention.init_cam(40, seed=2))

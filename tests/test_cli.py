@@ -95,6 +95,30 @@ class TestAnalyze:
         assert err == "error: component 1 (rows 3-4, cols 3-4) has no skeleton pixels\n"
 
 
+    def test_maxval_1_mask_reports_as_its_maxval_255_twin(self, tmp_path, capsys):
+        # a 2 px wide crack: at maxval 1 its samples are 1, which a fixed
+        # threshold of 128 would read as background
+        crack = np.zeros((12, 40), dtype=np.uint8)
+        crack[5:7, 3:37] = 1
+        header = b"P5\n40 12\n1\n"
+        (tmp_path / "one.pgm").write_bytes(header + crack.tobytes())
+        (tmp_path / "full.pgm").write_bytes(write_pgm(255 * crack))
+        for name in ("one", "full"):
+            argv = ["analyze", "--mask", str(tmp_path / f"{name}.pgm"),
+                    "--out", str(tmp_path / f"{name}.json")]
+            assert main(argv) == 0
+        assert "1 component(s) analyzed" in capsys.readouterr().out
+        assert (tmp_path / "one.json").read_bytes() == (tmp_path / "full.json").read_bytes()
+
+    def test_sample_above_maxval_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P5\n2 1\n100\n\x00\xc8")
+        code = main(["analyze", "--mask", str(bad), "--out", str(tmp_path / "o.json")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: sample 200 exceeds maxval 100\n"
+        assert not (tmp_path / "o.json").exists()
+
+
 class TestEval:
     def test_instance_mode_hand_counts(self, eval_fixture, tmp_path, capsys):
         gt_dir, pred_path = eval_fixture

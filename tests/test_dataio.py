@@ -99,7 +99,7 @@ class TestLabelFiles:
 class TestPolygonToMask:
     def test_full_frame_square(self):
         square = LabelRecord(0, np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float))
-        mask = polygon_to_mask(square, 16, 12)
+        mask = polygon_to_mask(square.polygon, 16, 12)
         assert mask.all()
 
     def test_pixel_center_rule(self):
@@ -117,7 +117,7 @@ class TestPolygonToMask:
         flat = LabelRecord(0, np.array([[0.2, 0.2], [0.8, 0.2], [0.5, 0.2]]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mask = polygon_to_mask(flat, 8, 8)
+            mask = polygon_to_mask(flat.polygon, 8, 8)
         assert not mask.any()
 
     def test_matches_point_in_polygon_oracle(self):
@@ -216,13 +216,13 @@ class TestSplit:
 
 class TestPgm:
     def test_minimal_1x1(self):
-        img = read_pgm(b"P5\n1 1\n255\n\x00")
-        assert img.shape == (1, 1)
+        img, maxval = read_pgm(b"P5\n1 1\n255\n\x00")
+        assert img.shape == (1, 1) and maxval == 255
         assert img[0, 0] == 0
 
     def test_comments_in_header(self):
         data = b"P5\n# a comment\n2 1\n# another\n255\n\x01\x02"
-        img = read_pgm(data)
+        img, _ = read_pgm(data)
         assert img.tolist() == [[1, 2]]
 
     def test_ascii_p2_rejected(self):
@@ -241,9 +241,31 @@ class TestPgm:
         rng = np.random.default_rng(1)
         img = rng.integers(0, 256, (7, 5), dtype=np.uint8)
         data = write_pgm(img)
-        again = read_pgm(data)
-        assert np.array_equal(img, again)
+        again, maxval = read_pgm(data)
+        assert np.array_equal(img, again) and maxval == 255
         assert write_pgm(again) == data
+
+    def test_maxval_returned(self):
+        img, maxval = read_pgm(b"P5\n2 1\n1\n\x00\x01")
+        assert img.tolist() == [[0, 1]] and maxval == 1
+
+    def test_sample_above_maxval_rejected(self):
+        with pytest.raises(CorruptImage, match="sample 200 exceeds maxval 100"):
+            read_pgm(b"P5\n2 1\n100\n\x64\xc8")
+
+    def test_write_accepts_integer_values_of_any_numeric_dtype(self):
+        for image in ([[0, 255]], np.array([[0.0, 255.0]]), np.array([[0, 255]], dtype=np.int64)):
+            assert write_pgm(image) == b"P5\n2 1\n255\n\x00\xff"
+
+    @pytest.mark.parametrize(
+        "image",
+        [[[300, 0]], [[-1, 0]], [[2.7, 0]], [[np.nan, 0]], [[np.inf, 0]], [[True, False]],
+         [["a", "b"]]],
+        ids=["above-255", "negative", "fraction", "nan", "inf", "bool", "text"],
+    )
+    def test_write_rejects_non_8_bit_integers(self, image):
+        with pytest.raises(OutOfRange):
+            write_pgm(image)
 
 
 class TestPredictions:

@@ -7,7 +7,6 @@ from crackscope.gradcheck import (
     _BLOCKS,
     GradCheckReport,
     _random_block_case,
-    gradcheck,
     gradcheck_fn,
     random_op_case,
     run_gradient_suite,
@@ -55,7 +54,8 @@ class TestVjpHandCases:
 class TestGradcheck:
     def test_sigmoid_passes(self):
         rng = np.random.default_rng(1)
-        report = gradcheck("sigmoid", (rng.uniform(-2, 2, (1, 2, 3, 3)),), eps=1e-5, tol=1e-4)
+        x = rng.uniform(-2, 2, (1, 2, 3, 3))
+        report = gradcheck_fn("sigmoid", ops.VJP_OPS["sigmoid"], (x,), eps=1e-5, tol=1e-4)
         assert report.passed
         assert report.max_rel_error <= 1e-4
 
@@ -63,7 +63,7 @@ class TestGradcheck:
         values = np.arange(36, dtype=np.float64)
         rng = np.random.default_rng(3)
         x = rng.permutation(values).reshape(1, 1, 6, 6) * 0.1
-        report = gradcheck("maxpool2d", (x, 3, 1, 1), eps=1e-5, tol=1e-4)
+        report = gradcheck_fn("maxpool2d", ops.VJP_OPS["maxpool2d"], (x, 3), eps=1e-5, tol=1e-4)
         assert report.passed
 
     def test_conv2d_matches_finite_differences(self):
@@ -72,18 +72,27 @@ class TestGradcheck:
             rng.uniform(-1, 1, (1, 2, 5, 5)),
             rng.uniform(-1, 1, (3, 2, 3, 3)),
             rng.uniform(-1, 1, 3),
-            1,
         )
-        report = gradcheck("conv2d", inputs, eps=1e-5, tol=1e-4)
+        report = gradcheck_fn("conv2d", ops.VJP_OPS["conv2d"], inputs, eps=1e-5, tol=1e-4)
         assert report.passed
         assert report.max_rel_error <= 1e-4
-        assert len(report.per_input_errors) == 3  # x, kernel, bias; not the padding
+        assert len(report.per_input_errors) == 3  # x, kernel, bias
+
+    def test_non_square_conv2d_passes(self):
+        rng = np.random.default_rng(9)
+        for kh, kw in ((1, 5), (5, 3), (3, 7)):
+            inputs = (
+                rng.uniform(-1, 1, (1, 2, 4, 5)),
+                rng.uniform(-1, 1, (2, 2, kh, kw)),
+                rng.uniform(-1, 1, 2),
+            )
+            assert gradcheck_fn("conv2d", ops.VJP_OPS["conv2d"], inputs).passed
 
     def test_pass_flag_follows_tolerance(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(-1, 1, (1, 1, 3, 3))
-        loose = gradcheck("sigmoid", (x,), tol=1e-4)
-        tight = gradcheck("sigmoid", (x,), tol=1e-15)
+        loose = gradcheck_fn("sigmoid", ops.VJP_OPS["sigmoid"], (x,), tol=1e-4)
+        tight = gradcheck_fn("sigmoid", ops.VJP_OPS["sigmoid"], (x,), tol=1e-15)
         assert loose.passed == (loose.max_rel_error <= 1e-4)
         assert tight.passed == (tight.max_rel_error <= 1e-15)
         assert not tight.passed  # fd noise sits well above 1e-15
@@ -91,8 +100,8 @@ class TestGradcheck:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(6)
         x = rng.uniform(-1, 1, (1, 2, 3, 3))
-        a = gradcheck("sigmoid", (x,), seed=42)
-        b = gradcheck("sigmoid", (x,), seed=42)
+        a = gradcheck_fn("sigmoid", ops.VJP_OPS["sigmoid"], (x,), seed=42)
+        b = gradcheck_fn("sigmoid", ops.VJP_OPS["sigmoid"], (x,), seed=42)
         assert a == b
 
     def test_report_string(self):
@@ -106,16 +115,16 @@ def test_every_op_passes_gradcheck(op):
     rng = np.random.default_rng(sum(map(ord, op)))
     for case in range(20):
         inputs = random_op_case(op, rng)
-        report = gradcheck(op, inputs, eps=1e-5, tol=1e-4, seed=case)
+        report = gradcheck_fn(op, ops.VJP_OPS[op], inputs, eps=1e-5, tol=1e-4, seed=case)
         assert report.passed, f"{op} case {case}: {report}"
 
 
 class TestKinkRule:
     def test_relu_probe_straddling_zero_is_at_kink(self):
         x = np.array([3e-6, 0.5, -0.5]).reshape(1, 1, 1, 3)
-        report = gradcheck("relu", (x,), eps=1e-5, tol=1e-4)
+        report = gradcheck_fn("relu", ops.VJP_OPS["relu"], (x,), eps=1e-5, tol=1e-4)
         assert report.at_kink and not report.passed
-        away = gradcheck("relu", (x + 0.1,), eps=1e-5, tol=1e-4)
+        away = gradcheck_fn("relu", ops.VJP_OPS["relu"], (x + 0.1,), eps=1e-5, tol=1e-4)
         assert not away.at_kink and away.passed
 
     def test_curvature_at_a_tiny_tolerance_is_no_kink(self):
@@ -123,13 +132,13 @@ class TestKinkRule:
         and by rounding noise on a linear one: neither marks a kink, even
         where every probe fails."""
         x = np.random.default_rng(8).uniform(-1, 1, (1, 2, 3, 3))
-        report = gradcheck("sigmoid", (x,), tol=1e-18)
+        report = gradcheck_fn("sigmoid", ops.VJP_OPS["sigmoid"], (x,), tol=1e-18)
         assert not report.passed and not report.at_kink
         assert not any(r.at_kink or r.passed for r in run_gradient_suite(cases=1, tol=1e-18))
 
     def test_coarse_eps_on_a_smooth_function_is_no_kink(self):
         x = np.linspace(0.15, 0.4, 6).repeat(2).reshape(1, 1, 3, 4) * [1, -1, 1, -1]
-        report = gradcheck("sigmoid", (x,), eps=0.1, tol=1e-4)
+        report = gradcheck_fn("sigmoid", ops.VJP_OPS["sigmoid"], (x,), eps=0.1, tol=1e-4)
         assert not report.passed and not report.at_kink
 
     def test_wrong_smooth_pullback_fails_off_any_kink(self, monkeypatch):

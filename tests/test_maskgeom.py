@@ -51,19 +51,25 @@ def masks(draw, max_side=24):
 
 class TestThreshold:
     def test_all_white(self):
-        assert threshold_mask(np.full((3, 3), 255, dtype=np.uint8)).all()
+        assert threshold_mask(np.full((3, 3), 255, dtype=np.uint8), 255).all()
 
     def test_all_black(self):
-        assert not threshold_mask(np.zeros((3, 3), dtype=np.uint8)).any()
+        assert not threshold_mask(np.zeros((3, 3), dtype=np.uint8), 255).any()
 
     def test_checker_at_default_threshold(self):
         gray = np.array([[100, 200], [200, 100]], dtype=np.uint8)
-        mask = threshold_mask(gray)
+        mask = threshold_mask(gray, 255)
         assert np.array_equal(mask, gray == 200)
+
+    def test_foreground_above_half_maxval(self):
+        gray = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        assert np.array_equal(threshold_mask(gray, 255), gray >= 128)
+        assert np.array_equal(threshold_mask(np.array([[0, 1]]), 1), [[False, True]])
+        assert np.array_equal(threshold_mask(np.array([[50, 51]]), 100), [[False, True]])
 
     def test_empty_image_rejected(self):
         with pytest.raises(InvalidImage):
-            threshold_mask(np.zeros((0, 4), dtype=np.uint8))
+            threshold_mask(np.zeros((0, 4), dtype=np.uint8), 255)
 
 
 class TestComponents:

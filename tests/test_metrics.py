@@ -132,12 +132,22 @@ class TestPixelConfusion:
         assert (c.tp, c.fp, c.fn, c.tn) == (tp, fp, fn, tn)
 
 
+def _rect(box):
+    """``box``, in pixels of a 16-px frame, as a normalized rectangle:
+    dividing by a power of two leaves every IoU, ties included, exact."""
+    x0, y0, x1, y1 = np.array(box.corners) / 16
+    return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+
+
 def _pred(score, box, image="img", cls=0):
-    return DetectionRecord(image, cls, score, box=box)
+    return DetectionRecord(image, cls, score, _rect(box))
 
 
 def _gt(box, cls=0):
-    return DetectionRecord("img", cls, 1.0, box=box)
+    return DetectionRecord("img", cls, 1.0, _rect(box))
+
+
+_TRIANGLE = [[0.1, 0.1], [0.5, 0.1], [0.3, 0.6]]
 
 
 class TestMatchInstances:
@@ -188,16 +198,18 @@ class TestMatchInstances:
 
         rng = np.random.default_rng(5)
         for _ in range(200):
-            preds = [
-                _pred(float(rng.uniform(0, 1)), BBox(*rng.uniform(2, 8, 2), *rng.uniform(1, 4, 2)))
+            pred_boxes = [
+                (float(rng.uniform(0, 1)), BBox(*rng.uniform(2, 8, 2), *rng.uniform(1, 4, 2)))
                 for _ in range(int(rng.integers(1, 6)))
             ]
-            gts = [
-                _gt(BBox(*rng.uniform(2, 8, 2), *rng.uniform(1, 4, 2)))
+            gt_boxes = [
+                BBox(*rng.uniform(2, 8, 2), *rng.uniform(1, 4, 2))
                 for _ in range(int(rng.integers(1, 5)))
             ]
+            preds = [_pred(score, box) for score, box in pred_boxes]
+            gts = [_gt(box) for box in gt_boxes]
             flags, fn = match_instances(preds, gts, 0.3)
-            matrix = [[box_iou(p.box, g.box) for g in gts] for p in preds]
+            matrix = [[box_iou(p, g) for g in gt_boxes] for _, p in pred_boxes]
             want_flags, want_fn = oracles.greedy_match_reference(
                 [p.score for p in preds], [1] * len(gts), matrix, 0.3
             )
@@ -469,13 +481,13 @@ class TestCsvExport:
 class TestDetectionRecord:
     def test_score_out_of_range(self):
         with pytest.raises(OutOfRange):
-            DetectionRecord("a", 0, 1.5, box=BBox(0, 0, 1, 1))
+            DetectionRecord("a", 0, 1.5, _TRIANGLE)
 
     def test_needs_geometry(self):
         from crackscope.errors import MalformedPrediction
 
         with pytest.raises(MalformedPrediction):
-            DetectionRecord("a", 0, 0.5)
+            DetectionRecord("a", 0, 0.5, None)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1, 1.1])
     def test_polygon_coordinates_checked(self, bad):
@@ -493,7 +505,7 @@ class TestDetectionRecord:
         from crackscope.errors import MalformedPrediction
 
         with pytest.raises(MalformedPrediction):
-            DetectionRecord(image, cls, score, box=BBox(0, 0, 1, 1))
+            DetectionRecord(image, cls, score, _TRIANGLE)
 
     @pytest.mark.parametrize(
         "polygon",
@@ -508,7 +520,7 @@ class TestDetectionRecord:
             DetectionRecord("a", 0, 0.5, polygon=polygon)
 
     def test_numpy_and_integer_values_accepted(self):
-        record = DetectionRecord("a", np.int64(2), 1, box=BBox(0, 0, 1, 1))
+        record = DetectionRecord("a", np.int64(2), 1, _TRIANGLE)
         assert type(record.class_id) is int and record.class_id == 2
         assert type(record.score) is float and record.score == 1.0
         record = DetectionRecord("a", 0, 0.5, polygon=[[0, 0], [1, np.float32(0.5)], [0.5, 1]])

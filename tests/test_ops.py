@@ -16,6 +16,13 @@ def _rand(rng, shape):
     return rng.uniform(-1, 1, shape)
 
 
+def test_as_nchw_requires_four_dims():
+    with pytest.raises(InvalidShape):
+        ops.as_nchw(np.zeros((2, 3)))
+    out = ops.as_nchw(np.zeros((1, 1, 1, 1), dtype=np.float32))
+    assert out.dtype == np.float64
+
+
 class TestGlobalPools:
     def test_avg_hand_case(self):
         x = np.arange(1, 9.0).reshape(1, 2, 2, 2)
@@ -106,11 +113,11 @@ class TestConv2d:
     def test_matches_naive(self):
         rng = np.random.default_rng(7)
         x = _rand(rng, (2, 3, 5, 6))
-        kernel = _rand(rng, (4, 3, 3, 3))
         bias = _rand(rng, 4)
-        for pad in (0, 1, 2):
+        for k in (1, 3, 5):
+            kernel = _rand(rng, (4, 3, k, k))
             assert np.allclose(
-                ops.conv2d(x, kernel, bias, pad), oracles.naive_conv2d(x, kernel, bias, pad)
+                ops.conv2d(x, kernel, bias), oracles.naive_conv2d(x, kernel, bias, k // 2)
             )
 
     def test_linearity(self):
@@ -120,17 +127,27 @@ class TestConv2d:
         kernel = _rand(rng, (3, 2, 3, 3))
         zero = np.zeros(3)
         a, b = 1.7, -0.3
-        lhs = ops.conv2d(a * x + b * y, kernel, zero, 1)
-        rhs = a * ops.conv2d(x, kernel, zero, 1) + b * ops.conv2d(y, kernel, zero, 1)
+        lhs = ops.conv2d(a * x + b * y, kernel, zero)
+        rhs = a * ops.conv2d(x, kernel, zero) + b * ops.conv2d(y, kernel, zero)
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(InvalidShape):
             ops.conv2d(np.ones((1, 2, 4, 4)), np.ones((1, 3, 1, 1)), np.zeros(1))
 
-    def test_oversized_kernel_rejected(self):
+    def test_even_kernel_rejected(self):
+        for shape in ((1, 1, 2, 3), (1, 1, 3, 4), (1, 1, 0, 1)):
+            with pytest.raises(InvalidKernel):
+                ops.conv2d(np.ones((1, 1, 4, 4)), np.ones(shape), np.zeros(1))
+
+    def test_kernel_wider_than_input_keeps_extent(self):
+        # every 5x5 window of a 2x2 input covers the whole input
+        out = ops.conv2d(np.arange(4.0).reshape(1, 1, 2, 2), np.ones((1, 1, 5, 5)), np.zeros(1))
+        assert out.shape == (1, 1, 2, 2) and np.all(out == 6.0)
+
+    def test_empty_extent_rejected(self):
         with pytest.raises(InvalidShape):
-            ops.conv2d(np.ones((1, 1, 2, 2)), np.ones((1, 1, 5, 5)), np.zeros(1), 1)
+            ops.conv2d(np.ones((1, 1, 0, 3)), np.ones((1, 1, 1, 1)), np.zeros(1))
 
 
 # integer-valued so that ties are common; the sign of 0 and of NaN is drawn too
@@ -141,31 +158,27 @@ _UPSTREAM = st.one_of(st.sampled_from([1e16, -1e16]), st.floats(-4.0, 4.0))
 
 @st.composite
 def pool_cases(draw):
-    """``(x, k, stride, pad, upstream)`` for maxpool2d, k up to the padded
+    """``(x, k, upstream)`` for maxpool2d, odd k from below to above the
     extent, non-square, with some planes all ``-inf``."""
-    k = draw(st.integers(1, 6))
-    stride = draw(st.integers(1, 3))
-    pad = draw(st.integers(0, k // 2))
-    h = draw(st.integers(max(0, k - 2 * pad), k + 5))
-    w = draw(st.integers(max(0, k - 2 * pad), k + 5))
+    k = draw(st.sampled_from([1, 3, 5, 7]))
+    h = draw(st.integers(1, k + 5))
+    w = draw(st.integers(1, k + 5))
     n, c = draw(st.integers(1, 2)), draw(st.integers(1, 3))
     x = draw(arrays(np.float64, (n, c, h, w), elements=st.sampled_from(_POOL_VALUES)))
     if draw(st.booleans()):
         x[draw(st.integers(0, n - 1)), draw(st.integers(0, c - 1))] = -np.inf
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (w + 2 * pad - k) // stride + 1
-    up = draw(arrays(np.float64, (n, c, ho, wo), elements=_UPSTREAM))
-    return x, k, stride, pad, up
+    up = draw(arrays(np.float64, (n, c, h, w), elements=_UPSTREAM))
+    return x, k, up
 
 
-def _assert_matches_former_body(x, k, stride, pad, up):
+def _assert_matches_former_body(x, k, up):
     """``out`` and the gradient equal the sliding-window/argmax/add.at body's
     byte for byte.  Where the input holds -0.0 or a negative NaN, only
     ``out``'s values are compared: which sign of a tied zero or NaN a max
     returns is not fixed even for the former body (it depends on the
     reduction order numpy picks)."""
-    out, pullback = ops.maxpool2d_vjp(x, k, stride, pad)
-    ref_out, ref_pullback = oracles.naive_maxpool2d_vjp(x, k, stride, pad)
+    out, pullback = ops.maxpool2d_vjp(x, k)
+    ref_out, ref_pullback = oracles.naive_maxpool2d_vjp(x, k, 1, k // 2)
     assert out.shape == ref_out.shape
     signed = np.signbit(x) & ((x == 0) | np.isnan(x))
     if signed.any():
@@ -173,7 +186,7 @@ def _assert_matches_former_body(x, k, stride, pad, up):
     else:
         assert out.tobytes() == ref_out.tobytes()
     if not np.isnan(x).any():  # the loop oracle skips NaN instead of propagating it
-        assert np.array_equal(out, oracles.naive_maxpool2d(x, k, stride, pad))
+        assert np.array_equal(out, oracles.naive_maxpool2d(x, k, 1, k // 2))
     grad = pullback(up)[0]
     ref_grad = ref_pullback(up)[0]
     assert grad.shape == ref_grad.shape == x.shape
@@ -184,26 +197,35 @@ class TestMaxpool2d:
     def test_identity_window(self):
         rng = np.random.default_rng(9)
         x = _rand(rng, (1, 2, 4, 4))
-        assert np.array_equal(ops.maxpool2d(x, 1, 1, 0), x)
+        assert np.array_equal(ops.maxpool2d(x, 1), x)
 
     def test_constant_input(self):
         x = np.full((1, 1, 6, 6), 3.25)
-        assert np.all(ops.maxpool2d(x, 5, 1, 2) == 3.25)
+        assert np.all(ops.maxpool2d(x, 5) == 3.25)
 
     def test_matches_naive(self):
         rng = np.random.default_rng(10)
         x = _rand(rng, (2, 2, 6, 7))
-        for k, s, p in ((5, 1, 2), (3, 2, 1), (2, 2, 0), (1, 1, 0)):
-            assert np.array_equal(ops.maxpool2d(x, k, s, p), oracles.naive_maxpool2d(x, k, s, p))
+        for k in (1, 3, 5, 7, 9):
+            assert np.array_equal(ops.maxpool2d(x, k), oracles.naive_maxpool2d(x, k, 1, k // 2))
 
     def test_padding_never_wins(self):
         x = np.full((1, 1, 3, 3), -5.0)
-        out = ops.maxpool2d(x, 3, 1, 1)
+        out = ops.maxpool2d(x, 3)
         assert np.all(out == -5.0)
 
-    def test_window_larger_than_padded_input(self):
+    def test_window_larger_than_input_takes_plane_max(self):
+        out = ops.maxpool2d(np.array([[[[1.0, 4.0], [3.0, 2.0]]]]), 5)
+        assert out.shape == (1, 1, 2, 2) and np.all(out == 4.0)
+
+    def test_even_window_rejected(self):
+        for k in (0, 2, 4):
+            with pytest.raises(InvalidKernel):
+                ops.maxpool2d(np.ones((1, 1, 4, 4)), k)
+
+    def test_empty_extent_rejected(self):
         with pytest.raises(InvalidShape):
-            ops.maxpool2d(np.ones((1, 1, 2, 2)), 5, 1, 1)
+            ops.maxpool2d(np.ones((1, 1, 3, 0)), 3)
 
     @given(pool_cases())
     @settings(max_examples=400, deadline=None)
@@ -215,8 +237,8 @@ class TestMaxpool2d:
         # give 1.0, in any other order the 1.0 is lost against 1e16
         x = np.zeros((1, 1, 1, 4))
         up = np.array([1e16, -1e16, 1.0, 5.0]).reshape(1, 1, 1, 4)
-        _assert_matches_former_body(x, 5, 1, 2, up)
-        assert ops.maxpool2d_vjp(x, 5, 1, 2)[1](up)[0][0, 0, 0, 0] == 1.0
+        _assert_matches_former_body(x, 5, up)
+        assert ops.maxpool2d_vjp(x, 5)[1](up)[0][0, 0, 0, 0] == 1.0
 
     def test_peak_memory_stays_linear_in_the_input(self):
         """A forward and one pullback at 1x32x80x80, k=5, allocate under 8x
@@ -226,7 +248,7 @@ class TestMaxpool2d:
         up = rng.standard_normal((1, 32, 80, 80))
         tracemalloc.start()
         try:
-            _, pullback = ops.maxpool2d_vjp(x, 5, 1, 2)
+            _, pullback = ops.maxpool2d_vjp(x, 5)
             pullback(up)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -319,18 +341,8 @@ SHAPE_CONTRACTS = {
     "global_max_pool": lambda inp, out: out.shape == inp[0].shape[:2] + (1, 1),
     "conv1d_channels": lambda inp, out: out.shape == inp[0].shape,
     "conv2d": lambda inp, out: out.shape
-    == (
-        inp[0].shape[0],
-        inp[1].shape[0],
-        inp[0].shape[2] + 2 * inp[3] - inp[1].shape[2] + 1,
-        inp[0].shape[3] + 2 * inp[3] - inp[1].shape[3] + 1,
-    ),
-    "maxpool2d": lambda inp, out: out.shape
-    == inp[0].shape[:2]
-    + (
-        (inp[0].shape[2] + 2 * inp[3] - inp[1]) // inp[2] + 1,
-        (inp[0].shape[3] + 2 * inp[3] - inp[1]) // inp[2] + 1,
-    ),
+    == (inp[0].shape[0], inp[1].shape[0]) + inp[0].shape[2:],
+    "maxpool2d": lambda inp, out: out.shape == inp[0].shape,
     "sigmoid": lambda inp, out: out.shape == inp[0].shape,
     "relu": lambda inp, out: out.shape == inp[0].shape,
     "broadcast_mul": lambda inp, out: out.shape == inp[0].shape,
