@@ -48,12 +48,17 @@ def _read_text(path) -> str:
         raise CrackscopeError(f"{path}: not UTF-8 text (bad byte at offset {exc.start})") from None
 
 
-def _parse_file(parse, path):
-    """``parse`` of the file's text; its error, which names the line, is
-    prefixed with the file."""
-    text = _read_text(path)
+def _read_bytes(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _parse_file(parse, path, read=_read_text):
+    """``parse`` of ``read(path)``, the file's text by default; its error,
+    which names the line or header field, is prefixed with the file."""
+    data = read(path)
     try:
-        return parse(text)
+        return parse(data)
     except CrackscopeError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -73,8 +78,7 @@ def _json_value(x):
 def _cmd_analyze(args) -> int:
     from . import maskgeom  # here, not at the top: only analyze needs scipy
 
-    with open(args.mask, "rb") as fh:
-        gray, maxval = dataio.read_pgm(fh.read())
+    gray, maxval = _parse_file(dataio.read_pgm, args.mask, read=_read_bytes)
     mask = maskgeom.threshold_mask(gray, maxval)
     scale = None if args.scale_mm_per_px is None else maskgeom.ScaleConfig(args.scale_mm_per_px)
     reports = maskgeom.analyze_mask(mask, scale)
@@ -105,6 +109,9 @@ def _cmd_eval(args) -> int:
         raise CrackscopeError("--pr-out requires --mode instance")
     if args.raster_size < 1:
         raise CrackscopeError(f"--raster-size must be >= 1, got {args.raster_size}")
+    # a rasterizer row is raster_size + 1 int64 counters wide
+    if 8 * args.raster_size * (args.raster_size + 1) > np.iinfo(np.intp).max:
+        raise CrackscopeError(f"--raster-size {args.raster_size} is too large to rasterize")
     gts = _load_ground_truth(args.gt)
     preds = _parse_file(dataio.read_predictions, args.pred)
     unknown = sorted({p.image_id for p in preds} - set(gts))

@@ -153,6 +153,8 @@ class SplitSpec:
     def __post_init__(self):
         if min(self.train, self.val, self.test) < 0:
             raise InvalidSplit(f"split sizes must be nonnegative: {self}")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidSplit(f"seed must be in [0, 2^64), got {self.seed}")
 
     @property
     def total(self) -> int:
@@ -265,7 +267,7 @@ class _Lcg:
     """Pinned 64-bit linear congruential generator (cross-platform shuffles)."""
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64
+        self.state = seed
 
     def below(self, bound: int) -> int:
         self.state = (_LCG_MULT * self.state + _LCG_INC) & _MASK64
@@ -407,12 +409,14 @@ def atomic_write_text(path: str, text: str) -> None:
     """Write ``text`` as UTF-8 to ``path`` so that a reader sees the old file
     or the whole new one, never a part."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "wb") as fh:
             fh.write(text.encode("utf-8"))
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:  # name the caller's path, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise

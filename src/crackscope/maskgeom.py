@@ -13,9 +13,8 @@ The image border counts as background, so a crack touching the frame is
 measured to the frame edge.
 
 The cost is linear in pixels, not components x pixels: the mask is labelled
-once and each component's pixels are read from its own ``find_objects``
-bbox; width and degree work for a component reads only the skeleton and
-distance field inside that bbox grown by one pixel; and thinning looks up
+once, in report order; the reports come from one pass over the skeleton
+pixels sorted by label, with no per-component work; and thinning looks up
 each pixel's 8-neighbour code in one 256-entry removal table per
 subiteration, evaluating after the first two subiterations only the window
 where pixels were just removed.
@@ -23,7 +22,7 @@ where pixels were just removed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -32,14 +31,11 @@ from .errors import DegenerateComponent, InvalidImage, InvalidShape, OutOfRange
 
 __all__ = [
     "ScaleConfig",
-    "CrackComponent",
     "WidthReport",
     "threshold_mask",
     "connected_components",
     "distance_transform",
     "skeletonize",
-    "width_profile",
-    "analyze_component",
     "analyze_mask",
 ]
 
@@ -77,21 +73,6 @@ class ScaleConfig:
     def __post_init__(self):
         if not 0 < self.mm_per_px < np.inf:
             raise OutOfRange(f"mm_per_px must be positive and finite, got {self.mm_per_px}")
-
-
-@dataclass(frozen=True, eq=False)
-class CrackComponent:
-    """One 8-connected foreground region; pixels are (row, col) in row-major
-    order, inside the frame rows ``rows`` and columns ``cols``."""
-
-    id: int
-    pixels: np.ndarray  # [k, 2]
-    rows: slice
-    cols: slice
-
-    @property
-    def area(self) -> int:
-        return len(self.pixels)
 
 
 @dataclass(frozen=True)
@@ -141,20 +122,21 @@ def threshold_mask(gray, maxval: int) -> np.ndarray:
     return 2 * arr.astype(np.int64) > maxval
 
 
-def connected_components(mask) -> list[CrackComponent]:
-    """8-connected components, largest area first; ties broken by the
-    lexicographically smallest (row, col) pixel.  Ids count from 1."""
-    mask = _require_mask(mask)
-    labels, count = ndimage.label(mask, structure=_EIGHT)
-    if not count:
-        return []
-    order = []
-    for lab, (rs, cs) in enumerate(ndimage.find_objects(labels), start=1):
-        pixels = np.argwhere(labels[rs, cs] == lab) + (rs.start, cs.start)  # row-major sorted
-        order.append((-len(pixels), int(pixels[0][0]), int(pixels[0][1]), pixels, rs, cs))
-    order.sort(key=lambda item: item[:3])
-    return [CrackComponent(new_id, pixels, rs, cs)
-            for new_id, (*_, pixels, rs, cs) in enumerate(order, start=1)]
+def connected_components(mask) -> tuple[np.ndarray, int]:
+    """8-connected components as ``(labels, count)``: background is 0 and
+    ids 1..count run largest area first, ties broken by the smallest
+    (row, col) pixel.
+
+    ``ndimage.label`` numbers components in the raster order of their first
+    pixel, so a stable sort by decreasing area gives the report order.
+    """
+    labels, count = ndimage.label(_require_mask(mask), structure=_EIGHT)
+    if count:
+        order = np.argsort(-np.bincount(labels.ravel())[1:], kind="stable")
+        relabel = np.zeros(count + 1, dtype=labels.dtype)
+        relabel[order + 1] = np.arange(1, count + 1)
+        labels = relabel[labels]
+    return labels, count
 
 
 def distance_transform(mask) -> np.ndarray:
@@ -216,83 +198,69 @@ def _union_grown(a, b, height, width):
     return max(min(r0) - 1, 0), min(max(r1) + 1, height), max(min(c0) - 1, 0), min(max(c1) + 1, width)
 
 
-def _component_skeleton(component: CrackComponent, edt, skeleton):
-    """The component's skeleton pixels in row-major order, with the width
-    ``2 * edt - 1`` and the 8-degree on the whole skeleton at each.
-
-    Only the component's bbox grown by one pixel is read: it holds every
-    8-neighbour of the component, and it is clipped to the frame, whose
-    outside counts as background.
-    """
-    skeleton = np.asarray(skeleton)
-    if skeleton.ndim != 2:
-        raise InvalidShape(f"skeleton must be 2-D, got shape {skeleton.shape}")
-    pixels, rows, cols = component.pixels, component.rows, component.cols
-    r0, c0 = max(rows.start - 1, 0), max(cols.start - 1, 0)
-    window = skeleton[r0 : rows.stop + 1, c0 : cols.stop + 1].astype(bool)
-    inside = np.zeros_like(window)
-    inside[pixels[:, 0] - r0, pixels[:, 1] - c0] = True
-    local = np.argwhere(window & inside)
-    if len(local) == 0:
-        raise DegenerateComponent(
-            f"component {component.id} (rows {rows.start}-{rows.stop - 1}, "
-            f"cols {cols.start}-{cols.stop - 1}) has no skeleton pixels"
-        )
-    counts = ndimage.convolve(window.view(np.uint8), _EIGHT.view(np.uint8), mode="constant")
-    own = local + (r0, c0)
-    widths = 2.0 * np.asarray(edt)[own[:, 0], own[:, 1]].astype(np.float64) - 1.0
-    return own, widths, counts[local[:, 0], local[:, 1]] - 1  # the 3x3 count holds the pixel
-
-
-def width_profile(component: CrackComponent, edt, skeleton) -> list[tuple[tuple[int, int], float]]:
-    """Inscribed-disk width ``2 * edt - 1`` at each of the component's
-    skeleton pixels, in row-major pixel order."""
-    own, widths, _ = _component_skeleton(component, edt, skeleton)
-    return [((r, c), wd) for (r, c), wd in zip(own.tolist(), widths.tolist())]
-
-
-def analyze_component(
-    component: CrackComponent, edt, skeleton, scale: ScaleConfig | None = None
-) -> WidthReport:
-    """Max and min inscribed-disk widths with their skeleton locations.
-
-    The minimum is taken over interior skeleton pixels (8-degree >= 2) when
-    any exist, because skeleton tips taper toward width 1 artificially; the
-    maximum uses every skeleton pixel.  Argmax/argmin ties resolve to the
-    lexicographically smallest (row, col).
-    """
-    own, widths, degrees = _component_skeleton(component, edt, skeleton)
-    interior = np.flatnonzero(degrees >= 2)
-    candidates = interior if len(interior) else np.arange(len(own))
-    best = int(np.argmax(widths))  # argmax/argmin take the first extreme
-    worst = int(candidates[np.argmin(widths[candidates])])
-    max_width = float(widths[best])
-    min_width = float(widths[worst])
-    report = WidthReport(
-        component_id=component.id,
-        area_px=component.area,
-        max_width_px=max_width,
-        max_width_location=tuple(own[best].tolist()),
-        min_width_px=min_width,
-        min_width_location=tuple(own[worst].tolist()),
-        skeleton_length_px=len(own),
-    )
-    if scale is not None:
-        report = replace(
-            report,
-            max_width_mm=max_width * scale.mm_per_px,
-            min_width_mm=min_width * scale.mm_per_px,
-        )
-    return report
-
-
 def analyze_mask(mask, scale: ScaleConfig | None = None) -> list[WidthReport]:
-    """Full pipeline for one mask: components, distance field, skeleton,
-    then one report per component in id order."""
+    """One width report per component, in id order.
+
+    Width at a skeleton pixel is ``2 * edt - 1``.  The maximum is taken over
+    every skeleton pixel of the component; the minimum over its interior
+    skeleton pixels (8-degree >= 2 on the whole skeleton) when it has any,
+    because skeleton tips taper toward width 1 artificially.  Ties resolve
+    to the first pixel in row-major order.  A component with no skeleton
+    pixels (a 2x2 block thins away) raises :class:`DegenerateComponent`
+    naming the lowest such id and its bbox.
+
+    The skeleton pixels are gathered once in row-major order and
+    stable-sorted by component id, so every per-component quantity is one
+    ``reduceat`` or ``bincount`` over that single sorted list.
+    """
     mask = _require_mask(mask)
-    components = connected_components(mask)
-    if not components:
+    labels, count = connected_components(mask)
+    if not count:
         return []
     edt = distance_transform(mask)
     skeleton = skeletonize(mask)
-    return [analyze_component(c, edt, skeleton, scale) for c in components]
+    flat = np.flatnonzero(skeleton)  # row-major
+    ids = labels.ravel()[flat]
+    area = np.bincount(labels.ravel(), minlength=count + 1)[1:]
+    length = np.bincount(ids, minlength=count + 1)[1:]
+    if not length.all():
+        bad = int(np.argmin(length)) + 1  # argmin takes the first zero
+        rows, cols = ndimage.find_objects(labels, max_label=bad)[bad - 1]
+        raise DegenerateComponent(
+            f"component {bad} (rows {rows.start}-{rows.stop - 1}, "
+            f"cols {cols.start}-{cols.stop - 1}) has no skeleton pixels"
+        )
+    # a 3x3 count holds the pixel itself, so 8-degree >= 2 is a count >= 3
+    count3 = ndimage.convolve(skeleton.view(np.uint8), _EIGHT.view(np.uint8), mode="constant")
+    order = np.argsort(ids, kind="stable")  # by id, row-major within an id
+    flat, index = flat[order], ids[order] - 1
+    starts = np.concatenate(([0], np.cumsum(length[:-1])))
+    widths = 2.0 * edt.ravel()[flat] - 1.0
+    interior = count3.ravel()[flat] >= 3
+    candidate = interior | ~np.logical_or.reduceat(interior, starts)[index]
+    max_width = np.maximum.reduceat(widths, starts)
+    min_width = np.minimum.reduceat(np.where(candidate, widths, np.inf), starts)
+    position = np.arange(len(flat))
+
+    def first(hit):  # flat index of each id's first hit; every id has one
+        return flat[np.minimum.reduceat(np.where(hit, position, len(flat)), starts)]
+
+    best = first(widths == max_width[index])
+    worst = first(candidate & (widths == min_width[index]))
+    mm = None if scale is None else scale.mm_per_px
+    return [
+        WidthReport(
+            component_id=i,
+            area_px=a,
+            max_width_px=hi,
+            max_width_location=divmod(at_hi, mask.shape[1]),
+            min_width_px=lo,
+            min_width_location=divmod(at_lo, mask.shape[1]),
+            skeleton_length_px=n,
+            max_width_mm=None if mm is None else hi * mm,
+            min_width_mm=None if mm is None else lo * mm,
+        )
+        for i, (a, hi, at_hi, lo, at_lo, n) in enumerate(
+            zip(*(v.tolist() for v in (area, max_width, best, min_width, worst, length))), start=1
+        )
+    ]

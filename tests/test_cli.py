@@ -80,7 +80,7 @@ class TestAnalyze:
         bad.write_bytes(b"P2\n1 1\n255\n0")
         code = main(["analyze", "--mask", str(bad), "--out", str(tmp_path / "o.json")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err == f"error: {bad}: not a binary P5 graymap\n"
 
     def test_component_without_skeleton_exits_1(self, tmp_path, capsys):
         # a 2x2 speck thins away entirely; analyze reports it rather than
@@ -115,8 +115,26 @@ class TestAnalyze:
         bad.write_bytes(b"P5\n2 1\n100\n\x00\xc8")
         code = main(["analyze", "--mask", str(bad), "--out", str(tmp_path / "o.json")])
         assert code == 1
-        assert capsys.readouterr().err == "error: sample 200 exceeds maxval 100\n"
+        assert capsys.readouterr().err == f"error: {bad}: sample 200 exceeds maxval 100\n"
         assert not (tmp_path / "o.json").exists()
+
+    def test_truncated_header_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P5\n2")
+        code = main(["analyze", "--mask", str(bad), "--out", str(tmp_path / "o.json")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}: truncated header\n"
+
+    @pytest.mark.parametrize("target", ["nodir/m.json", "."])
+    def test_failed_write_names_the_out_path(self, bar_mask_path, tmp_path, target, capsys):
+        # a missing directory, then a directory where the file should go
+        out = tmp_path / target
+        code = main(["analyze", "--mask", str(bar_mask_path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: [Errno ")
+        assert err.endswith(f": {str(out)!r}\n")
+        assert sorted(os.listdir(tmp_path)) == ["crack.pgm"]  # no temporary file left
 
 
 class TestEval:
@@ -251,13 +269,19 @@ class TestBadValues:
             # too large to allocate: pixel mode asks for the 10^16-byte frame
             # before it touches a page (mask mode would first rasterize polygons)
             ["--raster-size", "100000000", "--mode", "pixel"],
+            # too large for numpy to size the array at all: rejected up front
+            ["--raster-size", "3000000000000", "--mode", "pixel"],
+            ["--raster-size", "3000000000000", "--match", "mask"],
         ],
     )
     def test_bad_raster_size(self, eval_fixture, flags, capsys):
         gt_dir, pred_path = eval_fixture
         code = main(["eval", "--gt", str(gt_dir), "--pred", str(pred_path), *flags])
         assert code in (1, 2)
-        _one_error_line(capsys.readouterr().err)
+        err = capsys.readouterr().err
+        _one_error_line(err)
+        if flags[1] != "100000000":  # that one fails at the allocation
+            assert "--raster-size" in err
 
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "-inf"])
     def test_bad_scale(self, bar_mask_path, tmp_path, value, capsys):
@@ -364,6 +388,16 @@ class TestSplit:
         test = (out_dir / "test.txt").read_text().splitlines()
         assert (len(train), len(val), len(test)) == (6, 2, 2)
         assert len(set(train + val + test)) == 10
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exits_1(self, tmp_path, seed, capsys):
+        listing = tmp_path / "all.txt"
+        listing.write_text("a\nb\n")
+        code = main(["split", str(listing), "--train", "1", "--val", "1", "--test", "0",
+                     "--seed", seed, "--out-dir", str(tmp_path / "splits")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: seed must be in [0, 2^64), got {seed}\n"
+        assert not (tmp_path / "splits").exists()
 
     def test_oversized_split_exits_1(self, tmp_path, capsys):
         listing = tmp_path / "all.txt"

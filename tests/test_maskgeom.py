@@ -8,13 +8,11 @@ import oracles
 from crackscope.errors import DegenerateComponent, InvalidImage, InvalidShape, OutOfRange
 from crackscope.maskgeom import (
     ScaleConfig,
-    analyze_component,
     analyze_mask,
     connected_components,
     distance_transform,
     skeletonize,
     threshold_mask,
-    width_profile,
 )
 
 
@@ -77,32 +75,33 @@ class TestComponents:
         mask = np.zeros((12, 12), dtype=bool)
         mask[1:4, 1:4] = True
         mask[7:10, 7:10] = True
-        comps = connected_components(mask)
-        assert len(comps) == 2
-        assert [c.area for c in comps] == [9, 9]
-        assert [c.id for c in comps] == [1, 2]
+        labels, count = connected_components(mask)
+        assert count == 2
         # equal areas: tie broken by smallest top-left pixel
-        assert tuple(comps[0].pixels[0]) == (1, 1)
+        assert (labels[1:4, 1:4] == 1).all() and (labels[7:10, 7:10] == 2).all()
+        assert (labels[~mask] == 0).all()
 
     def test_diagonal_touch_is_one_component(self):
         mask = np.zeros((4, 4), dtype=bool)
         mask[0, 0] = mask[1, 1] = mask[2, 2] = True
-        comps = connected_components(mask)
-        assert len(comps) == 1
-        assert comps[0].area == 3
+        labels, count = connected_components(mask)
+        assert count == 1
+        assert np.array_equal(labels, mask.astype(int))
 
     def test_empty_mask(self):
-        assert connected_components(np.zeros((5, 5), dtype=bool)) == []
+        labels, count = connected_components(np.zeros((5, 5), dtype=bool))
+        assert count == 0 and not labels.any()
 
     def test_matches_flood_fill_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
             mask = rng.random((20, 20)) < 0.35
-            comps = connected_components(mask)
+            labels, count = connected_components(mask)
+            got = [frozenset(map(tuple, np.argwhere(labels == i).tolist()))
+                   for i in range(1, count + 1)]
             expected = oracles.flood_fill_components(mask)
-            got = [frozenset(map(tuple, c.pixels)) for c in comps]
             assert sorted(got, key=sorted) == sorted(expected, key=sorted)
-            areas = [c.area for c in comps]
+            areas = [len(c) for c in got]
             assert areas == sorted(areas, reverse=True)
 
     @given(masks(max_side=30))
@@ -110,23 +109,22 @@ class TestComponents:
     def test_pixels_and_order_match_flood_fill(self, mask):
         # largest first, ties by the smallest (row, col) pixel
         expected = sorted(oracles.flood_fill_components(mask), key=lambda s: (-len(s), min(s)))
-        comps = connected_components(mask)
-        assert [c.id for c in comps] == list(range(1, len(expected) + 1))
-        for comp, pixels in zip(comps, expected):
-            assert comp.pixels.tolist() == [list(p) for p in sorted(pixels)]
-            rows = [r for r, _ in pixels]
-            cols = [c for _, c in pixels]
-            assert (comp.rows, comp.cols) == (
-                slice(min(rows), max(rows) + 1),
-                slice(min(cols), max(cols) + 1),
-            )
-        assert len(comps) == len(expected)
+        labels, count = connected_components(mask)
+        assert count == len(expected)
+        want = np.zeros(mask.shape, dtype=int)
+        for i, pixels in enumerate(expected, start=1):
+            for r, c in pixels:
+                want[r, c] = i
+        assert np.array_equal(labels, want)
 
     def test_bbox_covers_pixels(self):
+        # the one place a bbox is reported: a component that thins away
         mask = np.zeros((10, 10), dtype=bool)
-        mask[2:5, 3:9] = True
-        comp = connected_components(mask)[0]
-        assert (comp.rows, comp.cols) == (slice(2, 5), slice(3, 9))
+        mask[2:5, 1:9] = True
+        mask[7:9, 3:5] = True
+        with pytest.raises(DegenerateComponent) as info:
+            analyze_mask(mask)
+        assert str(info.value) == "component 2 (rows 7-8, cols 3-4) has no skeleton pixels"
 
 
 class TestDistanceTransform:
@@ -202,46 +200,33 @@ class TestWidthProfile:
     def test_five_tall_bar_width_five(self):
         mask = np.zeros((11, 30), dtype=bool)
         mask[3:8, 2:28] = True
-        comps = connected_components(mask)
-        edt = distance_transform(mask)
-        skel = skeletonize(mask)
-        profile = width_profile(comps[0], edt, skel)
-        widths = [wd for _, wd in profile]
-        assert max(widths) == 5.0
+        (report,) = analyze_mask(mask)
+        assert report.max_width_px == 5.0
 
     def test_single_pixel_line_width_one(self):
         mask = np.zeros((5, 9), dtype=bool)
         mask[2, 1:8] = True
-        comps = connected_components(mask)
-        profile = width_profile(comps[0], distance_transform(mask), skeletonize(mask))
-        assert all(wd == 1.0 for _, wd in profile)
+        (report,) = analyze_mask(mask)
+        assert report.max_width_px == report.min_width_px == 1.0
+        assert report.skeleton_length_px == 7
 
     def test_disk_max_width_near_diameter(self):
         mask = oracles.disk_mask((60, 60), (30, 30), 20)
-        comps = connected_components(mask)
-        profile = width_profile(comps[0], distance_transform(mask), skeletonize(mask))
-        assert 39.0 <= max(wd for _, wd in profile) <= 41.0
+        (report,) = analyze_mask(mask)
+        assert 39.0 <= report.max_width_px <= 41.0
 
     def test_degenerate_component_raises(self):
         mask = np.zeros((6, 6), dtype=bool)
         mask[2:4, 2:4] = True  # 2x2 block thins away entirely
-        comps = connected_components(mask)
-        skel = skeletonize(mask)
         with pytest.raises(DegenerateComponent):
-            width_profile(comps[0], distance_transform(mask), skel)
+            analyze_mask(mask)
 
 
 class TestAnalyzeComponent:
-    def _analyze(self, mask, scale=None):
-        comps = connected_components(mask)
-        edt = distance_transform(mask)
-        skel = skeletonize(mask)
-        return [analyze_component(c, edt, skel, scale) for c in comps]
-
     def test_bar_max_equals_min_equals_height(self):
         mask = np.zeros((16, 40), dtype=bool)
         mask[4:11, 3:37] = True  # 7 x 34 bar
-        (report,) = self._analyze(mask)
+        (report,) = analyze_mask(mask)
         assert abs(report.max_width_px - 7.0) <= 1.0
         assert abs(report.min_width_px - 7.0) <= 1.0
         assert report.min_width_px <= report.max_width_px
@@ -249,7 +234,7 @@ class TestAnalyzeComponent:
     def test_single_pixel_component(self):
         mask = np.zeros((5, 5), dtype=bool)
         mask[2, 2] = True
-        (report,) = self._analyze(mask)
+        (report,) = analyze_mask(mask)
         assert report.max_width_px == 1.0
         assert report.min_width_px == 1.0
         assert report.max_width_location == (2, 2)
@@ -257,7 +242,7 @@ class TestAnalyzeComponent:
 
     def test_wedge_max_at_wide_end(self):
         mask = oracles.wedge_mask((40, 60), (5, 30), 35, 20)
-        (report,) = self._analyze(mask)
+        (report,) = analyze_mask(mask)
         assert report.max_width_px >= report.min_width_px
         # the wide end is toward the base row
         assert report.max_width_location[0] > report.min_width_location[0]
@@ -266,11 +251,8 @@ class TestAnalyzeComponent:
         rng = np.random.default_rng(6)
         for _ in range(10):
             mask = oracles.rotated_bar_mask((50, 50), (25, 25), 36, 7, rng.uniform(0, 180))
-            comps = connected_components(mask)
-            edt = distance_transform(mask)
             skel = skeletonize(mask)
-            for comp in comps:
-                report = analyze_component(comp, edt, skel)
+            for report in analyze_mask(mask):
                 assert skel[report.max_width_location]
                 assert skel[report.min_width_location]
                 assert 0 < report.min_width_px <= report.max_width_px
@@ -278,7 +260,7 @@ class TestAnalyzeComponent:
     def test_scale_config_adds_mm(self):
         mask = np.zeros((12, 20), dtype=bool)
         mask[4:9, 2:18] = True
-        (report,) = self._analyze(mask, ScaleConfig(mm_per_px=0.5))
+        (report,) = analyze_mask(mask, ScaleConfig(mm_per_px=0.5))
         assert report.max_width_mm == report.max_width_px * 0.5
         assert report.min_width_mm == report.min_width_px * 0.5
         doc = report.to_dict()
@@ -295,7 +277,6 @@ class TestAnalyzeComponent:
         ]
 
     def test_deterministic(self):
-        rng = np.random.default_rng(7)
         mask = oracles.rotated_bar_mask((40, 40), (20, 20), 25, 6, 30)
         first = analyze_mask(mask)
         second = analyze_mask(np.array(mask))
@@ -312,59 +293,54 @@ class TestAnalyzeComponent:
 
 
 class TestAgainstFullFrameOracle:
-    """``width_profile`` and ``analyze_component`` read only a window around
-    the component; ``oracles.naive_analyze_component`` works on the full frame."""
+    """``analyze_mask`` reads every component from one pass over the sorted
+    skeleton pixels; ``oracles.naive_analyze_component`` builds each
+    flood-filled component's own full-frame mask."""
 
     @staticmethod
-    def _skeleton(mask, kind, rng):
-        skel = skeletonize(mask)
-        if kind == "uint8":  # nonzero values above 1 still mean skeleton
-            return skel.astype(np.uint8) * rng.integers(1, 256, mask.shape, dtype=np.uint8)
-        if kind == "arbitrary":  # neighbours outside the component count too
-            return (rng.random(mask.shape) < 0.5) | skel
-        return skel
+    def _expected(mask):
+        """Oracle ``(profile, fields)`` per component in report order (None
+        for a component with no skeleton pixels)."""
+        components = sorted(oracles.flood_fill_components(mask), key=lambda s: (-len(s), min(s)))
+        edt = oracles.brute_force_edt(mask)
+        skel = oracles.reference_thinning(mask)
+        return [oracles.naive_analyze_component(np.array(sorted(c)), edt, skel)
+                for c in components]
 
-    @given(
-        masks(),
-        st.sampled_from(["thinned", "uint8", "arbitrary"]),
-        st.integers(0, 2**32 - 1),
-    )
+    @given(masks())
     @settings(max_examples=300, deadline=None)
-    def test_matches_oracle(self, mask, skeleton_kind, seed):
-        edt = distance_transform(mask)
-        skel = self._skeleton(mask, skeleton_kind, np.random.default_rng(seed))
-        scale = ScaleConfig(mm_per_px=0.3)
-        for comp in connected_components(mask):
-            expected = oracles.naive_analyze_component(comp.pixels, edt, skel)
-            if expected is None:
-                with pytest.raises(DegenerateComponent):
-                    width_profile(comp, edt, skel)
-                with pytest.raises(DegenerateComponent):
-                    analyze_component(comp, edt, skel)
-                continue
-            profile, fields = expected
-            assert width_profile(comp, edt, skel) == profile
-            report = analyze_component(comp, edt, skel, scale)
-            assert report.component_id == comp.id
+    def test_matches_oracle(self, mask):
+        expected = self._expected(mask)
+        degenerate = [i for i, e in enumerate(expected, start=1) if e is None]
+        if degenerate:
+            with pytest.raises(DegenerateComponent, match=f"^component {degenerate[0]} "):
+                analyze_mask(mask, ScaleConfig(mm_per_px=0.3))
+            return
+        reports = analyze_mask(mask, ScaleConfig(mm_per_px=0.3))
+        assert len(reports) == len(expected)
+        for i, (report, (_profile, fields)) in enumerate(zip(reports, expected), start=1):
+            assert report.component_id == i
             for name, value in fields.items():
                 assert getattr(report, name) == value, name
             assert report.max_width_mm == fields["max_width_px"] * 0.3
             assert report.min_width_mm == fields["min_width_px"] * 0.3
             for name in ("max_width_px", "min_width_px", "max_width_mm", "min_width_mm"):
                 assert type(getattr(report, name)) is float, name
+            for name in ("area_px", "skeleton_length_px"):
+                assert type(getattr(report, name)) is int, name
             for name in ("max_width_location", "min_width_location"):
                 assert all(type(v) is int for v in getattr(report, name)), name
 
-    def test_two_by_two_blocks_raise_in_both_bodies(self):
+    def test_two_by_two_blocks_raise_for_the_lowest_id(self):
+        # ids by area: the 3x3 block, the 6 px line, then the two 2x2
+        # blocks in raster order; both blocks thin away
         mask = np.zeros((9, 11), dtype=bool)
-        mask[0:2, 0:2] = mask[4:6, 7:9] = True
-        edt = distance_transform(mask)
-        skel = skeletonize(mask)
-        for comp in connected_components(mask):
-            assert oracles.naive_analyze_component(comp.pixels, edt, skel) is None
-            for body in (width_profile, analyze_component):
-                with pytest.raises(DegenerateComponent):
-                    body(comp, edt, skel)
+        mask[0:3, 0:3] = mask[4:6, 7:9] = mask[7:9, 0:2] = True
+        mask[0, 5:11] = True
+        assert [e is None for e in self._expected(mask)] == [False, False, True, True]
+        with pytest.raises(DegenerateComponent) as info:
+            analyze_mask(mask)
+        assert str(info.value) == "component 3 (rows 4-5, cols 7-8) has no skeleton pixels"
 
 
 class TestMetrologyProperties:
