@@ -5,9 +5,14 @@ Boxes are center format ``(cx, cy, w, h)`` in continuous pixel coordinates.
 The loss is ``1 - IoU + rho^2/c^2 + alpha*v`` where ``rho`` is the center
 distance, ``c`` the enclosing-box diagonal, ``v`` the squared arctan
 aspect-ratio gap scaled by ``4/pi^2``, and ``alpha = v / ((1 - IoU) + v)``.
-``alpha`` is treated as a constant during differentiation (the standard
-stability convention), and the gradient at a subgradient kink (corner or
-boundary ties between the two boxes) is one-sided and flagged.
+
+The three terms have one body, ``ciou_vjp(pred, gt) -> (terms, pullback)``,
+in the closure idiom of :mod:`crackscope.ops`; :func:`iou`,
+:func:`ciou_loss` and :func:`ciou_grad` read it.  ``alpha`` is treated as a
+constant during differentiation (the standard stability convention): it is
+the weight of ``v`` in the upstream that :func:`ciou_grad` hands the
+pullback.  The gradient at a subgradient kink (corner or boundary ties
+between the two boxes) is one-sided and flagged.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ __all__ = [
     "BBox",
     "GridCellPred",
     "iou",
-    "ciou_terms",
+    "ciou_vjp",
     "ciou_loss",
     "ciou_grad",
     "decode_anchor_free",
@@ -57,10 +62,6 @@ class BBox:
             self.cy + self.h / 2,
         )
 
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
     def shifted(self, dx: float, dy: float) -> "BBox":
         return BBox(self.cx + dx, self.cy + dy, self.w, self.h)
 
@@ -86,120 +87,99 @@ class GridCellPred:
             raise InvalidPrediction(f"raw prediction must have 4 values, got {len(self.raw)}")
 
 
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union in [0, 1]; 0 for disjoint boxes."""
-    ax0, ay0, ax1, ay1 = a.corners
-    bx0, by0, bx1, by1 = b.corners
-    iw = min(ax1, bx1) - max(ax0, bx0)
-    ih = min(ay1, by1) - max(ay0, by0)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    # areas from the same corner values, so identical boxes give exactly 1.0
-    area_a = (ax1 - ax0) * (ay1 - ay0)
-    area_b = (bx1 - bx0) * (by1 - by0)
-    return inter / (area_a + area_b - inter)
+def ciou_vjp(pred: BBox, gt: BBox):
+    """The complete-IoU terms of ``pred`` against ``gt``, ``[IoU, rho^2/c^2,
+    v]`` as a float64 array, and their pullback.
 
-
-def ciou_terms(pred: BBox, gt: BBox) -> tuple[float, float, float, float]:
-    """The loss ingredients ``(iou, rho2/c2, v, alpha)``.
-
-    Exposed so callers (and gradient oracles) can rebuild the loss with
-    ``alpha`` frozen, matching the constant-``alpha`` differentiation
-    convention of :func:`ciou_grad`.
+    ``pullback(up)`` returns ``(grad,)``: the gradient of ``up @ terms``
+    with respect to ``pred``'s ``(cx, cy, w, h)``.  The min/max selections
+    compare strictly, so where a corner coordinate of ``pred`` ties with
+    ``gt``'s they select ``gt``'s, and the gradient is one-sided.
     """
-    overlap = iou(pred, gt)
     px0, py0, px1, py1 = pred.corners
     gx0, gy0, gx1, gy1 = gt.corners
-    rho2 = (pred.cx - gt.cx) ** 2 + (pred.cy - gt.cy) ** 2
+    iw = min(px1, gx1) - max(px0, gx0)
+    ih = min(py1, gy1) - max(py0, gy0)
+    overlapping = iw > 0 and ih > 0
+    overlap = inter = union = 0.0
+    if overlapping:
+        inter = iw * ih
+        # areas from the same corner values, so identical boxes give exactly 1.0
+        union = (px1 - px0) * (py1 - py0) + (gx1 - gx0) * (gy1 - gy0) - inter
+        overlap = inter / union
+    dx = pred.cx - gt.cx
+    dy = pred.cy - gt.cy
+    rho2 = dx**2 + dy**2
     cw = max(px1, gx1) - min(px0, gx0)
     ch = max(py1, gy1) - min(py0, gy0)
     c2 = cw * cw + ch * ch
-    v = (4.0 / math.pi**2) * (math.atan(gt.w / gt.h) - math.atan(pred.w / pred.h)) ** 2
-    alpha = 0.0 if v == 0.0 else v / ((1.0 - overlap) + v)
-    return overlap, rho2 / c2, v, alpha
+    gap = math.atan(gt.w / gt.h) - math.atan(pred.w / pred.h)
+    v = (4.0 / math.pi**2) * gap**2
+
+    def pullback(up):
+        up_iou, up_center, up_v = (float(u) for u in up)
+        # gradient with respect to pred's corners x0, x1, y0, y1 first
+        d_x0 = d_x1 = d_y0 = d_y1 = 0.0
+        if overlapping:
+            d_inter = up_iou * (union + inter) / union**2
+            d_area = -up_iou * inter / union**2
+            d_x0 = -d_inter * ih * (px0 > gx0) - d_area * (py1 - py0)
+            d_x1 = d_inter * ih * (px1 < gx1) + d_area * (py1 - py0)
+            d_y0 = -d_inter * iw * (py0 > gy0) - d_area * (px1 - px0)
+            d_y1 = d_inter * iw * (py1 < gy1) + d_area * (px1 - px0)
+        d_c2 = -up_center * rho2 / c2**2
+        d_x0 -= d_c2 * 2 * cw * (px0 < gx0)
+        d_x1 += d_c2 * 2 * cw * (px1 > gx1)
+        d_y0 -= d_c2 * 2 * ch * (py0 < gy0)
+        d_y1 += d_c2 * 2 * ch * (py1 > gy1)
+        d_v = up_v * (8.0 / math.pi**2) * gap / (pred.w**2 + pred.h**2)
+        # x0 = cx - w/2 and x1 = cx + w/2, likewise y0 and y1 with cy and h
+        grad = (
+            d_x0 + d_x1 + up_center * 2 * dx / c2,
+            d_y0 + d_y1 + up_center * 2 * dy / c2,
+            (d_x1 - d_x0) / 2 - d_v * pred.h,
+            (d_y1 - d_y0) / 2 + d_v * pred.w,
+        )
+        return (np.array(grad),)
+
+    return np.array([overlap, rho2 / c2, v]), pullback
+
+
+def _alpha(overlap: float, v: float) -> float:
+    """The weight of ``v`` in the loss."""
+    return 0.0 if v == 0.0 else v / ((1.0 - overlap) + v)
+
+
+def iou(a: BBox, b: BBox) -> float:
+    """Intersection over union in [0, 1]; 0 for disjoint boxes."""
+    return float(ciou_vjp(a, b)[0][0])
 
 
 def ciou_loss(pred: BBox, gt: BBox) -> float:
     """Complete-IoU loss; zero iff the boxes coincide, symmetric, invariant
     under joint translation and joint uniform scaling."""
-    overlap, center_term, v, alpha = ciou_terms(pred, gt)
-    return (1.0 - overlap) + center_term + alpha * v
+    overlap, center_term, v = ciou_vjp(pred, gt)[0].tolist()
+    return (1.0 - overlap) + center_term + _alpha(overlap, v) * v
 
 
 def ciou_grad(pred: BBox, gt: BBox) -> tuple[np.ndarray, bool]:
     """Gradient of :func:`ciou_loss` w.r.t. ``(cx, cy, w, h)`` of ``pred``.
 
-    ``alpha`` is held constant.  Returns ``(grad, at_kink)``; when the boxes
-    touch or share a corner coordinate exactly, the max/min selections tie,
-    the reported gradient is one-sided and ``at_kink`` is True.
+    ``alpha`` is held constant: it weights ``v`` in the upstream
+    ``[-1, 1, alpha]`` of :func:`ciou_vjp`'s pullback.  Returns ``(grad,
+    at_kink)``; when the boxes touch or share a corner coordinate exactly,
+    the max/min selections tie, the reported gradient is one-sided and
+    ``at_kink`` is True.
     """
+    terms, pullback = ciou_vjp(pred, gt)
+    overlap, _, v = terms.tolist()
+    (grad,) = pullback((-1.0, 1.0, _alpha(overlap, v)))
     px0, py0, px1, py1 = pred.corners
     gx0, gy0, gx1, gy1 = gt.corners
-    at_kink = px0 == gx0 or px1 == gx1 or py0 == gy0 or py1 == gy1
-
-    # d corner / d (cx, cy, w, h), rows: x0, x1 and y0, y1
-    # x0 = cx - w/2, x1 = cx + w/2, y0 = cy - h/2, y1 = cy + h/2
-
-    # intersection
-    iw = min(px1, gx1) - max(px0, gx0)
-    ih = min(py1, gy1) - max(py0, gy0)
-    grad = np.zeros(4)
-    overlap = 0.0
-    if iw > 0 and ih > 0:
-        inter = iw * ih
-        union = pred.area + gt.area - inter
-        overlap = inter / union
-        diw_dx1 = 1.0 if px1 < gx1 else 0.0
-        diw_dx0 = -1.0 if px0 > gx0 else 0.0
-        dih_dy1 = 1.0 if py1 < gy1 else 0.0
-        dih_dy0 = -1.0 if py0 > gy0 else 0.0
-        # dI/d(cx, cy, w, h) via corners
-        di = np.array(
-            [
-                ih * (diw_dx0 + diw_dx1),
-                iw * (dih_dy0 + dih_dy1),
-                ih * (-0.5 * diw_dx0 + 0.5 * diw_dx1),
-                iw * (-0.5 * dih_dy0 + 0.5 * dih_dy1),
-            ]
-        )
-        darea = np.array([0.0, 0.0, pred.h, pred.w])
-        du = darea - di
-        grad += -(di * union - inter * du) / union**2  # d(-IoU)
-    else:
-        if iw == 0 or ih == 0:
-            at_kink = True
-        overlap = 0.0
-
-    # center-distance term rho^2 / c^2
-    rho2 = (pred.cx - gt.cx) ** 2 + (pred.cy - gt.cy) ** 2
-    cw = max(px1, gx1) - min(px0, gx0)
-    ch = max(py1, gy1) - min(py0, gy0)
-    c2 = cw * cw + ch * ch
-    drho2 = np.array([2 * (pred.cx - gt.cx), 2 * (pred.cy - gt.cy), 0.0, 0.0])
-    dcw_dx1 = 1.0 if px1 > gx1 else 0.0
-    dcw_dx0 = -1.0 if px0 < gx0 else 0.0
-    dch_dy1 = 1.0 if py1 > gy1 else 0.0
-    dch_dy0 = -1.0 if py0 < gy0 else 0.0
-    dc2 = np.array(
-        [
-            2 * cw * (dcw_dx0 + dcw_dx1),
-            2 * ch * (dch_dy0 + dch_dy1),
-            2 * cw * (-0.5 * dcw_dx0 + 0.5 * dcw_dx1),
-            2 * ch * (-0.5 * dch_dy0 + 0.5 * dch_dy1),
-        ]
+    at_kink = (
+        px0 == gx0 or px1 == gx1 or py0 == gy0 or py1 == gy1
+        or min(px1, gx1) == max(px0, gx0) or min(py1, gy1) == max(py0, gy0)
     )
-    grad += (drho2 * c2 - rho2 * dc2) / c2**2
-
-    # aspect-ratio term alpha * v, alpha frozen
-    gap = math.atan(gt.w / gt.h) - math.atan(pred.w / pred.h)
-    v = (4.0 / math.pi**2) * gap * gap
-    alpha = 0.0 if v == 0.0 else v / ((1.0 - overlap) + v)
-    denom = pred.w**2 + pred.h**2
-    dv_dw = -(8.0 / math.pi**2) * gap * pred.h / denom
-    dv_dh = (8.0 / math.pi**2) * gap * pred.w / denom
-    grad += alpha * np.array([0.0, 0.0, dv_dw, dv_dh])
-
     return grad, at_kink
 
 

@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import attention, dataio, gradcheck, metrics
+from . import dataio, metrics
 from .errors import CrackscopeError
 
 __all__ = ["main"]
@@ -226,6 +226,8 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    from . import gradcheck  # here, not at the top: only gradcheck needs the ops
+
     reports = gradcheck.run_gradient_suite(
         seed=args.seed, eps=args.eps, tol=args.tol, cases=args.cases
     )
@@ -249,6 +251,8 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_attn_demo(args) -> int:
+    from . import attention  # here, not at the top: only attn-demo needs the blocks
+
     if args.seed < 0:
         raise CrackscopeError(f"seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)

@@ -24,8 +24,9 @@ any ``eps`` above about 1e-7.  So the mark does not depend on ``tol``, and
 the pass bound does not depend on the mark.
 
 ``run_gradient_suite`` sweeps all ops, all attention blocks (input
-gradients) and the box-regression loss over many seeded random cases, and
-redraws a case that lands on a kink.
+gradients) and the three terms of the box-regression loss (each with its
+own random upstream weight, like every op's output) over many seeded
+random cases, and redraws a case that lands on a kink.
 """
 
 from __future__ import annotations
@@ -198,21 +199,11 @@ def _random_block_case(block: str, rng) -> tuple:
 
 
 def _ciou_case(rng) -> tuple:
-    """The CIoU loss of a random box pair as a function of the predicted
-    ``(cx, cy, w, h)``, and that vector."""
-    pred = boxes.BBox(*rng.uniform(-2, 2, 2), *rng.uniform(0.5, 3, 2))
+    """The CIoU terms of a random predicted ``(cx, cy, w, h)`` against a
+    random gt box, as a function of that vector, and the vector."""
+    pred = np.concatenate((rng.uniform(-2, 2, 2), rng.uniform(0.5, 3, 2)))
     gt = boxes.BBox(*rng.uniform(-2, 2, 2), *rng.uniform(0.5, 3, 2))
-    analytic = boxes.ciou_grad(pred, gt)[0]
-    # the analytic gradient holds alpha constant; the probe objective must too
-    alpha = boxes.ciou_terms(pred, gt)[3]
-
-    def loss_vjp(vec):
-        overlap, center_term, v, _ = boxes.ciou_terms(boxes.BBox(*vec), gt)
-        loss = np.array([(1.0 - overlap) + center_term + alpha * v])
-        # the checker takes the pullback only at vec == pred
-        return loss, lambda up: (analytic * up[0],)
-
-    return loss_vjp, (np.array([pred.cx, pred.cy, pred.w, pred.h]),)
+    return (lambda vec: boxes.ciou_vjp(boxes.BBox(*vec), gt)), (pred,)
 
 
 # draws of one case before a report at a kink stands as drawn
@@ -220,7 +211,7 @@ _KINK_DRAWS = 10
 
 
 def run_gradient_suite(seed=0, eps=1e-5, tol=1e-4, cases=100) -> list[GradCheckReport]:
-    """Check every op, every block and the box loss over ``cases`` random
+    """Check every op, every block and the box-loss terms over ``cases`` random
     draws each; returns one aggregated report per subject (worst case).
 
     Each subject draws from its own stream, so ``cases=i+1`` replays every

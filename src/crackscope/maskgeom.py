@@ -22,6 +22,7 @@ where pixels were just removed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,21 +123,20 @@ def threshold_mask(gray, maxval: int) -> np.ndarray:
     return 2 * arr.astype(np.int64) > maxval
 
 
-def connected_components(mask) -> tuple[np.ndarray, int]:
-    """8-connected components as ``(labels, count)``: background is 0 and
-    ids 1..count run largest area first, ties broken by the smallest
-    (row, col) pixel.
+def connected_components(mask) -> tuple[np.ndarray, np.ndarray]:
+    """8-connected components as ``(labels, areas)``: background is 0 and
+    ids 1..len(areas) run largest area first, ties broken by the smallest
+    (row, col) pixel; ``areas[i - 1]`` is component ``i``'s pixel count.
 
     ``ndimage.label`` numbers components in the raster order of their first
     pixel, so a stable sort by decreasing area gives the report order.
     """
     labels, count = ndimage.label(_require_mask(mask), structure=_EIGHT)
-    if count:
-        order = np.argsort(-np.bincount(labels.ravel())[1:], kind="stable")
-        relabel = np.zeros(count + 1, dtype=labels.dtype)
-        relabel[order + 1] = np.arange(1, count + 1)
-        labels = relabel[labels]
-    return labels, count
+    areas = np.bincount(labels.ravel(), minlength=count + 1)[1:]
+    order = np.argsort(-areas, kind="stable")
+    relabel = np.zeros(count + 1, dtype=labels.dtype)
+    relabel[order + 1] = np.arange(1, count + 1)
+    return relabel[labels], areas[order]
 
 
 def distance_transform(mask) -> np.ndarray:
@@ -207,21 +207,23 @@ def analyze_mask(mask, scale: ScaleConfig | None = None) -> list[WidthReport]:
     because skeleton tips taper toward width 1 artificially.  Ties resolve
     to the first pixel in row-major order.  A component with no skeleton
     pixels (a 2x2 block thins away) raises :class:`DegenerateComponent`
-    naming the lowest such id and its bbox.
+    naming the lowest such id and its bbox, and a ``scale`` that makes a
+    width infinite in mm raises :class:`OutOfRange` naming the scale.
 
-    The skeleton pixels are gathered once in row-major order and
-    stable-sorted by component id, so every per-component quantity is one
-    ``reduceat`` or ``bincount`` over that single sorted list.
+    The areas are those the labelling counted.  The skeleton pixels are
+    gathered once in row-major order and stable-sorted by component id, so
+    every other per-component quantity is one ``reduceat`` or ``bincount``
+    over that single sorted list.
     """
     mask = _require_mask(mask)
-    labels, count = connected_components(mask)
+    labels, area = connected_components(mask)
+    count = len(area)
     if not count:
         return []
     edt = distance_transform(mask)
     skeleton = skeletonize(mask)
     flat = np.flatnonzero(skeleton)  # row-major
     ids = labels.ravel()[flat]
-    area = np.bincount(labels.ravel(), minlength=count + 1)[1:]
     length = np.bincount(ids, minlength=count + 1)[1:]
     if not length.all():
         bad = int(np.argmin(length)) + 1  # argmin takes the first zero
@@ -248,6 +250,12 @@ def analyze_mask(mask, scale: ScaleConfig | None = None) -> list[WidthReport]:
     best = first(widths == max_width[index])
     worst = first(candidate & (widths == min_width[index]))
     mm = None if scale is None else scale.mm_per_px
+    if mm is not None and math.isinf(float(max_width.max()) * mm):
+        widest = int(np.argmax(max_width))
+        raise OutOfRange(
+            f"mm_per_px {mm} is too large: component {widest + 1}'s max width of "
+            f"{max_width[widest]} px is infinite in mm"
+        )
     return [
         WidthReport(
             component_id=i,

@@ -36,7 +36,6 @@ __all__ = [
     "recall",
     "precision",
     "accuracy",
-    "mask_iou",
     "pixel_confusion",
     "match_instances",
     "pr_curve",
@@ -93,18 +92,6 @@ def accuracy(c: ConfusionCounts) -> float:
     return (c.tp + c.tn) / total
 
 
-def mask_iou(a, b) -> float:
-    """Pixel IoU of two equal-extent binary masks; 1.0 when both are empty."""
-    a = np.asarray(a, dtype=bool)
-    b = np.asarray(b, dtype=bool)
-    if a.shape != b.shape:
-        raise InvalidShape(f"mask extents differ: {a.shape} vs {b.shape}")
-    union = np.logical_or(a, b).sum()
-    if union == 0:
-        return 1.0
-    return float(np.logical_and(a, b).sum() / union)
-
-
 def pixel_confusion(pred, gt) -> ConfusionCounts:
     """Per-pixel confusion counts of a predicted mask against ground truth."""
     pred = np.asarray(pred, dtype=bool)
@@ -150,7 +137,7 @@ def _box_iou_matrix(preds, gts) -> np.ndarray:
 
 def _mask_iou_matrix(preds, gts, extent) -> np.ndarray:
     """Pixel IoU of every pair from one cropped raster per record; two empty
-    rasters score 1.0, as in :func:`mask_iou`."""
+    rasters score 1.0."""
     width, height = extent
     crops = [[polygon_to_crop(r.polygon, width, height) for r in side] for side in (preds, gts)]
 

@@ -358,6 +358,18 @@ def naive_average_precision(points):
     return area
 
 
+def mask_iou(a, b):
+    """Pixel IoU of two equal-extent binary masks; 1.0 when both are empty."""
+    a = np.asarray(a, dtype=bool)
+    b = np.asarray(b, dtype=bool)
+    if a.shape != b.shape:
+        raise ValueError(f"mask extents differ: {a.shape} vs {b.shape}")
+    union = np.logical_or(a, b).sum()
+    if union == 0:
+        return 1.0
+    return float(np.logical_and(a, b).sum() / union)
+
+
 def corner_iou(a, b):
     """IoU of two (x0, y0, x1, y1) boxes; 0 when they do not overlap."""
     iw = min(a[2], b[2]) - max(a[0], b[0])

@@ -8,11 +8,12 @@ from crackscope.boxes import (
     GridCellPred,
     ciou_grad,
     ciou_loss,
-    ciou_terms,
+    ciou_vjp,
     decode_anchor_free,
     iou,
 )
 from crackscope.errors import InvalidBox, InvalidPrediction
+from crackscope.gradcheck import gradcheck_fn
 
 
 def _random_box(rng):
@@ -112,11 +113,11 @@ class TestCiouGrad:
             grad, at_kink = ciou_grad(pred, gt)
             if at_kink:
                 continue
-            alpha = ciou_terms(pred, gt)[3]
+            overlap, _, v = ciou_vjp(pred, gt)[0]
+            alpha = v / ((1.0 - overlap) + v) if v else 0.0
 
             def frozen(vec):
-                p = BBox(*vec)
-                overlap, center, v, _ = ciou_terms(p, gt)
+                overlap, center, v = ciou_vjp(BBox(*vec), gt)[0]
                 return (1.0 - overlap) + center + alpha * v
 
             vec = np.array([pred.cx, pred.cy, pred.w, pred.h])
@@ -136,6 +137,71 @@ class TestCiouGrad:
     def test_smooth_interior_not_flagged(self):
         _, at_kink = ciou_grad(BBox(0.1, 0.2, 2, 2), BBox(0.5, 0.3, 3, 1))
         assert not at_kink
+
+
+class TestCiouVjp:
+    def test_iou_loss_and_grad_read_the_terms_and_pullback(self):
+        rng = np.random.default_rng(4)
+        for _ in range(1000):
+            pred, gt = _random_box(rng), _random_box(rng)
+            terms, pullback = ciou_vjp(pred, gt)
+            assert terms.shape == (3,) and terms.dtype == np.float64
+            overlap, center, v = terms
+            alpha = v / ((1.0 - overlap) + v) if v else 0.0
+            assert iou(pred, gt) == overlap
+            assert ciou_loss(pred, gt) == (1.0 - overlap) + center + alpha * v
+            (grad,) = pullback(np.array([-1.0, 1.0, alpha]))
+            assert np.array_equal(ciou_grad(pred, gt)[0], grad)
+
+    @pytest.mark.parametrize("side", range(4))
+    def test_a_tie_takes_the_gt_side(self, side):
+        # pred's corner coordinate `side` (x0, y0, x1, y1) equals gt's, so
+        # each selection takes gt's: each term's gradient is the one at a gt
+        # moved a hair to where it wins the selection strictly, inward for the
+        # intersection (IoU), outward for the enclosure (rho^2/c^2)
+        pred = BBox(0.0, 0.0, 2.0, 2.0)  # corners -1, -1, 1, 1
+        corners = [-0.5, -0.5, 1.5, 0.75]
+        corners[side] = pred.corners[side]
+        outward = 2.0**-30 * (-1 if side < 2 else 1)
+
+        def gt_at(shift):
+            c = list(corners)
+            c[side] += shift
+            return BBox((c[0] + c[2]) / 2, (c[1] + c[3]) / 2, c[2] - c[0], c[3] - c[1])
+
+        assert gt_at(0.0).corners[side] == pred.corners[side]
+        assert ciou_grad(pred, gt_at(0.0))[1]
+        for up, shift in (([1.0, 0.0, 0.0], -outward), ([0.0, 1.0, 0.0], outward)):
+            (tied,) = ciou_vjp(pred, gt_at(0.0))[1](np.array(up))
+            (strict,) = ciou_vjp(pred, gt_at(shift))[1](np.array(up))
+            assert np.allclose(tied, strict, rtol=1e-6, atol=1e-8)
+
+    def test_per_term_check_catches_what_the_weighted_sum_hides(self):
+        """A 1% error in v's gradient is scaled by alpha in the loss gradient,
+        so the loss hides it when alpha is small; a random upstream does not."""
+        pred, gt = BBox(0.0, 0.0, 1.0, 2.0), BBox(0.6, 0.3, 1.6, 2.0)
+        (overlap, _, v), _ = ciou_vjp(pred, gt)
+        alpha = v / ((1.0 - overlap) + v)
+        assert alpha < 0.05
+
+        def mutated(vec):
+            terms, pullback = ciou_vjp(BBox(*vec), gt)
+
+            def scaled_v(up):  # the v term's gradient times 1.01
+                (grad,) = pullback(up)
+                (grad_v,) = pullback(np.array([0.0, 0.0, up[2]]))
+                return (grad + 0.01 * grad_v,)
+
+            return terms, scaled_v
+
+        vec = np.array([pred.cx, pred.cy, pred.w, pred.h])
+        loss_weights = np.array([-1.0, 1.0, alpha])
+        hidden = mutated(vec)[1](loss_weights)[0] - ciou_vjp(pred, gt)[1](loss_weights)[0]
+        assert np.abs(hidden).max() < 1e-4  # under the loss check's tolerance
+        exact = gradcheck_fn("ciou", lambda x: ciou_vjp(BBox(*x), gt), (vec,))
+        assert exact.passed
+        report = gradcheck_fn("ciou", mutated, (vec,))
+        assert not report.passed and not report.at_kink
 
 
 class TestDecode:

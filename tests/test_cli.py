@@ -70,6 +70,19 @@ class TestAnalyze:
         (report,) = json.loads(out.read_text())
         assert report["max_width_mm"] == report["max_width_px"] * 2.0
 
+    def test_scale_overflowing_to_infinity_exits_1(self, tmp_path, capsys):
+        # 5 px * 1e308 mm/px is infinite, which a JSON report cannot hold
+        full = tmp_path / "full.pgm"
+        full.write_bytes(write_pgm(np.full((5, 5), 255, dtype=np.uint8)))
+        out = tmp_path / "o.json"
+        argv = ["analyze", "--mask", str(full), "--out", str(out), "--scale-mm-per-px", "1e308"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: mm_per_px 1e+308 is too large: "
+            "component 1's max width of 5.0 px is infinite in mm\n"
+        )
+        assert not out.exists()
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code = main(["analyze", "--mask", str(tmp_path / "nope.pgm"), "--out", "x.json"])
         assert code == 1

