@@ -13,7 +13,7 @@ label_text = """\
 0 0.10 0.20 0.90 0.25 0.85 0.45 0.15 0.40
 0 0.30 0.60 0.70 0.62 0.72 0.80 0.28 0.78
 """
-records = parse_label_file(label_text)
+records = parse_label_file(label_text)  # one table: a row per polygon
 print(f"parsed {len(records)} polygon(s):")
 for record in records:
     print(f"  class {record.class_id}, {len(record.polygon)} vertices")

@@ -10,7 +10,7 @@ Run: ``python demos/detection_evaluation.py``
 import numpy as np
 
 from crackscope.boxes import BBox
-from crackscope.dataio import DetectionRecord
+from crackscope.dataio import polygon_table
 from crackscope.metrics import (
     ConfusionCounts,
     average_precision,
@@ -49,12 +49,14 @@ flagged = []
 fn_total = 0
 total_gt = 0
 for image_id, scene in scenes.items():
-    preds = [DetectionRecord(image_id, 0, score, polygon(box)) for score, box in scene["preds"]]
-    gts = [DetectionRecord(image_id, 0, 1.0, polygon(box)) for box in scene["gts"]]
+    scores = [score for score, _ in scene["preds"]]
+    preds = polygon_table([0] * len(scores), [polygon(box) for _, box in scene["preds"]],
+                          scores, [image_id] * len(scores))
+    gts = polygon_table([0] * len(scene["gts"]), [polygon(box) for box in scene["gts"]])
     flags, fn = match_instances(preds, gts, iou_thresh=0.5)
-    for record, flag in zip(preds, flags):
-        flagged.append((record.score, flag))
-        print(f"{image_id}: score {record.score:.2f} -> {'TP' if flag else 'FP'}")
+    for row, flag in zip(preds, flags):
+        flagged.append((row.score, flag))
+        print(f"{image_id}: score {row.score:.2f} -> {'TP' if flag else 'FP'}")
     fn_total += fn
     total_gt += len(gts)
 print(f"unmatched ground truths (fn): {fn_total} of {total_gt}")

@@ -93,15 +93,18 @@ def _cmd_analyze(args) -> int:
 
 
 def _load_ground_truth(gt_dir):
-    gts = {}
+    paths = {}
     for name in sorted(os.listdir(gt_dir)):
         stem, ext = os.path.splitext(name)
         if ext.lower() != ".txt":
             continue
-        gts[stem] = _parse_file(dataio.parse_label_file, os.path.join(gt_dir, name))
-    if not gts:
+        path = os.path.join(gt_dir, name)
+        if stem in paths:
+            raise CrackscopeError(f"{paths[stem]} and {path} both label image {stem!r}")
+        paths[stem] = path
+    if not paths:
         raise CrackscopeError(f"no label files (*.txt) found in {gt_dir}")
-    return gts
+    return {stem: _parse_file(dataio.parse_label_file, path) for stem, path in paths.items()}
 
 
 def _cmd_eval(args) -> int:
@@ -114,69 +117,50 @@ def _cmd_eval(args) -> int:
         raise CrackscopeError(f"--raster-size {args.raster_size} is too large to rasterize")
     gts = _load_ground_truth(args.gt)
     preds = _parse_file(dataio.read_predictions, args.pred)
-    unknown = sorted({p.image_id for p in preds} - set(gts))
+    unknown = sorted(set(preds.image_ids) - set(gts))
     if unknown:
         raise CrackscopeError(
             f"predictions reference {len(unknown)} unknown image id(s): "
             + ", ".join(repr(image_id) for image_id in unknown)
         )
 
-    by_image = {image_id: [] for image_id in gts}
-    for p in preds:
-        by_image[p.image_id].append(p)
-    extent = (args.raster_size, args.raster_size)
-    image_ids = sorted(gts)
+    # each image's rows of the file, in file order
+    image_ids = np.array(sorted(gts), dtype=object)
+    order = np.argsort(preds.image_ids, kind="stable")
+    ids = preds.image_ids[order]
+    los, his = np.searchsorted(ids, image_ids, "left"), np.searchsorted(ids, image_ids, "right")
+    by_image = {image_id: preds[order[lo:hi]] for image_id, lo, hi in zip(image_ids, los, his)}
+    width = height = args.raster_size
 
-    if args.mode == "instance":
-        results = [
-            metrics.match_instances(
-                by_image[image_id], gts[image_id], args.iou, mode=args.match, extent=extent
-            )
-            for image_id in image_ids
-        ]
-        flagged = []
-        fn_total = 0
-        for image_id, (flags, fn) in zip(image_ids, results):
-            flagged.extend((p.score, flag) for p, flag in zip(by_image[image_id], flags))
+    instance = args.mode == "instance"
+    points = None
+    if instance:
+        flagged, fn_total = [], 0
+        for image_id in image_ids:
+            flags, fn = metrics.match_instances(by_image[image_id], gts[image_id], args.iou,
+                                                mode=args.match, extent=(width, height))
+            flagged.extend(zip(by_image[image_id].scores.tolist(), flags))
             fn_total += fn
-        tp = sum(1 for _, flag in flagged if flag)
-        fp = len(flagged) - tp
-        counts = metrics.ConfusionCounts(tp=tp, fp=fp, fn=fn_total)
+        tp = sum(flag for _, flag in flagged)
+        counts = metrics.ConfusionCounts(tp=tp, fp=len(flagged) - tp, fn=fn_total)
         total_gt = sum(len(g) for g in gts.values())
         points = metrics.pr_curve(flagged, total_gt) if total_gt else []
-        summary = {
-            "mode": "instance",
-            "iou_threshold": args.iou,
-            "tp": tp,
-            "fp": fp,
-            "fn": fn_total,
-            "tn": None,
-            "precision": _try_metric(metrics.precision, counts),
-            "recall": _try_metric(metrics.recall, counts),
-            "accuracy": None,
-            "ap": metrics.average_precision(points) if points else None,
-        }
     else:  # pixel
-        def confuse_one(image_id):
-            width, height = extent
-            gt_mask = _union_mask(gts[image_id], width, height)
-            pred_mask = _union_mask(by_image[image_id], width, height)
-            return metrics.pixel_confusion(pred_mask, gt_mask)
-
-        counts = sum((confuse_one(image_id) for image_id in image_ids), metrics.ConfusionCounts())
-        points = None
-        summary = {
-            "mode": "pixel",
-            "iou_threshold": None,
-            "tp": counts.tp,
-            "fp": counts.fp,
-            "fn": counts.fn,
-            "tn": counts.tn,
-            "precision": _try_metric(metrics.precision, counts),
-            "recall": _try_metric(metrics.recall, counts),
-            "accuracy": _try_metric(metrics.accuracy, counts),
-            "ap": None,
-        }
+        counts = sum((metrics.pixel_confusion(_union_mask(by_image[image_id], width, height),
+                                              _union_mask(gts[image_id], width, height))
+                      for image_id in image_ids), metrics.ConfusionCounts())
+    summary = {
+        "mode": args.mode,
+        "iou_threshold": args.iou if instance else None,
+        "tp": counts.tp,
+        "fp": counts.fp,
+        "fn": counts.fn,
+        "tn": None if instance else counts.tn,
+        "precision": _try_metric(metrics.precision, counts),
+        "recall": _try_metric(metrics.recall, counts),
+        "accuracy": None if instance else _try_metric(metrics.accuracy, counts),
+        "ap": metrics.average_precision(points) if points else None,
+    }
 
     doc = json.dumps({k: _json_value(v) for k, v in summary.items()}, indent=2) + "\n"
     if args.out:
@@ -190,10 +174,11 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _union_mask(records, width, height):
+def _union_mask(table, width, height):
     mask = np.zeros((height, width), dtype=bool)
-    for record in records:
-        row0, col0, crop = dataio.polygon_to_crop(record.polygon, width, height)
+    starts = table.starts.tolist()
+    for lo, hi in zip(starts, starts[1:]):
+        row0, col0, crop = dataio.polygon_to_crop(table.vertices[lo:hi], width, height)
         mask[row0 : row0 + crop.shape[0], col0 : col0 + crop.shape[1]] |= crop
     return mask
 

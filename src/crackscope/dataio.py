@@ -21,10 +21,13 @@ vectorised body fills only the rows and columns the polygon can cover and
 returns that crop with its offset (:func:`polygon_to_crop`);
 :func:`polygon_to_mask` places the crop in the full frame.
 
-Label records (:class:`LabelRecord`) and scored predictions
-(:class:`DetectionRecord`) share one polygon check and one class-id check:
-a polygon is >= 3 (x, y) vertices of finite numbers in [0, 1].  The file
-readers prefix the record's error with its line number.
+Each label or prediction file reads into one :class:`PolygonTable`: a
+class, score and (for predictions) image id column, every vertex of the
+file in one ``[V, 2]`` array with row offsets, and each polygon's bounding
+box.  :func:`polygon_table` is the one check, run over whole columns: a
+class id is an integer in [0, 2^63), a score a number in [0, 1], an image id
+a string, and a polygon >= 3 (x, y) vertices of numbers in [0, 1].  An
+error names the first bad line, and within it the first failing check.
 """
 
 from __future__ import annotations
@@ -33,8 +36,10 @@ import json
 import numbers
 import os
 import tempfile
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,97 +53,179 @@ from .errors import (
 )
 
 __all__ = [
-    "LabelRecord",
-    "DetectionRecord",
+    "PolygonRow",
+    "PolygonTable",
+    "polygon_table",
     "SplitSpec",
     "parse_label_file",
-    "serialize_label_file",
     "polygon_to_crop",
     "polygon_to_mask",
     "split_dataset",
     "read_pgm",
     "write_pgm",
     "read_predictions",
-    "serialize_predictions",
     "atomic_write_text",
 ]
 
 
-def _class_id(value, error) -> int:
-    """``value`` as a class id, an integer >= 0; anything else is ``error``."""
-    # exact-type test first: the ABC check is slow, and bool is an int
-    if type(value) is not int:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise error(f"class must be an integer, got {value!r}")
-        value = int(value)
-    if value < 0:
-        raise error(f"class id must be >= 0, got {value}")
-    return value
+class PolygonRow(NamedTuple):
+    """An unchecked row view of a :class:`PolygonTable`."""
 
-
-def _all_numbers(polygon) -> bool:
-    """Whether a ``[k, 2]`` polygon holds only numbers: ``np.asarray`` would
-    turn ``"0.5"`` and ``True`` into floats."""
-    if isinstance(polygon, np.ndarray):
-        return polygon.dtype.kind in "fiu"
-    for x, y in polygon:
-        # exact types first, as JSON gives them: the ABC checks are slow
-        if type(x) is not float or type(y) is not float:
-            values = chain.from_iterable(polygon)
-            return all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values)
-    return True
-
-
-def _polygon(value, error) -> np.ndarray:
-    """``value`` as a ``[k >= 3, 2]`` float array.  A bad shape or a value
-    that is not a number is ``error``; a value that is not finite and in
-    [0, 1] is :class:`OutOfRange`."""
-    try:
-        poly = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise error(f"polygon is not an array of numbers ({exc})") from None
-    if poly.ndim != 2 or poly.shape[1] != 2 or poly.shape[0] < 3:
-        raise error(f"polygon needs >= 3 (x, y) vertices, got shape {poly.shape}")
-    if not _all_numbers(value):
-        raise error("polygon coordinates must be numbers, not text or bools")
-    if not (poly.min() >= 0.0 and poly.max() <= 1.0):  # a NaN fails both
-        raise OutOfRange("polygon coordinates must be finite and lie in [0, 1]")
-    return poly
-
-
-@dataclass(frozen=True, eq=False)
-class LabelRecord:
-    """One labeled polygon: class id plus >= 3 normalized (x, y) vertices."""
-
-    class_id: int
-    polygon: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "class_id", _class_id(self.class_id, MalformedLabel))
-        object.__setattr__(self, "polygon", _polygon(self.polygon, MalformedLabel))
-
-
-@dataclass(frozen=True, eq=False)
-class DetectionRecord:
-    """One scored prediction: image id, class, confidence and a polygon of
-    >= 3 normalized (x, y) vertices."""
-
-    image_id: str
+    image_id: str | None
     class_id: int
     score: float
     polygon: np.ndarray
 
-    def __post_init__(self):
-        if not isinstance(self.image_id, str):
-            raise MalformedPrediction(f"image id must be a string, got {self.image_id!r}")
-        object.__setattr__(self, "class_id", _class_id(self.class_id, MalformedPrediction))
-        if type(self.score) is not float:
-            if isinstance(self.score, bool) or not isinstance(self.score, numbers.Real):
-                raise MalformedPrediction(f"score must be a number, got {self.score!r}")
-            object.__setattr__(self, "score", float(self.score))
-        if not 0.0 <= self.score <= 1.0:
-            raise OutOfRange(f"score must be in [0, 1], got {self.score}")
-        object.__setattr__(self, "polygon", _polygon(self.polygon, MalformedPrediction))
+
+@dataclass(frozen=True, eq=False)
+class PolygonTable:
+    """One file's polygons as checked columns (see :func:`polygon_table`):
+    int64 ``class_ids``, float64 ``scores``, object ``image_ids`` (None for
+    labels), float64 ``vertices`` ``[V, 2]`` with row ``i``'s polygon at
+    ``starts[i]:starts[i + 1]``, and ``corners`` ``[n, 4]``, each polygon's
+    ``(x0, y0, x1, y1)`` bounds.  An int index gives a :class:`PolygonRow`,
+    a slice or an index array the table of those rows."""
+
+    class_ids: np.ndarray
+    scores: np.ndarray
+    image_ids: np.ndarray | None
+    vertices: np.ndarray
+    starts: np.ndarray
+    corners: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.class_ids)
+
+    def __getitem__(self, index):
+        ids = self.image_ids
+        if isinstance(index, (int, np.integer)):
+            i = range(len(self))[index]  # its IndexError ends an iteration
+            polygon = self.vertices[self.starts[i] : self.starts[i + 1]]
+            image_id = None if ids is None else ids[i]
+            return PolygonRow(image_id, int(self.class_ids[i]), float(self.scores[i]), polygon)
+        rows = np.arange(len(self))[index]
+        counts = np.diff(self.starts)[rows]
+        starts = np.concatenate([[0], np.cumsum(counts)])
+        take = np.repeat(self.starts[rows] - starts[:-1], counts) + np.arange(starts[-1])
+        return PolygonTable(self.class_ids[rows], self.scores[rows], ids if ids is None else ids[rows],
+                            self.vertices[take], starts, self.corners[rows])
+
+
+_SHAPE_ERROR = "polygon needs >= 3 (x, y) vertices, got shape {}"
+
+
+def _stack(polygons, error):
+    """``(vertices, counts, failure)``: the polygons' vertices in one float
+    ``[V, 2]`` array and the count of each, up to the first polygon that is
+    not (x, y) pairs of numbers; ``failure`` is its ``(row, error type,
+    message)``.  A polygon of fewer than 3 pairs ends the stack as its last
+    row, for the vertex-count check."""
+    if set(map(type, polygons)) <= {list}:  # JSON's lists of [x, y] numbers convert at once
+        pairs, counts = list(chain.from_iterable(polygons)), list(map(len, polygons))
+        if set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2} and 0 not in counts:
+            coords = list(chain.from_iterable(pairs))
+            if set(map(type, coords)) <= {float, int}:
+                with suppress(OverflowError):  # an integer beyond float range fails below
+                    return np.array(coords, dtype=np.float64).reshape(-1, 2), counts, None
+    arrays, failure = [], None
+    for row, value in enumerate(polygons):
+        try:
+            poly = np.asarray(value, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            failure = row, error, f"polygon is not an array of numbers ({exc})"
+            break
+        if poly.ndim != 2 or poly.shape[1] != 2:
+            failure = row, error, _SHAPE_ERROR.format(poly.shape)
+            break
+        arrays.append(poly)
+        if len(poly) < 3:
+            break
+        # np.asarray turns "0.5", True and None into floats
+        if not (value.dtype.kind in "fiu" if isinstance(value, np.ndarray) else all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool) for v in chain.from_iterable(value))):
+            failure = row, error, "polygon coordinates must be numbers, not text or bools"
+            break
+    return np.concatenate(arrays) if arrays else np.zeros((0, 2)), [len(a) for a in arrays], failure
+
+
+def _first(flags):
+    """Index of the first true flag, or None."""
+    flags = np.asarray(flags, dtype=bool)
+    return int(flags.argmax()) if flags.any() else None
+
+
+def _score_range_error(score):
+    with suppress(OverflowError):  # an integer beyond float range is shown as it is
+        score = float(score)
+    return f"score must be in [0, 1], got {score}"
+
+
+def _checked(class_ids, scores, image_ids, lines, stacked) -> PolygonTable:
+    """The table of these columns and the polygons ``stacked`` by
+    :func:`_stack`, or the first failing check of the first bad row.  Each
+    check runs once over its column, in a row's order: image id type, class
+    type and range, score type and range, then the polygon's conversion,
+    shape and coordinate types (by :func:`_stack`), vertex count and
+    coordinate range.  The message starts ``line <lines[row]>: ``, or
+    ``row <row>: `` when ``lines`` is None."""
+    vertices, counts, failure = stacked
+    error = MalformedLabel if image_ids is None else MalformedPrediction
+    first = failure or (len(class_ids), None, None)  # (row, error type, message)
+    limit = first[0] + 1  # a polygon error ranks after its row's other errors
+    for column, bad, kind, message in (
+        (image_ids, lambda v: not isinstance(v, str), error,
+         lambda v: f"image id must be a string, got {v!r}"),
+        (class_ids, lambda v: type(v) is not int and (isinstance(v, bool) or not isinstance(v, numbers.Integral)),
+         error, lambda v: f"class must be an integer, got {v!r}"),
+        (class_ids, lambda v: v < 0, error, lambda v: f"class id must be >= 0, got {int(v)}"),
+        (class_ids, lambda v: v >= 2**63, error, lambda v: f"class id must be < 2^63, got {int(v)}"),
+        (scores, lambda v: type(v) is not float and (isinstance(v, bool) or not isinstance(v, numbers.Real)),
+         error, lambda v: f"score must be a number, got {v!r}"),
+        (scores, lambda v: not 0.0 <= v <= 1.0, OutOfRange, _score_range_error),
+    ):
+        row = None if column is None else _first(list(map(bad, column[:limit])))
+        if row is not None:
+            first, limit = (row, kind, message(column[row])), row
+    counts = np.array(counts[: first[0]], dtype=np.intp)
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    short = _first(counts < 3)
+    end = starts[len(counts) if short is None else short]  # a NaN is neither >= 0 nor <= 1
+    outside = _first(~((vertices[:end] >= 0.0) & (vertices[:end] <= 1.0)).all(axis=1))
+    if outside is not None:
+        first = (int(np.searchsorted(starts, outside, side="right")) - 1, OutOfRange,
+                 "polygon coordinates must be finite and lie in [0, 1]")
+    elif short is not None:
+        first = short, error, _SHAPE_ERROR.format((int(counts[short]), 2))
+    row, kind, message = first
+    if kind is not None:
+        raise kind(f"row {row}: {message}" if lines is None else f"line {lines[row]}: {message}")
+    corners = np.hstack([ufunc.reduceat(vertices, starts[:-1]) for ufunc in (np.minimum, np.maximum)])
+    return PolygonTable(np.array([int(v) for v in class_ids], dtype=np.int64),
+                        np.ones(len(counts)) if scores is None else np.array(scores, dtype=np.float64),
+                        image_ids if image_ids is None else np.array(image_ids, dtype=object),
+                        vertices, starts, corners)
+
+
+def _concat(tables) -> PolygonTable:
+    """The rows of prediction ``tables``, in order, as one table."""
+    offsets = np.cumsum([0] + [len(t.vertices) for t in tables])
+    starts = np.concatenate([t.starts[:-1] + o for t, o in zip(tables, offsets)] + [offsets[-1:]])
+    return PolygonTable(np.concatenate([t.class_ids for t in tables]),
+                        np.concatenate([t.scores for t in tables]),
+                        np.concatenate([t.image_ids for t in tables]),
+                        np.concatenate([t.vertices for t in tables]), starts,
+                        np.concatenate([t.corners for t in tables]))
+
+
+def polygon_table(class_ids, polygons, scores=None, image_ids=None) -> PolygonTable:
+    """The checked table of one column per field.  ``polygons`` are ``[k, 2]``
+    sequences of numbers (never text or bools); labels have no ``scores``
+    (all 1.0) and no ``image_ids``.  A bad value raises
+    :class:`MalformedLabel`, or :class:`MalformedPrediction` in a table with
+    image ids, and a number out of range :class:`OutOfRange`, naming the
+    first bad row."""
+    error = MalformedLabel if image_ids is None else MalformedPrediction
+    return _checked(class_ids, scores, image_ids, None, _stack(polygons, error))
 
 
 @dataclass(frozen=True)
@@ -165,34 +252,32 @@ class SplitSpec:
 # label files
 
 
-def parse_label_file(text: str) -> list[LabelRecord]:
-    """Parse ``class x1 y1 x2 y2 ...`` lines into records, order preserved."""
-    records = []
+def parse_label_file(text: str) -> PolygonTable:
+    """Parse ``class x1 y1 x2 y2 ...`` lines into a table, order preserved."""
+    class_ids, counts, coords, lines = [], [], [], []
+    syntax = None  # reported unless an earlier line fails a value check
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
         if not tokens:
             continue
         try:
             class_id = int(tokens[0])
-            coords = [float(tok) for tok in tokens[1:]]
+            values = [float(tok) for tok in tokens[1:]]
         except ValueError as exc:
-            raise MalformedLabel(f"line {lineno}: unparseable token ({exc})") from None
-        if len(coords) % 2 != 0:
-            raise MalformedLabel(f"line {lineno}: odd coordinate count {len(coords)}")
-        polygon = np.array(coords, dtype=np.float64).reshape(-1, 2)
-        try:
-            records.append(LabelRecord(class_id, polygon))
-        except (MalformedLabel, OutOfRange) as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from None
-    return records
-
-
-def serialize_label_file(records) -> str:
-    lines = []
-    for record in records:
-        coords = " ".join(repr(float(v)) for v in record.polygon.ravel())
-        lines.append(f"{record.class_id} {coords}")
-    return "\n".join(lines) + ("\n" if lines else "")
+            syntax = MalformedLabel(f"line {lineno}: unparseable token ({exc})")
+            break
+        if len(values) % 2 != 0:
+            syntax = MalformedLabel(f"line {lineno}: odd coordinate count {len(values)}")
+            break
+        class_ids.append(class_id)
+        counts.append(len(values) // 2)
+        coords.extend(values)
+        lines.append(lineno)
+    vertices = np.array(coords, dtype=np.float64).reshape(-1, 2)
+    table = _checked(class_ids, None, None, lines, (vertices, counts, None))
+    if syntax is not None:
+        raise syntax
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -363,42 +448,48 @@ def write_pgm(image) -> bytes:
 # prediction files (JSON lines)
 
 
-def read_predictions(text: str) -> list[DetectionRecord]:
+_CHUNK_ROWS = 1024  # parsed JSON takes far more memory than its table: check it as it comes
+
+
+def _json_row(lineno, line):
+    """``(lineno, image, class, score, polygon)`` of one prediction line."""
+    try:
+        doc = json.loads(line)
+    except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
+        raise MalformedPrediction(f"line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
+    except RecursionError:
+        raise MalformedPrediction(f"line {lineno}: invalid JSON (nested too deeply)") from None
+    if not isinstance(doc, dict):
+        raise MalformedPrediction(f"line {lineno}: expected a JSON object")
+    try:
+        return lineno, doc["image"], doc["class"], doc["score"], doc["polygon"]
+    except KeyError as exc:
+        raise MalformedPrediction(f"line {lineno}: missing key {exc}") from None
+
+
+def read_predictions(text: str) -> PolygonTable:
     """One JSON object per line: ``image``, ``class``, ``score``, ``polygon``."""
-    records = []
+
+    def table(rows):
+        lines, image_ids, class_ids, scores, polygons = zip(*rows) if rows else ((),) * 5
+        return _checked(class_ids, scores, image_ids, lines, _stack(polygons, MalformedPrediction))
+
+    tables, rows, syntax = [], [], None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedPrediction(f"line {lineno}: invalid JSON ({exc.msg})") from None
-        except RecursionError:
-            raise MalformedPrediction(f"line {lineno}: invalid JSON (nested too deeply)") from None
-        if not isinstance(doc, dict):
-            raise MalformedPrediction(f"line {lineno}: expected a JSON object")
-        try:
-            fields = doc["image"], doc["class"], doc["score"], doc["polygon"]
-        except KeyError as exc:
-            raise MalformedPrediction(f"line {lineno}: missing key {exc}") from None
-        try:
-            records.append(DetectionRecord(*fields))
-        except (MalformedPrediction, OutOfRange) as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from None
-    return records
-
-
-def serialize_predictions(records) -> str:
-    lines = []
-    for r in records:
-        doc = {
-            "image": r.image_id,
-            "class": r.class_id,
-            "score": r.score,
-            "polygon": [[float(x), float(y)] for x, y in r.polygon],
-        }
-        lines.append(json.dumps(doc))
-    return "\n".join(lines) + ("\n" if lines else "")
+            rows.append(_json_row(lineno, line))
+        except MalformedPrediction as exc:  # reported unless an earlier line fails a value check
+            syntax = exc
+            break
+        if len(rows) == _CHUNK_ROWS:
+            tables.append(table(rows))
+            rows = []
+    tables.append(table(rows))
+    if syntax is not None:
+        raise syntax
+    return _concat(tables)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,15 @@
 """Detection evaluation: confusion-count metrics, instance matching,
 precision-recall curves and average precision.
 
-Matching takes the records of :mod:`crackscope.dataio`: predictions are
-``DetectionRecord``s, ground truths ``LabelRecord``s or ``DetectionRecord``s.
-It is greedy by descending score (ties keep input order): each prediction
-claims the unmatched ground truth of highest IoU at or above the threshold
-(the first such at IoU ties), and every ground truth is claimed at most
-once.  Each image's ``len(preds) x len(gts)`` IoU matrix is built once: box
-IoU from per-record corners with numpy, mask IoU from one cropped raster
-per record (:func:`crackscope.dataio.polygon_to_crop`), counting the
-intersection only where two crops overlap.  Average precision integrates
+Matching takes one image's predictions and ground truths as
+:class:`crackscope.dataio.PolygonTable`s and reads their class, score and
+corner columns.  It is greedy by descending score (ties keep input order):
+each prediction claims the unmatched ground truth of highest IoU at or above
+the threshold (the first such at IoU ties), and every ground truth is
+claimed at most once.  Each image's ``len(preds) x len(gts)`` IoU matrix is
+built once: box IoU from the corner columns with numpy, mask IoU from one
+cropped raster per row (:func:`crackscope.dataio.polygon_to_crop`), counting
+the intersection only where two crops overlap.  Average precision integrates
 the all-points interpolated precision envelope ``p(r) = max over r' >= r
 of p(r')`` over recall, built by one backward running max, so only the
 order of scores matters, never their values, and the cost is linear in the
@@ -109,14 +109,6 @@ def pixel_confusion(pred, gt) -> ConfusionCounts:
 # instance matching
 
 
-def _corners(records) -> np.ndarray:
-    """``[n, 4]`` corners ``(x0, y0, x1, y1)``: each record's polygon bounds."""
-    polygons = [record.polygon for record in records]
-    vertices = np.concatenate(polygons)
-    starts = np.cumsum([0] + [len(polygon) for polygon in polygons[:-1]])
-    return np.hstack([np.minimum.reduceat(vertices, starts), np.maximum.reduceat(vertices, starts)])
-
-
 def _overlap(a, b):
     """Pairwise intersection extents of ``[n, 4]`` and ``[m, 4]`` corner arrays."""
     iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
@@ -124,8 +116,8 @@ def _overlap(a, b):
     return iw, ih
 
 
-def _box_iou_matrix(preds, gts) -> np.ndarray:
-    a, b = _corners(preds), _corners(gts)
+def _box_iou_matrix(a, b) -> np.ndarray:
+    """Box IoU of every pair of ``[n, 4]`` and ``[m, 4]`` corner rows."""
     iw, ih = _overlap(a, b)
     inter = iw * ih
     area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
@@ -136,7 +128,7 @@ def _box_iou_matrix(preds, gts) -> np.ndarray:
 
 
 def _mask_iou_matrix(preds, gts, extent) -> np.ndarray:
-    """Pixel IoU of every pair from one cropped raster per record; two empty
+    """Pixel IoU of every pair from one cropped raster per row; two empty
     rasters score 1.0."""
     width, height = extent
     crops = [[polygon_to_crop(r.polygon, width, height) for r in side] for side in (preds, gts)]
@@ -161,14 +153,16 @@ def _mask_iou_matrix(preds, gts, extent) -> np.ndarray:
 def match_instances(
     preds, gts, iou_thresh: float = 0.5, mode: str = "box", extent: tuple[int, int] = (256, 256)
 ):
-    """Greedy single-match assignment for one image.
+    """Greedy single-match assignment for one image's prediction and ground
+    truth tables.
 
-    Returns ``(flags, fn)`` where ``flags[i]`` says whether ``preds[i]`` is a
-    true positive and ``fn`` counts unmatched ground truths.  Predictions are
-    visited in descending score order (ties by input order); only same-class
-    ground truths are eligible; ``extent`` is the (width, height) raster used
-    for mask-mode IoU.  The IoU matrix of the image is built once; a pick is
-    the first maximum of the prediction's row over the eligible ground truths.
+    Returns ``(flags, fn)`` where ``flags[i]`` says whether row ``i`` of
+    ``preds`` is a true positive and ``fn`` counts unmatched ground truths.
+    Predictions are visited in descending score order (ties by input order);
+    only same-class ground truths are eligible; ``extent`` is the (width,
+    height) raster used for mask-mode IoU.  The IoU matrix of the image is
+    built once; a pick is the first maximum of the prediction's row over the
+    eligible ground truths.
     """
     if not 0.0 < iou_thresh <= 1.0:
         raise OutOfRange(f"iou threshold must be in (0, 1], got {iou_thresh}")
@@ -177,13 +171,15 @@ def match_instances(
     flags = [False] * len(preds)
     if not preds or not gts:
         return flags, len(gts)
-    iou = _box_iou_matrix(preds, gts) if mode == "box" else _mask_iou_matrix(preds, gts, extent)
+    if mode == "box":
+        iou = _box_iou_matrix(preds.corners, gts.corners)
+    else:
+        iou = _mask_iou_matrix(preds, gts, extent)
     # other-class and (below) taken ground truths score 0, which never reaches the threshold
-    iou[np.array([p.class_id for p in preds])[:, None]
-        != np.array([g.class_id for g in gts])[None, :]] = 0.0
+    iou[preds.class_ids[:, None] != gts.class_ids[None, :]] = 0.0
     reachable = iou.max(axis=1) >= iou_thresh
     taken = 0
-    for i in sorted(range(len(preds)), key=lambda i: -preds[i].score):
+    for i in np.argsort(-preds.scores, kind="stable").tolist():
         if not reachable[i]:
             continue
         j = int(np.argmax(iou[i]))

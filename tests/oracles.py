@@ -5,10 +5,16 @@ Python loops, exhaustive scans) and shares no code with the library paths
 it checks.
 """
 
+import json
 import math
+import numbers
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from crackscope.errors import MalformedLabel, MalformedPrediction, OutOfRange
 
 
 # ---------------------------------------------------------------------------
@@ -454,3 +460,132 @@ def l_shape_mask(shape, thickness, arm):
     mask[10 : 10 + arm, 10 : 10 + thickness] = True
     mask[10 + arm - thickness : 10 + arm, 10 : 10 + arm] = True
     return mask
+
+
+# ---------------------------------------------------------------------------
+# label and prediction files: one checked record object per line, the
+# readers that ``crackscope.dataio``'s one column check replaced, unchanged
+
+
+def _class_id(value, error) -> int:
+    """``value`` as a class id, an integer >= 0; anything else is ``error``."""
+    # exact-type test first: the ABC check is slow, and bool is an int
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise error(f"class must be an integer, got {value!r}")
+        value = int(value)
+    if value < 0:
+        raise error(f"class id must be >= 0, got {value}")
+    return value
+
+
+def _all_numbers(polygon) -> bool:
+    """Whether a ``[k, 2]`` polygon holds only numbers: ``np.asarray`` would
+    turn ``"0.5"`` and ``True`` into floats."""
+    if isinstance(polygon, np.ndarray):
+        return polygon.dtype.kind in "fiu"
+    for x, y in polygon:
+        # exact types first, as JSON gives them: the ABC checks are slow
+        if type(x) is not float or type(y) is not float:
+            values = chain.from_iterable(polygon)
+            return all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values)
+    return True
+
+
+def _polygon(value, error) -> np.ndarray:
+    """``value`` as a ``[k >= 3, 2]`` float array.  A bad shape or a value
+    that is not a number is ``error``; a value that is not finite and in
+    [0, 1] is :class:`OutOfRange`."""
+    try:
+        poly = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"polygon is not an array of numbers ({exc})") from None
+    if poly.ndim != 2 or poly.shape[1] != 2 or poly.shape[0] < 3:
+        raise error(f"polygon needs >= 3 (x, y) vertices, got shape {poly.shape}")
+    if not _all_numbers(value):
+        raise error("polygon coordinates must be numbers, not text or bools")
+    if not (poly.min() >= 0.0 and poly.max() <= 1.0):  # a NaN fails both
+        raise OutOfRange("polygon coordinates must be finite and lie in [0, 1]")
+    return poly
+
+
+@dataclass(frozen=True, eq=False)
+class LabelRecord:
+    """One labeled polygon: class id plus >= 3 normalized (x, y) vertices."""
+
+    class_id: int
+    polygon: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "class_id", _class_id(self.class_id, MalformedLabel))
+        object.__setattr__(self, "polygon", _polygon(self.polygon, MalformedLabel))
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionRecord:
+    """One scored prediction: image id, class, confidence and a polygon of
+    >= 3 normalized (x, y) vertices."""
+
+    image_id: str
+    class_id: int
+    score: float
+    polygon: np.ndarray
+
+    def __post_init__(self):
+        if not isinstance(self.image_id, str):
+            raise MalformedPrediction(f"image id must be a string, got {self.image_id!r}")
+        object.__setattr__(self, "class_id", _class_id(self.class_id, MalformedPrediction))
+        if type(self.score) is not float:
+            if isinstance(self.score, bool) or not isinstance(self.score, numbers.Real):
+                raise MalformedPrediction(f"score must be a number, got {self.score!r}")
+            object.__setattr__(self, "score", float(self.score))
+        if not 0.0 <= self.score <= 1.0:
+            raise OutOfRange(f"score must be in [0, 1], got {self.score}")
+        object.__setattr__(self, "polygon", _polygon(self.polygon, MalformedPrediction))
+
+
+def parse_label_file(text: str) -> list[LabelRecord]:
+    """Parse ``class x1 y1 x2 y2 ...`` lines into records, order preserved."""
+    records = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        try:
+            class_id = int(tokens[0])
+            coords = [float(tok) for tok in tokens[1:]]
+        except ValueError as exc:
+            raise MalformedLabel(f"line {lineno}: unparseable token ({exc})") from None
+        if len(coords) % 2 != 0:
+            raise MalformedLabel(f"line {lineno}: odd coordinate count {len(coords)}")
+        polygon = np.array(coords, dtype=np.float64).reshape(-1, 2)
+        try:
+            records.append(LabelRecord(class_id, polygon))
+        except (MalformedLabel, OutOfRange) as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
+    return records
+
+
+def read_predictions(text: str) -> list[DetectionRecord]:
+    """One JSON object per line: ``image``, ``class``, ``score``, ``polygon``."""
+    records = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedPrediction(f"line {lineno}: invalid JSON ({exc.msg})") from None
+        except RecursionError:
+            raise MalformedPrediction(f"line {lineno}: invalid JSON (nested too deeply)") from None
+        if not isinstance(doc, dict):
+            raise MalformedPrediction(f"line {lineno}: expected a JSON object")
+        try:
+            fields = doc["image"], doc["class"], doc["score"], doc["polygon"]
+        except KeyError as exc:
+            raise MalformedPrediction(f"line {lineno}: missing key {exc}") from None
+        try:
+            records.append(DetectionRecord(*fields))
+        except (MalformedPrediction, OutOfRange) as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
+    return records

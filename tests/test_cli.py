@@ -353,6 +353,39 @@ class TestBadValues:
         _one_error_line(err)
         assert err.startswith(f"error: {pred_path}: line 4: invalid JSON")
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("score", "1" + "0" * 400, "score must be in [0, 1], got 1" + "0" * 400),
+         ("class", "1" + "0" * 5000, "invalid JSON (Exceeds the limit (4300 digits)"),
+         ("class", str(2**63), "class id must be < 2^63, got 9223372036854775808")],
+        ids=["score-beyond-float", "integer-over-digit-limit", "class-beyond-int64"],
+    )
+    def test_huge_prediction_integers(self, eval_fixture, field, value, message, capsys):
+        gt_dir, pred_path = eval_fixture
+        fields = {"image": '"img1"', "class": "0", "score": "0.5",
+                  "polygon": "[[0.1, 0.1], [0.2, 0.1], [0.2, 0.2]]", field: value}
+        bad = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+        pred_path.write_text(pred_path.read_text() + bad + "\n")
+        assert main(["eval", "--gt", str(gt_dir), "--pred", str(pred_path)]) == 1
+        err = capsys.readouterr().err
+        _one_error_line(err)
+        assert err.startswith(f"error: {pred_path}: line 4: {message}")
+
+    def test_label_class_beyond_int64(self, eval_fixture, capsys):
+        gt_dir, pred_path = eval_fixture
+        (gt_dir / "img2.txt").write_text(f"0 0.1 0.1 0.9 0.1 0.5 0.9\n{2**63} 0.1 0.1 0.9 0.1 0.5 0.9\n")
+        assert main(["eval", "--gt", str(gt_dir), "--pred", str(pred_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {gt_dir / 'img2.txt'}: line 2: class id must be < 2^63, got {2**63}\n")
+
+    def test_label_files_naming_one_image_twice(self, eval_fixture, capsys):
+        # a.txt and a.TXT both label image "a": neither may silently replace the other
+        gt_dir, pred_path = eval_fixture
+        (gt_dir / "img1.TXT").write_text("0 0.7 0.7 0.9 0.7 0.9 0.9 0.7 0.9\n")
+        assert main(["eval", "--gt", str(gt_dir), "--pred", str(pred_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {gt_dir / 'img1.TXT'} and {gt_dir / 'img1.txt'} both label image 'img1'\n")
+
     @pytest.mark.parametrize("target", ["label", "pred", "list"])
     def test_non_utf8_input_names_the_file(self, eval_fixture, tmp_path, target, capsys):
         gt_dir, pred_path = eval_fixture

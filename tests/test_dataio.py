@@ -7,17 +7,16 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies
+from crackscope import dataio
 from crackscope.dataio import (
-    LabelRecord,
     SplitSpec,
     atomic_write_text,
     parse_label_file,
+    polygon_table,
     polygon_to_crop,
     polygon_to_mask,
     read_pgm,
     read_predictions,
-    serialize_label_file,
-    serialize_predictions,
     split_dataset,
     write_pgm,
 )
@@ -39,8 +38,10 @@ class TestLabelFiles:
         assert records[0].polygon.shape == (3, 2)
 
     def test_empty_file(self):
-        assert parse_label_file("") == []
-        assert parse_label_file("\n\n") == []
+        for text in ("", "\n\n"):
+            table = parse_label_file(text)
+            assert len(table) == 0 and not table
+            assert table.vertices.shape == (0, 2) and table.corners.shape == (0, 4)
 
     def test_odd_coordinates_rejected(self):
         with pytest.raises(MalformedLabel):
@@ -67,8 +68,8 @@ class TestLabelFiles:
     def test_record_checks_coordinates(self, bad):
         polygon = np.array([[0.1, 0.1], [0.9, 0.1], [0.5, 0.9]])
         polygon[2, 0] = bad
-        with pytest.raises(OutOfRange):
-            LabelRecord(0, polygon)
+        with pytest.raises(OutOfRange, match="^row 0: polygon coordinates must be finite"):
+            polygon_table([0], [polygon])
 
     @pytest.mark.parametrize(
         "class_id, polygon",
@@ -78,28 +79,17 @@ class TestLabelFiles:
     )
     def test_record_checks_types_as_a_prediction_does(self, class_id, polygon):
         with pytest.raises(MalformedLabel):
-            LabelRecord(class_id, polygon)
+            polygon_table([class_id], [polygon])
 
     def test_garbage_token(self):
         with pytest.raises(MalformedLabel):
             parse_label_file("0 0.1 0.1 x 0.1 0.5 0.9\n")
 
-    def test_round_trip(self):
-        text = "0 0.1 0.1 0.9 0.1 0.5 0.9\n2 0.0 0.0 1.0 0.0 1.0 1.0 0.0 1.0\n"
-        records = parse_label_file(text)
-        again = parse_label_file(serialize_label_file(records))
-        assert len(again) == len(records)
-        for a, b in zip(records, again):
-            assert a.class_id == b.class_id
-            assert np.array_equal(a.polygon, b.polygon)
-        # serialize is stable modulo float formatting
-        assert serialize_label_file(again) == serialize_label_file(records)
-
 
 class TestPolygonToMask:
     def test_full_frame_square(self):
-        square = LabelRecord(0, np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float))
-        mask = polygon_to_mask(square.polygon, 16, 12)
+        square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+        mask = polygon_to_mask(square, 16, 12)
         assert mask.all()
 
     def test_pixel_center_rule(self):
@@ -114,10 +104,10 @@ class TestPolygonToMask:
 
     def test_degenerate_polygon_warns_empty(self):
         """A zero-area polygon rasterizes empty, and without a warning."""
-        flat = LabelRecord(0, np.array([[0.2, 0.2], [0.8, 0.2], [0.5, 0.2]]))
+        flat = np.array([[0.2, 0.2], [0.8, 0.2], [0.5, 0.2]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mask = polygon_to_mask(flat.polygon, 8, 8)
+            mask = polygon_to_mask(flat, 8, 8)
         assert not mask.any()
 
     def test_matches_point_in_polygon_oracle(self):
@@ -311,13 +301,44 @@ class TestPredictions:
         with pytest.raises(MalformedPrediction):
             read_predictions('{"image": "a", "score": 0.5}\n')
 
-    def test_round_trip(self):
-        line = '{"image": "a", "class": 1, "score": 0.25, "polygon": [[0.1, 0.1], [0.5, 0.1], [0.3, 0.6]]}'
-        records = read_predictions(line)
-        again = read_predictions(serialize_predictions(records))
-        assert again[0].image_id == records[0].image_id
-        assert np.array_equal(again[0].polygon, records[0].polygon)
-        assert serialize_predictions(again) == serialize_predictions(records)
+    def test_columns_and_row_views(self):
+        lines = [
+            '{"image": "b", "class": 1, "score": 0.25, "polygon": [[0.1, 0.1], [0.5, 0.1], [0.3, 0.6]]}',
+            '{"image": "a", "class": 0, "score": 1, "polygon": [[0, 0], [1, 0], [1, 1], [0, 1]]}',
+        ]
+        table = read_predictions("\n".join(lines))
+        assert table.image_ids.tolist() == ["b", "a"] and table.class_ids.dtype == np.int64
+        assert table.scores.tolist() == [0.25, 1.0] and table.starts.tolist() == [0, 3, 7]
+        assert table.corners.tolist() == [[0.1, 0.1, 0.5, 0.6], [0.0, 0.0, 1.0, 1.0]]
+        row = table[1]
+        assert (row.image_id, row.class_id, row.score) == ("a", 0, 1.0)
+        assert np.array_equal(row.polygon, [[0, 0], [1, 0], [1, 1], [0, 1]])
+        assert list(table)[0].image_id == "b" and table[-1].image_id == "a"
+
+    def test_index_array_reorders_rows(self):
+        lines = [
+            '{"image": "%s", "class": %d, "score": 0.5, "polygon": %s}'
+            % (image, k, [[0.1 * k, 0.1]] + [[0.5, 0.1]] * (k + 2))
+            for k, image in enumerate("abc")
+        ]
+        table = read_predictions("\n".join(lines))
+        picked = table[np.array([2, 0])]
+        assert picked.image_ids.tolist() == ["c", "a"] and picked.class_ids.tolist() == [2, 0]
+        assert picked.starts.tolist() == [0, 5, 8]
+        assert np.array_equal(picked[0].polygon, table[2].polygon)
+        assert np.array_equal(picked[1].polygon, table[0].polygon)
+        assert np.array_equal(picked.corners, table.corners[[2, 0]])
+        assert len(table[1:1]) == 0
+
+    def test_rows_past_a_chunk_join_in_order(self):
+        line = '{"image": "a%d", "class": 0, "score": 0.5, "polygon": [[0.1, 0.1], [0.5, 0.1], [0.3, 0.6]]}'
+        count = 2 * dataio._CHUNK_ROWS + 3
+        table = read_predictions("\n".join(line % i for i in range(count)))
+        assert table.image_ids.tolist() == [f"a{i}" for i in range(count)]
+        assert table.starts.tolist() == list(range(0, 3 * count + 1, 3))
+        bad = "\n".join(line % i for i in range(count - 1)) + "\n" + (line % 0).replace("0.3", "1.3")
+        with pytest.raises(OutOfRange, match=f"^line {count}: "):
+            read_predictions(bad)
 
 
 class TestAtomicWrite:

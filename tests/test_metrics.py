@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 import strategies
 from crackscope.boxes import BBox
-from crackscope.dataio import DetectionRecord, polygon_to_mask
+from crackscope.dataio import PolygonRow, polygon_table, polygon_to_mask
 from crackscope.errors import CrackscopeError, OutOfRange, UndefinedMetric
 from crackscope.metrics import (
     ConfusionCounts,
@@ -139,11 +139,22 @@ def _rect(box):
 
 
 def _pred(score, box, image="img", cls=0):
-    return DetectionRecord(image, cls, score, _rect(box))
+    return PolygonRow(image, cls, score, _rect(box))
 
 
 def _gt(box, cls=0):
-    return DetectionRecord("img", cls, 1.0, _rect(box))
+    return PolygonRow("img", cls, 1.0, _rect(box))
+
+
+def _table(rows):
+    """The checked table of prediction rows."""
+    columns = [[getattr(row, field) for row in rows] for field in PolygonRow._fields]
+    image_ids, class_ids, scores, polygons = columns
+    return polygon_table(class_ids, polygons, scores, image_ids)
+
+
+def _match(preds, gts, *args, **kwargs):
+    return match_instances(_table(preds), _table(gts), *args, **kwargs)
 
 
 _TRIANGLE = [[0.1, 0.1], [0.5, 0.1], [0.3, 0.6]]
@@ -152,20 +163,20 @@ _TRIANGLE = [[0.1, 0.1], [0.5, 0.1], [0.3, 0.6]]
 class TestMatchInstances:
     def test_exact_hit(self):
         box = BBox(5, 5, 4, 4)
-        flags, fn = match_instances([_pred(0.9, box)], [_gt(box)], 0.5)
+        flags, fn = _match([_pred(0.9, box)], [_gt(box)], 0.5)
         assert flags == [True]
         assert fn == 0
 
     def test_two_preds_one_gt(self):
         box = BBox(5, 5, 4, 4)
         preds = [_pred(0.7, box), _pred(0.9, box)]
-        flags, fn = match_instances(preds, [_gt(box)], 0.5)
+        flags, fn = _match(preds, [_gt(box)], 0.5)
         assert flags == [False, True]  # higher score wins the single match
         assert fn == 0
 
     def test_class_mismatch_never_matches(self):
         box = BBox(5, 5, 4, 4)
-        flags, fn = match_instances([_pred(0.9, box, cls=1)], [_gt(box, cls=0)], 0.5)
+        flags, fn = _match([_pred(0.9, box, cls=1)], [_gt(box, cls=0)], 0.5)
         assert flags == [False]
         assert fn == 1
 
@@ -173,7 +184,7 @@ class TestMatchInstances:
         near = BBox(5, 5, 4, 4)
         far = BBox(5.5, 5, 4, 4)
         preds = [_pred(0.8, far), _pred(0.8, near)]
-        flags, _fn = match_instances(preds, [_gt(near)], 0.5)
+        flags, _fn = _match(preds, [_gt(near)], 0.5)
         assert flags == [True, False]  # first tied pred claims the gt
 
     def test_counts_balance(self):
@@ -187,7 +198,7 @@ class TestMatchInstances:
                 _gt(BBox(*rng.uniform(2, 8, 2), *rng.uniform(1, 4, 2)))
                 for _ in range(int(rng.integers(0, 5)))
             ]
-            flags, fn = match_instances(preds, gts, 0.5)
+            flags, fn = _match(preds, gts, 0.5)
             tp = sum(flags)
             assert tp + fn == len(gts)
             assert tp <= len(preds)
@@ -207,7 +218,7 @@ class TestMatchInstances:
             ]
             preds = [_pred(score, box) for score, box in pred_boxes]
             gts = [_gt(box) for box in gt_boxes]
-            flags, fn = match_instances(preds, gts, 0.3)
+            flags, fn = _match(preds, gts, 0.3)
             matrix = [[box_iou(p, g) for g in gt_boxes] for _, p in pred_boxes]
             want_flags, want_fn = oracles.greedy_match_reference(
                 [p.score for p in preds], [1] * len(gts), matrix, 0.3
@@ -218,33 +229,33 @@ class TestMatchInstances:
     def test_mask_mode_uses_polygon_rasters(self):
         square = np.array([[0.25, 0.25], [0.75, 0.25], [0.75, 0.75], [0.25, 0.75]])
         offset = square + 0.05
-        pred = DetectionRecord("img", 0, 0.9, polygon=offset)
-        gt = DetectionRecord("img", 0, 1.0, polygon=square)
-        flags, fn = match_instances([pred], [gt], 0.5, mode="mask", extent=(64, 64))
+        pred = PolygonRow("img", 0, 0.9, offset)
+        gt = PolygonRow("img", 0, 1.0, square)
+        flags, fn = _match([pred], [gt], 0.5, mode="mask", extent=(64, 64))
         assert flags == [True] and fn == 0
-        flags, fn = match_instances([pred], [gt], 0.95, mode="mask", extent=(64, 64))
+        flags, fn = _match([pred], [gt], 0.95, mode="mask", extent=(64, 64))
         assert flags == [False] and fn == 1
 
     def test_unknown_mode_is_a_library_error(self):
         box = BBox(5, 5, 4, 4)
         with pytest.raises(CrackscopeError, match="unknown matching mode 'poly'"):
-            match_instances([_pred(0.9, box)], [_gt(box)], 0.5, mode="poly")
+            _match([_pred(0.9, box)], [_gt(box)], 0.5, mode="poly")
 
     def test_iou_tie_picks_first_ground_truth(self):
         box = BBox(5, 5, 4, 4)
-        flags, fn = match_instances([_pred(0.9, box)], [_gt(BBox(9, 9, 1, 1)), _gt(box), _gt(box)], 0.5)
+        flags, fn = _match([_pred(0.9, box)], [_gt(BBox(9, 9, 1, 1)), _gt(box), _gt(box)], 0.5)
         assert flags == [True] and fn == 2
         # left and right shifts tie at IoU 0.6; the left one is listed first and
         # taken, so the later prediction, which only clears 0.5 on it, misses
         left, right = _gt(BBox(4, 5, 4, 4)), _gt(BBox(6, 5, 4, 4))
-        flags, fn = match_instances([_pred(0.9, box), _pred(0.8, BBox(3.5, 5, 4, 4))], [left, right], 0.5)
+        flags, fn = _match([_pred(0.9, box), _pred(0.8, BBox(3.5, 5, 4, 4))], [left, right], 0.5)
         assert flags == [True, False] and fn == 1
-        flags, fn = match_instances([_pred(0.9, box), _pred(0.8, BBox(3.5, 5, 4, 4))], [right, left], 0.5)
+        flags, fn = _match([_pred(0.9, box), _pred(0.8, BBox(3.5, 5, 4, 4))], [right, left], 0.5)
         assert flags == [True, True] and fn == 0
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(OutOfRange):
-            match_instances([], [], 0.0)
+            _match([], [], 0.0)
 
 
 class TestPrCurve:
@@ -409,15 +420,14 @@ def _image(draw, max_preds=8, max_gts=6):
             polygon = gts[draw(st.integers(0, len(gts) - 1))].polygon
         else:
             polygon = draw(strategies.unit_polygons())
-        gts.append(DetectionRecord("img", draw(strategies.classes), 1.0, polygon=polygon))
+        gts.append(PolygonRow("img", draw(strategies.classes), 1.0, polygon))
     preds = []
     for _ in range(draw(st.integers(0, max_preds))):
         if gts and draw(st.booleans()):
             polygon = gts[draw(st.integers(0, len(gts) - 1))].polygon
         else:
             polygon = draw(strategies.unit_polygons())
-        preds.append(DetectionRecord("img", draw(strategies.classes), draw(strategies.scores),
-                                     polygon=polygon))
+        preds.append(PolygonRow("img", draw(strategies.classes), draw(strategies.scores), polygon))
     return preds, gts
 
 
@@ -444,7 +454,7 @@ class TestMatchInstancesOracle:
                 oracles.polygon_corners(p.polygon), oracles.polygon_corners(g.polygon)
             )
 
-        assert match_instances(preds, gts, thresh) == _reference_match(preds, gts, thresh, pair_iou)
+        assert _match(preds, gts, thresh) == _reference_match(preds, gts, thresh, pair_iou)
 
     @given(_image(), _thresholds, st.integers(1, 40), st.integers(1, 40))
     @settings(max_examples=150, deadline=None)
@@ -456,15 +466,15 @@ class TestMatchInstancesOracle:
                 polygon_to_mask(p.polygon, width, height), polygon_to_mask(g.polygon, width, height)
             )
 
-        got = match_instances(preds, gts, thresh, mode="mask", extent=(width, height))
+        got = _match(preds, gts, thresh, mode="mask", extent=(width, height))
         assert got == _reference_match(preds, gts, thresh, pair_iou)
 
     def test_empty_rasters_match_each_other(self):
         """Two polygons too small to cover a pixel center score IoU 1.0, as in oracles.mask_iou."""
         speck = np.array([[0.501, 0.501], [0.502, 0.501], [0.502, 0.502]])
-        pred = DetectionRecord("img", 0, 0.9, polygon=speck)
-        gt = DetectionRecord("img", 0, 1.0, polygon=speck + 0.3)
-        assert match_instances([pred], [gt], 1.0, mode="mask", extent=(8, 8)) == ([True], 0)
+        pred = PolygonRow("img", 0, 0.9, speck)
+        gt = PolygonRow("img", 0, 1.0, speck + 0.3)
+        assert _match([pred], [gt], 1.0, mode="mask", extent=(8, 8)) == ([True], 0)
 
 
 class TestCsvExport:
@@ -477,23 +487,29 @@ class TestCsvExport:
         assert text.endswith("\n")
 
 
+def _detection(image, cls, score, polygon):
+    return polygon_table([cls], [polygon], [score], [image])
+
+
 class TestDetectionRecord:
+    """The checks a prediction row goes through when its table is built."""
+
     def test_score_out_of_range(self):
         with pytest.raises(OutOfRange):
-            DetectionRecord("a", 0, 1.5, _TRIANGLE)
+            _detection("a", 0, 1.5, _TRIANGLE)
 
     def test_needs_geometry(self):
         from crackscope.errors import MalformedPrediction
 
         with pytest.raises(MalformedPrediction):
-            DetectionRecord("a", 0, 0.5, None)
+            _detection("a", 0, 0.5, None)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1, 1.1])
     def test_polygon_coordinates_checked(self, bad):
         polygon = np.array([[0.1, 0.1], [0.5, 0.1], [0.3, 0.6]])
         polygon[1, 1] = bad
         with pytest.raises(OutOfRange):
-            DetectionRecord("a", 0, 0.5, polygon=polygon)
+            _detection("a", 0, 0.5, polygon)
 
     @pytest.mark.parametrize(
         "image, cls, score",
@@ -504,7 +520,7 @@ class TestDetectionRecord:
         from crackscope.errors import MalformedPrediction
 
         with pytest.raises(MalformedPrediction):
-            DetectionRecord(image, cls, score, _TRIANGLE)
+            _detection(image, cls, score, _TRIANGLE)
 
     @pytest.mark.parametrize(
         "polygon",
@@ -516,17 +532,17 @@ class TestDetectionRecord:
         from crackscope.errors import MalformedPrediction
 
         with pytest.raises(MalformedPrediction):
-            DetectionRecord("a", 0, 0.5, polygon=polygon)
+            _detection("a", 0, 0.5, polygon)
 
     def test_numpy_and_integer_values_accepted(self):
-        record = DetectionRecord("a", np.int64(2), 1, _TRIANGLE)
+        record = _detection("a", np.int64(2), 1, _TRIANGLE)[0]
         assert type(record.class_id) is int and record.class_id == 2
         assert type(record.score) is float and record.score == 1.0
-        record = DetectionRecord("a", 0, 0.5, polygon=[[0, 0], [1, np.float32(0.5)], [0.5, 1]])
+        record = _detection("a", 0, 0.5, [[0, 0], [1, np.float32(0.5)], [0.5, 1]])[0]
         assert np.array_equal(record.polygon, [[0, 0], [1, 0.5], [0.5, 1]])
 
     def test_short_polygon_rejected(self):
         from crackscope.errors import MalformedPrediction
 
         with pytest.raises(MalformedPrediction):
-            DetectionRecord("a", 0, 0.5, polygon=np.array([[0.1, 0.1], [0.2, 0.2]]))
+            _detection("a", 0, 0.5, np.array([[0.1, 0.1], [0.2, 0.2]]))
