@@ -120,7 +120,7 @@ def _cmd_eval(args) -> int:
     unknown = sorted(set(preds.image_ids) - set(gts))
     if unknown:
         raise CrackscopeError(
-            f"predictions reference {len(unknown)} unknown image id(s): "
+            f"{args.pred}: predictions reference {len(unknown)} unknown image id(s): "
             + ", ".join(repr(image_id) for image_id in unknown)
         )
 

@@ -256,11 +256,16 @@ def parse_label_file(text: str) -> PolygonTable:
     """Parse ``class x1 y1 x2 y2 ...`` lines into a table, order preserved."""
     class_ids, counts, coords, lines = [], [], [], []
     syntax = None  # reported unless an earlier line fails a value check
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    plain = text.isascii() and "_" not in text  # else int() and float() may read '1_0' or '٣'
+    # a line ends at "\n" only: str.splitlines also ends one at "\f", "\x85",
+    # "\u2028" and their kin; the "\r" of "\r\n" is whitespace to both readers
+    for lineno, line in enumerate(text.split("\n"), start=1):
         tokens = line.split()
         if not tokens:
             continue
         try:
+            if not plain and (odd := [tok for tok in tokens if not tok.isascii() or "_" in tok]):
+                raise ValueError(f"{odd[0]!r} holds '_' or a non-ASCII character")
             class_id = int(tokens[0])
             values = [float(tok) for tok in tokens[1:]]
         except ValueError as exc:
@@ -475,7 +480,7 @@ def read_predictions(text: str) -> PolygonTable:
         return _checked(class_ids, scores, image_ids, lines, _stack(polygons, MalformedPrediction))
 
     tables, rows, syntax = [], [], None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):  # as parse_label_file's lines
         if not line.strip():
             continue
         try:

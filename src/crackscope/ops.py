@@ -17,7 +17,7 @@ array output once, and ``pullback(upstream)`` takes one upstream of the
 output's shape and returns the exact gradients with respect to every
 *array* input, one per input and of its shape, as a tuple in positional
 order (structural arguments such as pooling sizes get no gradient).  The
-pullback reuses what the forward saved (convolution windows, padded arrays,
+pullback reuses what the forward saved (im2col columns, padded arrays,
 sigmoid values, argmax inputs, max pooling's row-segment maxima) and writes
 into none of it, so it may be called any number of times; the caller in
 turn must not write into the inputs or the output while it holds the
@@ -221,7 +221,11 @@ def conv1d_channels(w, kernel) -> np.ndarray:
 
 
 def conv2d_vjp(x, kernel, bias):
-    """The pullback returns ``(dx, dkernel, dbias)``."""
+    """One GEMM, ``kernel.reshape(Cout, -1) @ cols``, over im2col columns
+    ``cols`` ``[N, Cin*kh*kw, H*W]``, each output pixel's zero-padded window
+    (Chellapilla et al. 2006); a 1x1 kernel's columns are ``x`` reshaped.
+    The pullback returns ``(dx, dkernel, dbias)``: ``dkernel`` contracts the
+    upstream with ``cols``, and ``dx`` is col2im of ``kernelᵀ @ upstream``."""
     x = as_nchw(x, "x")
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim != 4:
@@ -234,20 +238,30 @@ def conv2d_vjp(x, kernel, bias):
     bias = np.asarray(bias, dtype=np.float64)
     if bias.shape != (cout,):
         raise InvalidShape(f"bias must have length {cout}, got shape {bias.shape}")
-    padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    windows = sliding_window_view(padded, (kh, kw), axis=(2, 3))
-    out = np.einsum("nchwij,ocij->nohw", windows, kernel, optimize=True)
+    matrix = kernel.reshape(cout, cin * kh * kw)
+    if kh * kw == 1:
+        cols = x.reshape(n, cin, h * w)
+    else:
+        padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        windows = sliding_window_view(padded, (kh, kw), axis=(2, 3))
+        cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, cin * kh * kw, h * w)
+    out = matrix @ cols
+    out += bias[:, None]
 
     def pullback(up):
-        dkernel = np.einsum("nchwij,nohw->ocij", windows, up, optimize=True)
-        up_pad = np.pad(up, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-        up_windows = sliding_window_view(up_pad, (kh, kw), axis=(2, 3))
-        dx_pad = np.einsum(
-            "nohwij,ocij->nchw", up_windows, kernel[:, :, ::-1, ::-1], optimize=True
-        )
-        return dx_pad[:, :, ph : ph + h, pw : pw + w], dkernel, up.sum(axis=(0, 2, 3))
+        rows = np.reshape(up, (n, cout, h * w))
+        dkernel = np.tensordot(rows, cols, axes=((0, 2), (0, 2))).reshape(kernel.shape)
+        dcols = (matrix.T @ rows).reshape(n, cin, kh, kw, h, w)
+        if kh * kw == 1:
+            dx = dcols.reshape(x.shape)
+        else:
+            dx = np.zeros((n, cin, h + 2 * ph, w + 2 * pw))
+            for i, j in np.ndindex(kh, kw):
+                dx[:, :, i : i + h, j : j + w] += dcols[:, :, i, j]
+            dx = dx[:, :, ph : ph + h, pw : pw + w]
+        return dx, dkernel, up.sum(axis=(0, 2, 3))
 
-    return out + bias[None, :, None, None], pullback
+    return out.reshape(n, cout, h, w), pullback
 
 
 def conv2d(x, kernel, bias) -> np.ndarray:

@@ -9,7 +9,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -82,6 +82,36 @@ def naive_conv2d(x, kernel, bias, pad):
                                     acc += kernel[oi, ci, u, v] * x[ni, ci, sy, sz]
                     out[ni, oi, y, z] = acc
     return out
+
+
+def naive_conv2d_vjp(x, kernel, bias):
+    """Stride-1 cross-correlation with same zero padding (``kh // 2`` rows,
+    ``kw // 2`` columns), and its pullback ``(dx, dkernel, dbias)``: one
+    product per (output pixel, kernel tap) that lands inside the input, each
+    accumulated by an explicit loop."""
+    n, cin, h, w = x.shape
+    cout, _, kh, kw = kernel.shape
+
+    def taps():
+        for ni, oi, y, z, ci, u, v in product(*map(range, (n, cout, h, w, cin, kh, kw))):
+            sy, sz = y + u - kh // 2, z + v - kw // 2
+            if 0 <= sy < h and 0 <= sz < w:
+                yield ni, oi, y, z, ci, u, v, sy, sz
+
+    out = np.zeros((n, cout, h, w)) + np.reshape(bias, (1, cout, 1, 1))
+    for ni, oi, y, z, ci, u, v, sy, sz in taps():
+        out[ni, oi, y, z] += kernel[oi, ci, u, v] * x[ni, ci, sy, sz]
+
+    def pullback(up):
+        dx, dkernel, dbias = np.zeros(x.shape), np.zeros(kernel.shape), np.zeros(cout)
+        for (ni, oi, y, z), g in np.ndenumerate(up):
+            dbias[oi] += g
+        for ni, oi, y, z, ci, u, v, sy, sz in taps():
+            dx[ni, ci, sy, sz] += up[ni, oi, y, z] * kernel[oi, ci, u, v]
+            dkernel[oi, ci, u, v] += up[ni, oi, y, z] * x[ni, ci, sy, sz]
+        return dx, dkernel, dbias
+
+    return out, pullback
 
 
 def naive_maxpool2d(x, k, stride, pad):

@@ -225,7 +225,7 @@ class TestEval:
         code = main(["eval", "--gt", str(gt_dir), "--pred", str(pred_path)])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: predictions reference 1 unknown image id(s): 'ghost'\n"
+            f"error: {pred_path}: predictions reference 1 unknown image id(s): 'ghost'\n"
         )
 
     def test_stdout_when_no_out_flag(self, eval_fixture, capsys):
@@ -416,7 +416,7 @@ class TestBadValues:
         assert code in (1, 2)
         err = capsys.readouterr().err
         _one_error_line(err)
-        assert "2 unknown image id(s): 'ghost', 'zed'" in err
+        assert err.startswith(f"error: {pred_path}: predictions reference 2 unknown image id(s): 'ghost', 'zed'")
 
 
 class TestSplit:

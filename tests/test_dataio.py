@@ -85,6 +85,21 @@ class TestLabelFiles:
         with pytest.raises(MalformedLabel):
             parse_label_file("0 0.1 0.1 x 0.1 0.5 0.9\n")
 
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff11", "0.1_5", "\u0660.\u0665"])
+    def test_number_with_underscore_or_non_ascii_digit(self, token):
+        # int() and float() would read these as 10, 3, 1, 0.15 and 0.5
+        for text in (f"{token} 0.1 0.1 0.9 0.1 0.5 0.9\n", f"0 0.1 0.1 0.9 0.1 {token} 0.9\n"):
+            with pytest.raises(MalformedLabel, match=f"^line 2: unparseable token \\('{token}' holds"):
+                parse_label_file("0 0.1 0.1 0.9 0.1 0.5 0.9\n" + text)
+
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"])
+    def test_a_line_ends_only_at_newline(self, sep):
+        # a form feed and its kin separate tokens; they do not start a line
+        with pytest.raises(MalformedLabel, match="^line 2: odd coordinate count 9$"):
+            parse_label_file(f"0 0.1 0.1 0.9 0.1 0.5 0.9\r\n0 0.1 0.1 0.9 0.1 0.5 0.9{sep}0 0.1 0.1\n")
+        table = parse_label_file(f"1{sep}0.1 0.1 0.9 0.1 0.5 0.9\r\n2 0.1 0.1 0.9 0.1 0.5 0.9\r\n")
+        assert table.class_ids.tolist() == [1, 2]
+
 
 class TestPolygonToMask:
     def test_full_frame_square(self):
@@ -296,6 +311,13 @@ class TestPredictions:
     def test_malformed_json(self):
         with pytest.raises(MalformedPrediction):
             read_predictions("{not json}\n")
+
+    def test_a_line_ends_only_at_newline(self):
+        line = '{"image": "%s", "class": 0, "score": %s, "polygon": [[0.1, 0.1], [0.5, 0.1], [0.3, 0.6]]}'
+        table = read_predictions(line % ("a\u2028b\x85c", "0.5") + "\r\n" + line % ("d", "0.5"))
+        assert table.image_ids.tolist() == ["a\u2028b\x85c", "d"]
+        with pytest.raises(OutOfRange, match="^line 2: score"):
+            read_predictions(line % ("a\u2028b", "0.5") + "\n" + line % ("d", "1.5"))
 
     def test_missing_key(self):
         with pytest.raises(MalformedPrediction):

@@ -10,7 +10,12 @@ the first failing check.  The documented changes from the oracle:
 * a prediction score that is an integer beyond float range is out of
   range (the oracle raises ``OverflowError``);
 * a JSON integer over Python's digit limit is invalid JSON (the oracle
-  raises ``ValueError``).
+  raises ``ValueError``);
+* a line ends at ``\\n`` only (the oracle's ``str.splitlines`` also ends one
+  at ``\\f``, ``\\x85``, ``\\u2028`` and their kin), so the oracle reads a
+  text whose lines are split the same way;
+* a label token holding ``_`` or a non-ASCII character is unparseable (the
+  oracle's ``int()`` and ``float()`` read ``1_0`` as 10 and ``\\u0663`` as 3).
 
 ``main(["eval", ...])`` on the same files exits 0 or 1 and prints at most
 one ``error:`` line, which names the file, and never a traceback.
@@ -54,8 +59,10 @@ _scores = st.sampled_from([0.0, 0.25, 1.0, 0.7071067811865476, 1e-9, 0.999999])
 _spellings = st.sampled_from([repr, "{:.6g}".format, "{:e}".format])  # how a file spells numbers
 _bad_numbers = st.sampled_from(
     ["nan", "inf", "-inf", "1.5", "-0.5", "1e400", "-1e-300", "1_0", "0x1", "x", "True", "",
-     "1" + "0" * 30, "1" + "0" * 5000, "٣", "+0.5", "-0"]
+     "1" + "0" * 30, "1" + "0" * 5000, "٣", "+0.5", "-0", "0.2_5", "\uff11", "\u0660.\u0665", "é"]
 )
+# every character but \n that str.splitlines ends a line at
+_LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 # ---------------------------------------------------------------------------
@@ -82,11 +89,12 @@ def _label_line(draw):
             coords.pop()
         elif fault == "few":
             coords = coords[: 2 * draw(st.integers(0, 2))]
-    sep = draw(st.sampled_from([" ", "  ", "\t", " \x0c "]))
+    sep = draw(st.sampled_from([" ", "  ", "\t", " \x0c "] + _LINE_BREAKS))
     return sep.join([class_id] + [c for c in coords if c != ""])
 
 
-_label_files = st.lists(_label_line(), min_size=1, max_size=8).map("\n".join)
+_newlines = st.sampled_from(["\n", "\r\n"])
+_label_files = st.builds(str.join, _newlines, st.lists(_label_line(), min_size=1, max_size=8))
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +144,9 @@ def _prediction_line(draw):
                 fields[key] = draw(st.sampled_from(draw(st.sampled_from(_BAD_VALUES[key]))))
     if draw(st.integers(0, 9)) == 0:
         del fields[draw(st.sampled_from(sorted(fields)))]
+    if draw(st.integers(0, 9)) == 0:  # a line break character in the image id, or as whitespace
+        brk = draw(st.sampled_from(_LINE_BREAKS))
+        fields["image"] = draw(st.sampled_from([f'"img1{brk}"', f'{brk}"img1"']))
     line = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
     if draw(st.integers(0, 9)) == 0:
         line = draw(st.sampled_from([
@@ -145,7 +156,7 @@ def _prediction_line(draw):
     return line
 
 
-_prediction_files = st.lists(_prediction_line(), min_size=1, max_size=8).map("\n".join)
+_prediction_files = st.builds(str.join, _newlines, st.lists(_prediction_line(), min_size=1, max_size=8))
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +177,21 @@ def _line_class_id(line):
     return class_id if type(class_id) is int else None
 
 
+class _NewlineText(str):
+    """Text whose ``splitlines`` ends a line at ``\\n`` only, as the readers do."""
+
+    def splitlines(self, keepends=False):
+        return self.split("\n")
+
+
 def _line_verdict(parse, error, index, line):
     """The (error type, message) of line ``index + 1`` alone, or None."""
     prefix = f"line {index + 1}: "
+    odd = [tok for tok in line.split() if not tok.isascii() or "_" in tok]
+    if error is MalformedLabel and odd:
+        return error, f"{prefix}unparseable token ({odd[0]!r} holds '_' or a non-ASCII character)"
     try:
-        records = parse("\n" * index + line)
+        parse(_NewlineText("\n" * index + line))
     except CrackscopeError as exc:
         if str(exc).removeprefix(prefix).startswith(_BEFORE_CLASS_RANGE):
             return type(exc), str(exc)
@@ -193,11 +214,11 @@ def _line_verdict(parse, error, index, line):
 
 def _expected(parse, error, text):
     """The oracle's records, or the verdict of the first bad line."""
-    for index, line in enumerate(text.splitlines()):
+    for index, line in enumerate(text.split("\n")):
         verdict = _line_verdict(parse, error, index, line)
         if verdict is not None:
             return verdict
-    return parse(text)
+    return parse(_NewlineText(text))
 
 
 def _assert_agrees(read, parse, error, text):
@@ -265,6 +286,8 @@ _TRICKY_LABELS = [
     "0\n", "0 0.1 0.1\n1 0.1 0.1 1.5 0.1 0.5 0.9\n", "0 0.1 0.1 1.5 0.1 0.5 0.9\n0 0.1 0.1\n",
     f"{2**63} 0.1 0.1\n", "-1 nan 0.1 0.9 0.1 0.5 0.9\n", "0 0.1 0.1 0.9 0.1 0.5 0.9\n0 1.5 x\n",
     "0 0.1 0.1 1.5 0.1 0.5 0.9\n0 x\n", "0 0.1 0.1 0.5 0.1 0.5 0.9\n0 x\n1 0.1 0.1 1.5 0.1 0.5 0.9\n",
+    "0 0.1 0.1 1.5 0.1 0.5 0.9\n1_0 0.1 0.1 0.9 0.1 0.5 0.9\n", "x 0.1 \u0663\n",
+    "0 0.1 0.1 0.9 0.1 0.5 0.9\x0c0 0.1 0.1\n0 x\n", "0 0.1 0.1 0.9 0.1 0.5 0.9\u2028\r\n1 0.1 0.1 1.5\n",
 ]
 _TRICKY_PREDICTIONS = [
     _prediction("[]"), _prediction() + "\n" + _prediction("[]"),
@@ -274,6 +297,7 @@ _TRICKY_PREDICTIONS = [
     _prediction("[[0.1, 0.1], [0.5, 0.1], [0.3, 1.6]]") + "\n" + _prediction("[[0.1, 0.1]]"),
     _prediction("[[0.1, 0.1]]") + "\n" + _prediction('"abc"'),
     _prediction(score="1.5") + "\n{not json}", _prediction() + "\n{not json}\n" + _prediction(score="1.5"),
+    _prediction(image='"img\u2028x"') + "\r\n" + _prediction(score="1.5"), _prediction(image='\x85"img1"'),
 ]
 
 
