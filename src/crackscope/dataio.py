@@ -394,7 +394,8 @@ def read_pgm(data: bytes) -> tuple[np.ndarray, int]:
     its maxval.
 
     Header comments (``#`` through end of line) are honored; ASCII (P2) and
-    other magics are rejected, and so is a sample above maxval.
+    other magics are rejected, and so are a header field of more than 18
+    significant digits and a sample above maxval.
     """
     if not data.startswith(b"P5"):
         raise UnsupportedFormat("not a binary P5 graymap")
@@ -413,7 +414,10 @@ def read_pgm(data: bytes) -> tuple[np.ndarray, int]:
             start = pos
             while pos < len(data) and data[pos : pos + 1].isdigit():
                 pos += 1
-            fields.append(int(data[start:pos]))
+            digits = data[start:pos].lstrip(b"0")  # checked before int() meets its digit limit
+            if len(digits) > 18:
+                raise CorruptImage(f"header field of {len(digits)} digits is too large")
+            fields.append(int(digits or b"0"))
         else:
             raise CorruptImage(f"unexpected header byte {ch!r}")
     width, height, maxval = fields

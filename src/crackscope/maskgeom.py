@@ -15,9 +15,8 @@ measured to the frame edge.
 The cost is linear in pixels, not components x pixels: the mask is labelled
 once, in report order; the reports come from one pass over the skeleton
 pixels sorted by label, with no per-component work; and thinning looks up
-each pixel's 8-neighbour code in one 256-entry removal table per
-subiteration, evaluating after the first two subiterations only the window
-where pixels were just removed.
+8-neighbour codes in one 256-entry removal table per subiteration, after
+the first two only at the foreground neighbours of just-removed pixels.
 """
 
 from __future__ import annotations
@@ -151,6 +150,11 @@ def distance_transform(mask) -> np.ndarray:
     return ndimage.distance_transform_edt(padded)[1:-1, 1:-1]
 
 
+def _ring_offsets(stride: int) -> np.ndarray:
+    """Flat offsets of ``_RING`` in a frame ``stride`` columns wide."""
+    return np.array([dr * stride + dc for dr, dc in _RING])
+
+
 def skeletonize(mask) -> np.ndarray:
     """Iterative two-subiteration thinning to a fixpoint.
 
@@ -158,44 +162,39 @@ def skeletonize(mask) -> np.ndarray:
     that keeps each component 8-connected.  Isolated pixels survive; note
     that 2x2 blocks thin away completely (no skeleton).
 
-    Each subiteration looks up every pixel's 8-neighbour code in that
-    subiteration's removal table.  A verdict changes only where a neighbour
-    changed since the same table last ran, so from the third subiteration on
-    only the bbox of the pixels removed in the previous two, grown by one, is
-    evaluated; thinning stops when that window is empty.
+    Each subiteration looks up candidate pixels' 8-neighbour codes, gathered
+    at flat offsets in the padded frame, in its removal table.  The first
+    two evaluate every foreground pixel.  A verdict changes only where a
+    neighbour changed since the same table last ran, so after that the
+    candidates are the foreground 8-neighbours of the pixels removed in the
+    previous two subiterations; thinning stops when there are none.
     """
     mask = _require_mask(mask)
     img = np.pad(mask, 1).view(np.uint8)  # 0/1 with a background ring
-    height, width = mask.shape
-    full = (0, height, 0, width)
-    removed = [full, full]  # removal bboxes of the last two subiterations
+    flat = img.ravel()
+    ring = _ring_offsets(img.shape[1])
+    frontier = np.zeros(flat.size, dtype=bool)  # scratch, all False between subiterations
+    pixels = np.flatnonzero(flat)
+    previous = None  # the pixels removed in the previous subiteration
     step = 0
-    while True:
-        window = _union_grown(*removed, height, width)
-        if window is None:
-            return img[1:-1, 1:-1].astype(bool)
-        r0, r1, c0, c1 = window
-        code = np.zeros((r1 - r0, c1 - c0), dtype=np.uint8)
-        for bit, (dr, dc) in enumerate(_RING):
-            code |= img[1 + r0 + dr : 1 + r1 + dr, 1 + c0 + dc : 1 + c1 + dc] << bit
-        view = img[1 + r0 : 1 + r1, 1 + c0 : 1 + c1]
-        remove = _REMOVABLE[step][code] & (view == 1)
-        view[remove] = 0
-        rows = np.flatnonzero(remove.any(axis=1))
-        cols = np.flatnonzero(remove.any(axis=0))
-        box = (r0 + rows[0], r0 + rows[-1] + 1, c0 + cols[0], c0 + cols[-1] + 1) if len(rows) else None
-        removed = [removed[1], box]
+    while len(pixels):
+        code = np.zeros(len(pixels), dtype=np.uint8)
+        for bit, offset in enumerate(ring):
+            code |= flat[pixels + offset] << bit
+        removed = pixels[_REMOVABLE[step][code]]
+        flat[removed] = 0
+        if previous is None:  # the second subiteration sees every pixel too
+            pixels = np.flatnonzero(flat)
+        else:  # deduplicated by a scratch frame, in raster order, with no sort
+            for offset in ring:
+                frontier[previous + offset] = True
+                frontier[removed + offset] = True
+            frontier &= flat.view(bool)
+            pixels = np.flatnonzero(frontier)
+            frontier[pixels] = False
+        previous = removed
         step ^= 1
-
-
-def _union_grown(a, b, height, width):
-    """Bbox ``(r0, r1, c0, c1)`` covering boxes ``a`` and ``b`` (either may be
-    None) grown by one pixel and clipped to the frame; None if both are."""
-    boxes = [box for box in (a, b) if box is not None]
-    if not boxes:
-        return None
-    r0, r1, c0, c1 = zip(*boxes)
-    return max(min(r0) - 1, 0), min(max(r1) + 1, height), max(min(c0) - 1, 0), min(max(c1) + 1, width)
+    return img[1:-1, 1:-1].astype(bool)
 
 
 def analyze_mask(mask, scale: ScaleConfig | None = None) -> list[WidthReport]:
@@ -232,13 +231,14 @@ def analyze_mask(mask, scale: ScaleConfig | None = None) -> list[WidthReport]:
             f"component {bad} (rows {rows.start}-{rows.stop - 1}, "
             f"cols {cols.start}-{cols.stop - 1}) has no skeleton pixels"
         )
-    # a 3x3 count holds the pixel itself, so 8-degree >= 2 is a count >= 3
-    count3 = ndimage.convolve(skeleton.view(np.uint8), _EIGHT.view(np.uint8), mode="constant")
     order = np.argsort(ids, kind="stable")  # by id, row-major within an id
     flat, index = flat[order], ids[order] - 1
     starts = np.concatenate(([0], np.cumsum(length[:-1])))
     widths = 2.0 * edt.ravel()[flat] - 1.0
-    interior = count3.ravel()[flat] >= 3
+    width = mask.shape[1]
+    padded = np.pad(skeleton, 1).view(np.uint8).ravel()
+    at = flat + 2 * (flat // width) + width + 3  # (row + 1, col + 1) in the padded frame
+    interior = sum(padded[at + offset] for offset in _ring_offsets(width + 2)) >= 2
     candidate = interior | ~np.logical_or.reduceat(interior, starts)[index]
     max_width = np.maximum.reduceat(widths, starts)
     min_width = np.minimum.reduceat(np.where(candidate, widths, np.inf), starts)
@@ -261,9 +261,9 @@ def analyze_mask(mask, scale: ScaleConfig | None = None) -> list[WidthReport]:
             component_id=i,
             area_px=a,
             max_width_px=hi,
-            max_width_location=divmod(at_hi, mask.shape[1]),
+            max_width_location=divmod(at_hi, width),
             min_width_px=lo,
-            min_width_location=divmod(at_lo, mask.shape[1]),
+            min_width_location=divmod(at_lo, width),
             skeleton_length_px=n,
             max_width_mm=None if mm is None else hi * mm,
             min_width_mm=None if mm is None else lo * mm,

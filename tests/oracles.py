@@ -14,6 +14,7 @@ from itertools import chain, product
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from crackscope import maskgeom
 from crackscope.errors import MalformedLabel, MalformedPrediction, OutOfRange
 
 
@@ -289,6 +290,42 @@ def reference_thinning(mask):
             if to_delete:
                 changed = True
     return np.array(grid, dtype=bool)
+
+
+def window_thinning(mask):
+    """Two-subiteration thinning that evaluates a bbox window per subiteration.
+
+    The whole frame in the first two subiterations, then the bbox of the
+    pixels removed in the previous two, grown by one; it stops when that
+    window is empty.  This is the array code that the pixel frontier of
+    ``maskgeom.skeletonize`` replaced.  It reads ``maskgeom._REMOVABLE`` and
+    ``maskgeom._RING`` at call time, so the tables are shared with the code
+    it checks (``reference_thinning`` checks them) and a test that swaps in
+    counting tables counts this window's lookups too.
+    """
+    img = np.pad(np.asarray(mask, dtype=bool), 1).view(np.uint8)
+    height, width = mask.shape
+    full = (0, height, 0, width)
+    removed = [full, full]  # removal bboxes of the last two subiterations
+    step = 0
+    while True:
+        boxes = [box for box in removed if box is not None]
+        if not boxes:
+            return img[1:-1, 1:-1].astype(bool)
+        r0, r1, c0, c1 = zip(*boxes)
+        r0, r1 = max(min(r0) - 1, 0), min(max(r1) + 1, height)
+        c0, c1 = max(min(c0) - 1, 0), min(max(c1) + 1, width)
+        code = np.zeros((r1 - r0, c1 - c0), dtype=np.uint8)
+        for bit, (dr, dc) in enumerate(maskgeom._RING):
+            code |= img[1 + r0 + dr : 1 + r1 + dr, 1 + c0 + dc : 1 + c1 + dc] << bit
+        view = img[1 + r0 : 1 + r1, 1 + c0 : 1 + c1]
+        remove = maskgeom._REMOVABLE[step][code] & (view == 1)
+        view[remove] = 0
+        rows = np.flatnonzero(remove.any(axis=1))
+        cols = np.flatnonzero(remove.any(axis=0))
+        box = (r0 + rows[0], r0 + rows[-1] + 1, c0 + cols[0], c0 + cols[-1] + 1) if len(rows) else None
+        removed = [removed[1], box]
+        step ^= 1
 
 
 def naive_analyze_component(pixels, edt, skeleton):

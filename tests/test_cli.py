@@ -138,6 +138,18 @@ class TestAnalyze:
         assert code == 1
         assert capsys.readouterr().err == f"error: {bad}: truncated header\n"
 
+    @pytest.mark.parametrize(
+        "header, digits",
+        [(b"P5\n" + b"9" * 5000 + b" 2\n255\n", 5000), (b"P5\n3 2\n" + b"1" * 19 + b"\n", 19)],
+        ids=["width-beyond-int-digit-limit", "maxval-of-19-digits"],
+    )
+    def test_overlong_header_field_exits_1(self, tmp_path, header, digits, capsys):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(header + b"\xff" * 6)
+        code = main(["analyze", "--mask", str(bad), "--out", str(tmp_path / "o.json")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}: header field of {digits} digits is too large\n"
+
     @pytest.mark.parametrize("target", ["nodir/m.json", "."])
     def test_failed_write_names_the_out_path(self, bar_mask_path, tmp_path, target, capsys):
         # a missing directory, then a directory where the file should go

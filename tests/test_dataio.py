@@ -258,6 +258,10 @@ class TestPgm:
         with pytest.raises(CorruptImage, match="sample 200 exceeds maxval 100"):
             read_pgm(b"P5\n2 1\n100\n\x64\xc8")
 
+    def test_leading_zeros_do_not_count_toward_the_digit_limit(self):
+        img, maxval = read_pgm(b"P5\n" + b"0" * 5000 + b"2 1\n0255\n\x00\xff")
+        assert img.tolist() == [[0, 255]] and maxval == 255
+
     def test_write_accepts_integer_values_of_any_numeric_dtype(self):
         for image in ([[0, 255]], np.array([[0.0, 255.0]]), np.array([[0, 255]], dtype=np.int64)):
             assert write_pgm(image) == b"P5\n2 1\n255\n\x00\xff"

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 import oracles
+from crackscope import maskgeom
 from crackscope.errors import DegenerateComponent, InvalidImage, InvalidShape, OutOfRange
 from crackscope.maskgeom import (
     ScaleConfig,
@@ -45,6 +48,52 @@ def masks(draw, max_side=24):
     else:
         mask[:] = True
     return mask
+
+
+@st.composite
+def mixed_width_masks(draw, max_side=256):
+    """Masks that mix widths as crack masks do: bars 1-31 px wide at any
+    angle, one-pixel 8-connected hairlines, single-pixel specks and 2x2
+    blocks, with bars often running off the frame."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h, w = (int(v) for v in rng.integers(1, max_side + 1, 2))
+    mask = np.zeros((h, w), dtype=bool)
+    for _ in range(draw(st.integers(1, 5))):
+        center = rng.uniform(-0.1, 1.1, 2) * (w, h)  # (x, y), up to a tenth outside
+        length = rng.uniform(0.0, 1.5) * max(h, w)
+        width = draw(st.integers(1, 31))
+        mask |= oracles.rotated_bar_mask((h, w), center, length, width, rng.uniform(0, 180))
+    for _ in range(draw(st.integers(0, 3))):
+        (r0, r1), (c0, c1) = rng.integers(0, h, 2), rng.integers(0, w, 2)
+        n = max(abs(r1 - r0), abs(c1 - c0)) + 1
+        mask[np.linspace(r0, r1, n).round().astype(int), np.linspace(c0, c1, n).round().astype(int)] = True
+    density = draw(st.sampled_from([0.0, 0.002, 0.02]))
+    mask |= rng.random((h, w)) < density
+    blocks = rng.random((h - 1, w - 1)) < density / 4
+    for dr, dc in product((0, 1), (0, 1)):
+        mask[dr : h - 1 + dr, dc : w - 1 + dc] |= blocks
+    return mask
+
+
+_REMOVABLE = maskgeom._REMOVABLE  # the tables as imported, so a counting table never wraps another
+
+
+def thin_counting(thin, mask):
+    """``thin(mask)`` and how many 8-neighbour codes it looked up in the
+    removal tables."""
+    looked_up = []
+
+    class Counting:
+        def __init__(self, table):
+            self.table = table
+
+        def __getitem__(self, code):
+            looked_up.append(code.size)
+            return self.table[code]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maskgeom, "_REMOVABLE", tuple(Counting(t) for t in _REMOVABLE))
+        return thin(mask), sum(looked_up)
 
 
 class TestThreshold:
@@ -178,6 +227,18 @@ class TestSkeletonize:
     def test_matches_reference_thinning_on_random_masks(self, mask):
         assert np.array_equal(skeletonize(mask), oracles.reference_thinning(mask))
 
+    @given(mixed_width_masks())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_window_it_replaced_on_mixed_widths(self, mask):
+        skel, codes = thin_counting(skeletonize, mask)
+        assert np.array_equal(skel, oracles.window_thinning(mask))
+        assert codes <= 18 * mask.sum()
+
+    @given(mixed_width_masks(max_side=48))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_thinning_on_mixed_widths(self, mask):
+        assert np.array_equal(skeletonize(mask), oracles.reference_thinning(mask))
+
     def test_subset_of_foreground(self):
         rng = np.random.default_rng(4)
         mask = rng.random((30, 30)) < 0.6
@@ -194,6 +255,35 @@ class TestSkeletonize:
             assert len(oracles.flood_fill_components(skel)) == len(
                 oracles.flood_fill_components(mask)
             )
+
+
+class TestThinningWork:
+    """Thinning looks up codes for the foreground and its removals, not for
+    the frame: two passes over every foreground pixel, then at most the 8
+    neighbours of each removal in each of the next two subiterations, so at
+    most 18 codes per foreground pixel."""
+
+    @staticmethod
+    def bar_and_hairline(side, gap):
+        mask = np.zeros((side, side), dtype=bool)
+        mask[8:39, 8:56] = True  # a 31 px wide bar
+        mask[38 + gap, 8:56] = True  # a hairline gap rows below it
+        return mask
+
+    def test_codes_depend_on_the_shapes_not_the_frame_or_the_gap(self):
+        counts = []
+        for side, gap in ((64, 10), (1024, 10), (1024, 900)):
+            mask = self.bar_and_hairline(side, gap)
+            skel, codes = thin_counting(skeletonize, mask)
+            assert np.array_equal(skel, oracles.window_thinning(mask))
+            assert codes <= 18 * mask.sum()
+            counts.append(codes)
+        assert counts[0] == counts[1] == counts[2]
+
+    def test_the_bbox_window_fails_the_gate(self):
+        mask = self.bar_and_hairline(1024, 900)
+        _, codes = thin_counting(oracles.window_thinning, mask)
+        assert codes > 18 * mask.sum()
 
 
 class TestWidthProfile:
