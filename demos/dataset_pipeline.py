@@ -7,7 +7,9 @@ pinned linear-congruential shuffle (identical on every platform).
 Run: ``python demos/dataset_pipeline.py``
 """
 
-from crackscope.dataio import SplitSpec, parse_label_file, polygon_to_mask, split_dataset
+import numpy as np
+
+from crackscope.dataio import SplitSpec, parse_label_file, polygon_to_crop, split_dataset
 
 label_text = """\
 0 0.10 0.20 0.90 0.25 0.85 0.45 0.15 0.40
@@ -18,7 +20,10 @@ print(f"parsed {len(records)} polygon(s):")
 for record in records:
     print(f"  class {record.class_id}, {len(record.polygon)} vertices")
 
-mask = polygon_to_mask(records[0].polygon, 48, 16)
+# the rasterizer returns the polygon's own window; place it in the 48 x 16 frame
+row0, col0, crop = polygon_to_crop(records[0].polygon, 48, 16)
+mask = np.zeros((16, 48), dtype=bool)
+mask[row0 : row0 + crop.shape[0], col0 : col0 + crop.shape[1]] = crop
 print("\nfirst polygon rasterized at 48 x 16 (pixel-center rule):")
 for row in mask:
     print("".join("#" if v else "." for v in row))

@@ -45,30 +45,32 @@ scenes = {
     },
 }
 
-flagged = []
+scores, flags = [], []
 fn_total = 0
 total_gt = 0
 for image_id, scene in scenes.items():
-    scores = [score for score, _ in scene["preds"]]
-    preds = polygon_table([0] * len(scores), [polygon(box) for _, box in scene["preds"]],
-                          scores, [image_id] * len(scores))
+    image_scores = [score for score, _ in scene["preds"]]
+    preds = polygon_table([0] * len(image_scores), [polygon(box) for _, box in scene["preds"]],
+                          image_scores, [image_id] * len(image_scores))
     gts = polygon_table([0] * len(scene["gts"]), [polygon(box) for box in scene["gts"]])
-    flags, fn = match_instances(preds, gts, iou_thresh=0.5)
-    for row, flag in zip(preds, flags):
-        flagged.append((row.score, flag))
+    image_flags, fn = match_instances(preds, gts, iou_thresh=0.5)
+    for row, flag in zip(preds, image_flags):
         print(f"{image_id}: score {row.score:.2f} -> {'TP' if flag else 'FP'}")
+    scores.append(preds.scores)
+    flags.append(image_flags)
     fn_total += fn
     total_gt += len(gts)
 print(f"unmatched ground truths (fn): {fn_total} of {total_gt}")
+scores, flags = np.concatenate(scores), np.concatenate(flags)
 
-tp = sum(1 for _, f in flagged if f)
-counts = ConfusionCounts(tp=tp, fp=len(flagged) - tp, fn=fn_total)
+tp = int(flags.sum())
+counts = ConfusionCounts(tp=tp, fp=len(flags) - tp, fn=fn_total)
 print(f"\ncounts: tp={counts.tp} fp={counts.fp} fn={counts.fn}")
 print(f"precision = {precision(counts):.4f}")
 print(f"recall    = {recall(counts):.4f}")
 
-points = pr_curve(flagged, total_gt)
+thresholds, precisions, recalls = pr_curve(scores, flags, total_gt)
 print("\nPR curve (threshold sweep, highest score first):")
-print(pr_curve_to_csv(points), end="")
-print(f"\naverage precision (all-points envelope): {average_precision(points):.4f}")
+print(pr_curve_to_csv(thresholds, precisions, recalls), end="")
+print(f"\naverage precision (all-points envelope): {average_precision(precisions, recalls):.4f}")
 print("note: AP depends only on the score ordering, not the score values.")

@@ -133,18 +133,18 @@ def _cmd_eval(args) -> int:
     width = height = args.raster_size
 
     instance = args.mode == "instance"
-    points = None
+    curve = None
     if instance:
-        flagged, fn_total = [], 0
-        for image_id in image_ids:
-            flags, fn = metrics.match_instances(by_image[image_id], gts[image_id], args.iou,
-                                                mode=args.match, extent=(width, height))
-            flagged.extend(zip(by_image[image_id].scores.tolist(), flags))
-            fn_total += fn
-        tp = sum(flag for _, flag in flagged)
-        counts = metrics.ConfusionCounts(tp=tp, fp=len(flagged) - tp, fn=fn_total)
+        matches = [metrics.match_instances(by_image[image_id], gts[image_id], args.iou,
+                                           mode=args.match, extent=(width, height))
+                   for image_id in image_ids]
+        # every prediction's image is known, so the images' rows in turn are the sorted order
+        flags = np.concatenate([image_flags for image_flags, _ in matches])
+        tp = int(flags.sum())
+        counts = metrics.ConfusionCounts(tp=tp, fp=len(flags) - tp, fn=sum(fn for _, fn in matches))
         total_gt = sum(len(g) for g in gts.values())
-        points = metrics.pr_curve(flagged, total_gt) if total_gt else []
+        curve = (metrics.pr_curve(preds.scores[order], flags, total_gt) if total_gt
+                 else (np.empty(0),) * 3)
     else:  # pixel
         counts = sum((metrics.pixel_confusion(_union_mask(by_image[image_id], width, height),
                                               _union_mask(gts[image_id], width, height))
@@ -159,7 +159,7 @@ def _cmd_eval(args) -> int:
         "precision": _try_metric(metrics.precision, counts),
         "recall": _try_metric(metrics.recall, counts),
         "accuracy": None if instance else _try_metric(metrics.accuracy, counts),
-        "ap": metrics.average_precision(points) if points else None,
+        "ap": metrics.average_precision(*curve[1:]) if curve and len(curve[0]) else None,
     }
 
     doc = json.dumps({k: _json_value(v) for k, v in summary.items()}, indent=2) + "\n"
@@ -168,8 +168,8 @@ def _cmd_eval(args) -> int:
         print(f"metrics -> {args.out}")
     else:
         print(doc, end="")
-    if args.pr_out and points is not None:
-        dataio.atomic_write_text(args.pr_out, metrics.pr_curve_to_csv(points))
+    if args.pr_out and curve:
+        dataio.atomic_write_text(args.pr_out, metrics.pr_curve_to_csv(*curve))
         print(f"pr curve -> {args.pr_out}")
     return 0
 

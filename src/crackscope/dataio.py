@@ -18,8 +18,8 @@ partition on every platform.
 Polygon rasterization uses scanline even-odd filling with the pixel-center
 rule: a pixel is foreground iff its center lies inside the polygon.  One
 vectorised body fills only the rows and columns the polygon can cover and
-returns that crop with its offset (:func:`polygon_to_crop`);
-:func:`polygon_to_mask` places the crop in the full frame.
+returns that crop with its offset (:func:`polygon_to_crop`); a caller that
+needs the full frame places the crop in it.
 
 Each label or prediction file reads into one :class:`PolygonTable`: a
 class, score and (for predictions) image id column, every vertex of the
@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import numbers
 import os
+import re
 import tempfile
 from contextlib import suppress
 from dataclasses import dataclass
@@ -59,7 +60,6 @@ __all__ = [
     "SplitSpec",
     "parse_label_file",
     "polygon_to_crop",
-    "polygon_to_mask",
     "split_dataset",
     "read_pgm",
     "write_pgm",
@@ -297,7 +297,7 @@ def polygon_to_crop(polygon, width: int, height: int):
     holds frame rows ``row0 ..`` and columns ``col0 ..`` and spans every
     foreground pixel; the rest of the frame is background.  Crossings
     are found in absolute pixel coordinates, so the crop is bit-identical to
-    the same window of :func:`polygon_to_mask`.  A zero-area polygon
+    the same window of a full-frame fill.  A zero-area polygon
     rasterizes to an empty ``(0, 0)`` crop.
     """
     pts = np.asarray(polygon, dtype=np.float64) * np.array([width, height])
@@ -334,14 +334,6 @@ def polygon_to_crop(polygon, width: int, height: int):
     edges -= np.bincount(local + last - col0, minlength=size)
     crop = np.cumsum(edges.reshape(n_rows, n_cols + 1)[:, :n_cols], axis=1) > 0
     return row0, col0, crop
-
-
-def polygon_to_mask(polygon, width: int, height: int) -> np.ndarray:
-    """The full ``[height, width]`` frame of :func:`polygon_to_crop`."""
-    row0, col0, crop = polygon_to_crop(polygon, width, height)
-    mask = np.zeros((height, width), dtype=bool)
-    mask[row0 : row0 + crop.shape[0], col0 : col0 + crop.shape[1]] = crop
-    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +381,13 @@ def split_dataset(items, spec: SplitSpec):
 # portable graymap (binary P5)
 
 
+# whitespace and comments between header fields; for bytes, ``\s`` and ``\d``
+# are exactly ``bytes.isspace`` and ``isdigit``.  A match takes at most 1024
+# comments, since the repeat keeps backtracking state per comment.
+_HEADER_GAP = re.compile(rb"\s*(?:#[^\n]*\s*){0,1024}")
+_HEADER_DIGITS = re.compile(rb"\d+")
+
+
 def read_pgm(data: bytes) -> tuple[np.ndarray, int]:
     """Parse a binary P5 graymap with maxval <= 255 into a uint8 array and
     its maxval.
@@ -402,24 +401,19 @@ def read_pgm(data: bytes) -> tuple[np.ndarray, int]:
     pos = 2
     fields = []
     while len(fields) < 3:
+        pos = _HEADER_GAP.match(data, pos).end()
         if pos >= len(data):
             raise CorruptImage("truncated header")
-        ch = data[pos : pos + 1]
-        if ch == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-        elif ch.isspace():
-            pos += 1
-        elif ch.isdigit():
-            start = pos
-            while pos < len(data) and data[pos : pos + 1].isdigit():
-                pos += 1
-            digits = data[start:pos].lstrip(b"0")  # checked before int() meets its digit limit
-            if len(digits) > 18:
-                raise CorruptImage(f"header field of {len(digits)} digits is too large")
-            fields.append(int(digits or b"0"))
-        else:
-            raise CorruptImage(f"unexpected header byte {ch!r}")
+        if data.startswith(b"#", pos):  # the gap holds more comments than one match takes
+            continue
+        field = _HEADER_DIGITS.match(data, pos)
+        if field is None:
+            raise CorruptImage(f"unexpected header byte {data[pos : pos + 1]!r}")
+        pos = field.end()
+        digits = field[0].lstrip(b"0")  # checked before int() meets its digit limit
+        if len(digits) > 18:
+            raise CorruptImage(f"header field of {len(digits)} digits is too large")
+        fields.append(int(digits or b"0"))
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise CorruptImage(f"bad extents {width}x{height}")

@@ -9,11 +9,15 @@ the threshold (the first such at IoU ties), and every ground truth is
 claimed at most once.  Each image's ``len(preds) x len(gts)`` IoU matrix is
 built once: box IoU from the corner columns with numpy, mask IoU from one
 cropped raster per row (:func:`crackscope.dataio.polygon_to_crop`), counting
-the intersection only where two crops overlap.  Average precision integrates
-the all-points interpolated precision envelope ``p(r) = max over r' >= r
-of p(r')`` over recall, built by one backward running max, so only the
-order of scores matters, never their values, and the cost is linear in the
-curve length.
+the intersection only where two crops overlap.
+
+The PR curve, average precision and its CSV are column arithmetic over the
+dataset's score and true-positive flag arrays: one stable sort by score, a
+cumulative sum of the flags, and one point at the end of each run of equal
+scores.  Average precision integrates the all-points interpolated precision
+envelope ``p(r) = max over r' >= r of p(r')`` over recall, built by one
+backward running max, so only the order of scores matters, never their
+values, and the cost is linear in the curve length.
 
 Accuracy needs true negatives, which do not exist for instance detection;
 it is therefore only computed from pixel-level confusion counts
@@ -32,7 +36,6 @@ from .errors import InvalidShape, OutOfRange, UndefinedMetric, UnsupportedMode
 
 __all__ = [
     "ConfusionCounts",
-    "PRPoint",
     "recall",
     "precision",
     "accuracy",
@@ -61,13 +64,6 @@ class ConfusionCounts:
         return ConfusionCounts(
             self.tp + other.tp, self.fp + other.fp, self.fn + other.fn, self.tn + other.tn
         )
-
-
-@dataclass(frozen=True)
-class PRPoint:
-    threshold: float
-    precision: float
-    recall: float
 
 
 def recall(c: ConfusionCounts) -> float:
@@ -156,8 +152,8 @@ def match_instances(
     """Greedy single-match assignment for one image's prediction and ground
     truth tables.
 
-    Returns ``(flags, fn)`` where ``flags[i]`` says whether row ``i`` of
-    ``preds`` is a true positive and ``fn`` counts unmatched ground truths.
+    Returns ``(flags, fn)``: the bool array ``flags`` says which rows of
+    ``preds`` are true positives and ``fn`` counts unmatched ground truths.
     Predictions are visited in descending score order (ties by input order);
     only same-class ground truths are eligible; ``extent`` is the (width,
     height) raster used for mask-mode IoU.  The IoU matrix of the image is
@@ -168,7 +164,7 @@ def match_instances(
         raise OutOfRange(f"iou threshold must be in (0, 1], got {iou_thresh}")
     if mode not in ("box", "mask"):
         raise UnsupportedMode(f"unknown matching mode {mode!r}")
-    flags = [False] * len(preds)
+    flags = np.zeros(len(preds), dtype=bool)
     if not preds or not gts:
         return flags, len(gts)
     if mode == "box":
@@ -178,7 +174,6 @@ def match_instances(
     # other-class and (below) taken ground truths score 0, which never reaches the threshold
     iou[preds.class_ids[:, None] != gts.class_ids[None, :]] = 0.0
     reachable = iou.max(axis=1) >= iou_thresh
-    taken = 0
     for i in np.argsort(-preds.scores, kind="stable").tolist():
         if not reachable[i]:
             continue
@@ -186,73 +181,64 @@ def match_instances(
         if iou[i, j] >= iou_thresh:
             flags[i] = True
             iou[:, j] = 0.0
-            taken += 1
-    return flags, len(gts) - taken
+    return flags, len(gts) - int(flags.sum())
 
 
 # ---------------------------------------------------------------------------
 # PR curve and average precision
 
 
-def pr_curve(flagged, total_gt: int) -> list[PRPoint]:
+def pr_curve(scores, flags, total_gt: int):
     """Precision/recall while sweeping the score threshold over every
-    distinct score, highest first.
+    distinct score, highest first, as ``(thresholds, precision, recall)``
+    float arrays.
 
-    ``flagged`` is the dataset-wide list of ``(score, is_tp)`` pairs.  With
-    no predictions at all the curve is a single point with recall 0 and
-    precision NaN (undefined, flagged as such).
+    ``scores`` and ``flags`` are the dataset-wide detection scores and
+    true-positive flags.  One stable sort by descending score and a running
+    count of true positives give every prefix; a point is the last detection
+    of each run of equal scores.  With no predictions at all the curve is a
+    single point with recall 0 and precision NaN (undefined, flagged as
+    such).
     """
     if total_gt < 1:
         raise UndefinedMetric("pr curve undefined without ground truths")
-    if not flagged:
-        return [PRPoint(threshold=1.0, precision=math.nan, recall=0.0)]
-    ordered = sorted(flagged, key=lambda pair: -pair[0])
-    points = []
-    tp = fp = 0
-    for idx, (score, is_tp) in enumerate(ordered):
-        if is_tp:
-            tp += 1
-        else:
-            fp += 1
-        last_of_threshold = idx + 1 == len(ordered) or ordered[idx + 1][0] != score
-        if last_of_threshold:
-            points.append(PRPoint(float(score), tp / (tp + fp), tp / total_gt))
-    return points
+    scores = np.asarray(scores, dtype=np.float64)
+    if not len(scores):
+        return np.array([1.0]), np.array([math.nan]), np.array([0.0])
+    order = np.argsort(-scores, kind="stable")
+    ordered = scores[order]
+    tp = np.cumsum(np.asarray(flags, dtype=bool)[order])
+    last = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], True))
+    return ordered[last], tp[last] / (last + 1), tp[last] / total_gt
 
 
-def average_precision(points) -> float:
+def average_precision(precisions, recalls) -> float:
     """Area under the interpolated precision envelope over recall.
 
-    One backward pass builds the envelope (a running max that skips NaN
-    precisions); the area is then summed in curve order.
+    The envelope is a backward running max that skips NaN precisions; each
+    rise of the recall above its running max adds the rise times the
+    envelope there, summed in curve order.
     """
-    points = list(points)
-    if not points:
+    precisions = np.asarray(precisions, dtype=np.float64)
+    recalls = np.asarray(recalls, dtype=np.float64)
+    if not len(recalls):
         raise UndefinedMetric("average precision undefined for an empty curve")
-    envelope = []
-    running = None
-    for point in reversed(points):
-        if not math.isnan(point.precision) and (running is None or point.precision >= running):
-            running = point.precision
-        envelope.append(running)
-    envelope.reverse()
-    area = 0.0
-    prev_recall = 0.0
-    for point, level in zip(points, envelope):
-        if point.recall > prev_recall:
-            if level is None:
-                raise UndefinedMetric(
-                    f"average precision undefined: no defined precision at recall >= {point.recall}"
-                )
-            area += (point.recall - prev_recall) * level
-            prev_recall = point.recall
-    return area
+    envelope = np.fmax.accumulate(precisions[::-1])[::-1]
+    step = recalls - np.fmax.accumulate(np.append(0.0, recalls))[:-1]
+    rises = step > 0
+    undefined = rises & np.isnan(envelope)
+    if undefined.any():
+        raise UndefinedMetric(
+            "average precision undefined: no defined precision at recall >= "
+            f"{float(recalls[undefined.argmax()])}"
+        )
+    # accumulate from 0.0, not sum: np.sum adds pairwise, which changes the last bits
+    return float(np.cumsum(np.append(0.0, step[rises] * envelope[rises]))[-1])
 
 
-def pr_curve_to_csv(points) -> str:
+def pr_curve_to_csv(thresholds, precisions, recalls) -> str:
     """CSV export: header plus one ``threshold,precision,recall`` row per
     distinct threshold, six decimal places."""
-    lines = ["threshold,precision,recall"]
-    for p in points:
-        lines.append(f"{p.threshold:.6f},{p.precision:.6f},{p.recall:.6f}")
-    return "\n".join(lines) + "\n"
+    points = zip(*(np.asarray(c).tolist() for c in (thresholds, precisions, recalls)))
+    rows = [f"{t:.6f},{p:.6f},{r:.6f}" for t, p, r in points]
+    return "\n".join(["threshold,precision,recall"] + rows) + "\n"

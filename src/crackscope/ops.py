@@ -21,11 +21,10 @@ pullback reuses what the forward saved (im2col columns, padded arrays,
 sigmoid values, argmax inputs, max pooling's row-segment maxima) and writes
 into none of it, so it may be called any number of times; the caller in
 turn must not write into the inputs or the output while it holds the
-pullback.  ``<op>(...)`` is ``<op>_vjp(...)[0]`` and ``vjp(op, inputs,
-upstream)`` dispatches by name and raises :class:`InvalidShape` unless the
-upstream has the output's shape (pullbacks called directly trust their
-caller).  There is no autodiff graph: composite blocks chain the pullbacks
-by hand in reverse order.
+pullback.  ``<op>(...)`` is ``<op>_vjp(...)[0]``, and :data:`VJP_OPS` maps
+each op's name to its body.  A pullback trusts its caller to pass an
+upstream of the output's shape.  There is no autodiff graph: composite
+blocks chain the pullbacks by hand in reverse order.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidKernel, InvalidShape, NotDifferentiable
+from .errors import InvalidKernel, InvalidShape
 
 __all__ = [
     "as_nchw",
@@ -55,7 +54,6 @@ __all__ = [
     "broadcast_mul_vjp",
     "channel_stats",
     "channel_stats_vjp",
-    "vjp",
     "VJP_OPS",
 ]
 
@@ -351,7 +349,7 @@ def channel_stats(x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# VJP dispatch
+# every op's body by name
 
 VJP_OPS = {
     "global_avg_pool": global_avg_pool_vjp,
@@ -364,21 +362,3 @@ VJP_OPS = {
     "broadcast_mul": broadcast_mul_vjp,
     "channel_stats": channel_stats_vjp,
 }
-
-
-def vjp(op: str, inputs, upstream):
-    """Vector-Jacobian product of ``op`` at ``inputs`` for a given upstream gradient.
-
-    ``inputs`` are the op's positional arguments; the return value is the
-    tuple of gradients that ``VJP_OPS[op](*inputs)[1](upstream)`` gives.
-    """
-    try:
-        body = VJP_OPS[op]
-    except KeyError:
-        raise NotDifferentiable(f"no vector-Jacobian product registered for {op!r}") from None
-    out, pullback = body(*inputs)
-    if np.shape(upstream) != out.shape:
-        raise InvalidShape(
-            f"{op}: upstream shape {np.shape(upstream)} differs from the output's {out.shape}"
-        )
-    return pullback(upstream)

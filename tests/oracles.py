@@ -2,7 +2,9 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 Python loops, exhaustive scans) and shares no code with the library paths
-it checks.
+it checks.  Two exceptions say so in their docstrings: ``window_thinning``
+reads the thinning tables, and ``polygon_to_mask`` pastes the library's
+crop into the full frame, where ``point_in_polygon`` checks it.
 """
 
 import json
@@ -15,7 +17,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from crackscope import maskgeom
-from crackscope.errors import MalformedLabel, MalformedPrediction, OutOfRange
+from crackscope.dataio import polygon_to_crop
+from crackscope.errors import MalformedLabel, MalformedPrediction, OutOfRange, UndefinedMetric
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +383,16 @@ def max_inscribed_disk_width(mask, border_is_background=True):
     return float(2.0 * edt[mask].max() - 1.0)
 
 
+def polygon_to_mask(polygon, width, height):
+    """The full ``[height, width]`` frame of ``dataio.polygon_to_crop``: the
+    crop pasted at its offset.  The tests check this frame against
+    :func:`point_in_polygon` at every pixel center."""
+    row0, col0, crop = polygon_to_crop(polygon, width, height)
+    mask = np.zeros((height, width), dtype=bool)
+    mask[row0 : row0 + crop.shape[0], col0 : col0 + crop.shape[1]] = crop
+    return mask
+
+
 def point_in_polygon(px, py, polygon):
     """Even-odd ray casting from the point toward +x."""
     inside = False
@@ -415,6 +428,74 @@ def ap_by_threshold_enumeration(flagged, total_gt):
             area += (r - prev_r) * envelope
             prev_r = r
     return area
+
+
+@dataclass(frozen=True)
+class PRPoint:
+    threshold: float
+    precision: float
+    recall: float
+
+
+def loop_pr_curve(flagged, total_gt):
+    """The PR curve as one :class:`PRPoint` per distinct score, highest
+    first, from ``(score, is_tp)`` pairs by a loop over the sorted pairs:
+    the library's former body, kept as the bit-for-bit reference for
+    ``metrics.pr_curve``."""
+    if total_gt < 1:
+        raise UndefinedMetric("pr curve undefined without ground truths")
+    if not flagged:
+        return [PRPoint(threshold=1.0, precision=math.nan, recall=0.0)]
+    ordered = sorted(flagged, key=lambda pair: -pair[0])
+    points = []
+    tp = fp = 0
+    for idx, (score, is_tp) in enumerate(ordered):
+        if is_tp:
+            tp += 1
+        else:
+            fp += 1
+        last_of_threshold = idx + 1 == len(ordered) or ordered[idx + 1][0] != score
+        if last_of_threshold:
+            points.append(PRPoint(float(score), tp / (tp + fp), tp / total_gt))
+    return points
+
+
+def loop_average_precision(points):
+    """AP of a :class:`PRPoint` list by one backward loop for the envelope
+    (a running max that skips NaN precisions) and one forward loop for the
+    area: the library's former body, kept as the bit-for-bit reference for
+    ``metrics.average_precision``."""
+    points = list(points)
+    if not points:
+        raise UndefinedMetric("average precision undefined for an empty curve")
+    envelope = []
+    running = None
+    for point in reversed(points):
+        if not math.isnan(point.precision) and (running is None or point.precision >= running):
+            running = point.precision
+        envelope.append(running)
+    envelope.reverse()
+    area = 0.0
+    prev_recall = 0.0
+    for point, level in zip(points, envelope):
+        if point.recall > prev_recall:
+            if level is None:
+                raise UndefinedMetric(
+                    f"average precision undefined: no defined precision at recall >= {point.recall}"
+                )
+            area += (point.recall - prev_recall) * level
+            prev_recall = point.recall
+    return area
+
+
+def loop_pr_curve_to_csv(points):
+    """The CSV of a :class:`PRPoint` list, one formatted row per point: the
+    library's former body, kept as the byte-for-byte reference for
+    ``metrics.pr_curve_to_csv``."""
+    lines = ["threshold,precision,recall"]
+    for p in points:
+        lines.append(f"{p.threshold:.6f},{p.precision:.6f},{p.recall:.6f}")
+    return "\n".join(lines) + "\n"
 
 
 def naive_average_precision(points):

@@ -188,11 +188,12 @@ def test_criterion_8_metric_equivalences():
             n = int(rng.integers(1, 12))
             flagged = [(float(rng.uniform(0, 1)), bool(rng.integers(0, 2))) for _ in range(n)]
             total_gt = max(1, sum(f for _, f in flagged) + int(rng.integers(0, 4)))
-            got = metrics.average_precision(metrics.pr_curve(flagged, total_gt))
+            scores, flags = zip(*flagged)
+            got = metrics.average_precision(*metrics.pr_curve(scores, flags, total_gt)[1:])
             want = oracles.ap_by_threshold_enumeration(flagged, total_gt)
             assert abs(got - want) <= 1e-9
         worked = metrics.average_precision(
-            metrics.pr_curve([(0.9, True), (0.8, False), (0.7, True)], total_gt=2)
+            *metrics.pr_curve([0.9, 0.8, 0.7], [True, False, True], total_gt=2)[1:]
         )
         assert abs(worked - (0.5 + 0.5 * 2 / 3)) <= 1e-12
 

@@ -14,7 +14,6 @@ from crackscope.dataio import (
     parse_label_file,
     polygon_table,
     polygon_to_crop,
-    polygon_to_mask,
     read_pgm,
     read_predictions,
     split_dataset,
@@ -104,17 +103,17 @@ class TestLabelFiles:
 class TestPolygonToMask:
     def test_full_frame_square(self):
         square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
-        mask = polygon_to_mask(square, 16, 12)
+        mask = oracles.polygon_to_mask(square, 16, 12)
         assert mask.all()
 
     def test_pixel_center_rule(self):
         # thin horizontal sliver: y in [0.3, 0.4) normalized
         sliver = np.array([[0.0, 0.3], [1.0, 0.3], [1.0, 0.4], [0.0, 0.4]])
         # height 4: pixel span [1.2, 1.6) holds only row 1's center 1.5
-        mask = polygon_to_mask(sliver, 4, 4)
+        mask = oracles.polygon_to_mask(sliver, 4, 4)
         assert mask[1].all() and mask.sum() == 4
         # height 10: pixel span [3.0, 4.0) holds only row 3's center 3.5
-        mask = polygon_to_mask(sliver, 4, 10)
+        mask = oracles.polygon_to_mask(sliver, 4, 10)
         assert mask[3].all() and mask.sum() == 4
 
     def test_degenerate_polygon_warns_empty(self):
@@ -122,7 +121,7 @@ class TestPolygonToMask:
         flat = np.array([[0.2, 0.2], [0.8, 0.2], [0.5, 0.2]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mask = polygon_to_mask(flat, 8, 8)
+            mask = oracles.polygon_to_mask(flat, 8, 8)
         assert not mask.any()
 
     def test_matches_point_in_polygon_oracle(self):
@@ -137,7 +136,7 @@ class TestPolygonToMask:
                 [cx + radius * np.cos(angles), cy + radius * np.sin(angles)], axis=1
             ).clip(0, 1)
             width, height = 32, 24
-            mask = polygon_to_mask(poly, width, height)
+            mask = oracles.polygon_to_mask(poly, width, height)
             scaled = poly * [width, height]
             for r in range(height):
                 for c in range(width):
@@ -152,7 +151,7 @@ class TestPolygonToMask:
         scaled = poly * [width, height]
         x, y = scaled[:, 0], scaled[:, 1]
         assume(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) != 0.0)
-        mask = polygon_to_mask(poly, width, height)
+        mask = oracles.polygon_to_mask(poly, width, height)
         want = [
             [oracles.point_in_polygon(c + 0.5, r + 0.5, scaled) for c in range(width)]
             for r in range(height)
@@ -163,7 +162,7 @@ class TestPolygonToMask:
     @settings(max_examples=200, deadline=None)
     def test_crop_is_the_tight_window_of_the_mask(self, poly, width, height):
         row0, col0, crop = polygon_to_crop(poly, width, height)
-        mask = polygon_to_mask(poly, width, height)
+        mask = oracles.polygon_to_mask(poly, width, height)
         rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
         if not mask.any():
             assert crop.shape == (0, 0)
@@ -174,7 +173,7 @@ class TestPolygonToMask:
 
     def test_area_convergence(self):
         half = np.array([[0.25, 0.25], [0.75, 0.25], [0.75, 0.75], [0.25, 0.75]])
-        mask = polygon_to_mask(half, 256, 256)
+        mask = oracles.polygon_to_mask(half, 256, 256)
         assert abs(int(mask.sum()) - 16384) <= 256
 
 
@@ -257,6 +256,36 @@ class TestPgm:
     def test_sample_above_maxval_rejected(self):
         with pytest.raises(CorruptImage, match="sample 200 exceeds maxval 100"):
             read_pgm(b"P5\n2 1\n100\n\x64\xc8")
+
+    def test_megabyte_comment_and_whitespace_read_as_the_plain_twin(self):
+        plain = b"P5\n2 1\n255\n\x00\xff"
+        padded = (b"P5#" + b"c" * 2**20 + b"\n2" + b" \t\r\n" * 2**18 + b"1\n# x\n" + b"#\n" * 3000
+                  + b"\x0b255\x0c\x00\xff")
+        (img, maxval), (want, want_maxval) = read_pgm(padded), read_pgm(plain)
+        assert np.array_equal(img, want) and maxval == want_maxval
+
+    @pytest.mark.parametrize(
+        "data, error, message",
+        [(b"P5\n2 1", CorruptImage, "truncated header"),
+         (b"P5\n2 1\n# maxval never comes", CorruptImage, "truncated header"),
+         (b"P5\n2 x\n255\n\x00\x00", CorruptImage, "unexpected header byte b'x'"),
+         (b"P5\n# c\n-2 1\n255\n\x00\x00", CorruptImage, "unexpected header byte b'-'"),
+         (b"P5\n2 1\n" + b"# c\n" * 3000, CorruptImage, "truncated header"),
+         (b"P5\n2" + b" #\n" * 3000 + b"x", CorruptImage, "unexpected header byte b'x'"),
+         (b"P5\n0 1\n255\n", CorruptImage, "bad extents 0x1"),
+         (b"P5\n2 1\n0\n\x00\x00", UnsupportedFormat, "maxval 0 outside 8-bit range"),
+         (b"P5\n2 1\n255", CorruptImage, "missing whitespace after maxval"),
+         (b"P5\n2 1\n255#c\n\x00\x00", CorruptImage, "missing whitespace after maxval"),
+         (b"P5\n2 1\n" + b"9" * 19 + b"\n\x00\x00", CorruptImage,
+          "header field of 19 digits is too large")],
+        ids=["eof-after-height", "comment-to-eof", "letter", "sign-after-comment",
+             "eof-after-3000-comments", "letter-after-3000-comments", "zero-width",
+             "zero-maxval", "eof-after-maxval", "comment-after-maxval", "19-digit-maxval"],
+    )
+    def test_header_errors_name_the_fault(self, data, error, message):
+        with pytest.raises(error) as caught:
+            read_pgm(data)
+        assert str(caught.value) == message
 
     def test_leading_zeros_do_not_count_toward_the_digit_limit(self):
         img, maxval = read_pgm(b"P5\n" + b"0" * 5000 + b"2 1\n0255\n\x00\xff")

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 import oracles
 import strategies
 from crackscope.boxes import BBox
-from crackscope.dataio import PolygonRow, polygon_table, polygon_to_mask
+from crackscope.dataio import PolygonRow, polygon_table
 from crackscope.errors import CrackscopeError, OutOfRange, UndefinedMetric
 from crackscope.metrics import (
     ConfusionCounts,
-    PRPoint,
     accuracy,
     average_precision,
     match_instances,
@@ -154,7 +153,10 @@ def _table(rows):
 
 
 def _match(preds, gts, *args, **kwargs):
-    return match_instances(_table(preds), _table(gts), *args, **kwargs)
+    """``match_instances`` of the rows' tables, its flags as a list."""
+    flags, fn = match_instances(_table(preds), _table(gts), *args, **kwargs)
+    assert flags.dtype == bool and flags.shape == (len(preds),)
+    return flags.tolist(), fn
 
 
 _TRIANGLE = [[0.1, 0.1], [0.5, 0.1], [0.3, 0.6]]
@@ -258,31 +260,44 @@ class TestMatchInstances:
             _match([], [], 0.0)
 
 
+def _curve(flagged, total_gt):
+    """``pr_curve`` of ``(score, is_tp)`` pairs, split into its two columns."""
+    scores = [score for score, _ in flagged]
+    flags = [flag for _, flag in flagged]
+    return pr_curve(scores, flags, total_gt)
+
+
+def _ap(flagged, total_gt):
+    _thresholds, precisions, recalls = _curve(flagged, total_gt)
+    return average_precision(precisions, recalls)
+
+
 class TestPrCurve:
     def test_all_correct(self):
-        points = pr_curve([(0.9, True), (0.8, True)], total_gt=2)
-        assert all(p.precision == 1.0 for p in points)
-        assert points[-1].recall == 1.0
+        _, precisions, recalls = pr_curve([0.9, 0.8], [True, True], total_gt=2)
+        assert all(p == 1.0 for p in precisions)
+        assert recalls[-1] == 1.0
 
     def test_all_wrong(self):
-        points = pr_curve([(0.9, False), (0.8, False)], total_gt=2)
-        assert all(p.precision == 0.0 for p in points)
-        assert all(p.recall == 0.0 for p in points)
+        _, precisions, recalls = pr_curve([0.9, 0.8], [False, False], total_gt=2)
+        assert all(p == 0.0 for p in precisions)
+        assert all(r == 0.0 for r in recalls)
 
     def test_worked_example(self):
-        points = pr_curve([(0.9, True), (0.8, False), (0.7, True)], total_gt=2)
-        assert [(p.precision, p.recall) for p in points] == [
+        thresholds, precisions, recalls = pr_curve([0.9, 0.8, 0.7], [True, False, True], 2)
+        assert list(zip(precisions.tolist(), recalls.tolist())) == [
             (1.0, 0.5),
             (0.5, 0.5),
             (2.0 / 3.0, 1.0),
         ]
-        assert [p.threshold for p in points] == [0.9, 0.8, 0.7]
+        assert thresholds.tolist() == [0.9, 0.8, 0.7]
 
     def test_no_predictions_single_flagged_point(self):
-        points = pr_curve([], total_gt=3)
-        assert len(points) == 1
-        assert math.isnan(points[0].precision)
-        assert points[0].recall == 0.0
+        thresholds, precisions, recalls = pr_curve([], [], total_gt=3)
+        assert len(thresholds) == len(precisions) == len(recalls) == 1
+        assert thresholds[0] == 1.0
+        assert math.isnan(precisions[0])
+        assert recalls[0] == 0.0
 
     def test_thresholds_strictly_decreasing_recall_non_decreasing(self):
         rng = np.random.default_rng(6)
@@ -291,36 +306,45 @@ class TestPrCurve:
                 (float(rng.choice([0.1, 0.3, 0.5, 0.7, 0.9])), bool(rng.integers(0, 2)))
                 for _ in range(int(rng.integers(1, 20)))
             ]
-            points = pr_curve(flagged, total_gt=10)
-            thresholds = [p.threshold for p in points]
-            recalls = [p.recall for p in points]
+            thresholds, _, recalls = _curve(flagged, total_gt=10)
+            thresholds, recalls = thresholds.tolist(), recalls.tolist()
             assert thresholds == sorted(thresholds, reverse=True)
             assert len(set(thresholds)) == len(thresholds)
             assert recalls == sorted(recalls)
 
     def test_zero_gt_rejected(self):
         with pytest.raises(UndefinedMetric):
-            pr_curve([(0.9, True)], total_gt=0)
+            pr_curve([0.9], [True], total_gt=0)
+
+    def test_signed_zero_ties_keep_the_last_score_as_threshold(self):
+        # 0.0 and -0.0 tie; a stable sort keeps input order, so the run's
+        # threshold is its last score, as in the sorted() loop it replaced
+        for n in (17, 100):
+            flagged = [(0.0, True), (-0.0, False)] * n + [(0.5, True)] * n
+            thresholds, _, _ = _curve(flagged, total_gt=3 * n)
+            assert repr(thresholds.tolist()) == repr(
+                [p.threshold for p in oracles.loop_pr_curve(flagged, 3 * n)]
+            ) == "[0.5, -0.0]"
 
     def test_pipeline_consistency_with_counts(self):
         rng = np.random.default_rng(7)
         flagged = [(float(rng.uniform(0, 1)), bool(rng.integers(0, 2))) for _ in range(25)]
         total_gt = 30
-        points = pr_curve(flagged, total_gt)
+        _, precisions, recalls = _curve(flagged, total_gt)
         tp = sum(1 for _, f in flagged if f)
         counts = ConfusionCounts(tp=tp, fp=len(flagged) - tp, fn=total_gt - tp)
-        assert points[-1].precision == pytest.approx(precision(counts))
-        assert points[-1].recall == pytest.approx(recall(counts))
+        assert precisions[-1] == pytest.approx(precision(counts))
+        assert recalls[-1] == pytest.approx(recall(counts))
 
 
 class TestAveragePrecision:
     def test_perfect_detector(self):
-        points = pr_curve([(0.9, True), (0.8, True)], total_gt=2)
-        assert average_precision(points) == 1.0
+        assert _ap([(0.9, True), (0.8, True)], total_gt=2) == 1.0
 
     def test_worked_example(self):
-        points = pr_curve([(0.9, True), (0.8, False), (0.7, True)], total_gt=2)
-        assert average_precision(points) == pytest.approx(0.5 + 0.5 * 2.0 / 3.0)
+        assert _ap([(0.9, True), (0.8, False), (0.7, True)], total_gt=2) == pytest.approx(
+            0.5 + 0.5 * 2.0 / 3.0
+        )
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(8)
@@ -330,7 +354,7 @@ class TestAveragePrecision:
                 (float(rng.uniform(0, 1)), bool(rng.integers(0, 2))) for _ in range(n)
             ]
             total_gt = max(1, sum(1 for _, f in flagged if f) + int(rng.integers(0, 5)))
-            got = average_precision(pr_curve(flagged, total_gt))
+            got = _ap(flagged, total_gt)
             want = oracles.ap_by_threshold_enumeration(flagged, total_gt)
             assert abs(got - want) <= 1e-9
 
@@ -338,75 +362,96 @@ class TestAveragePrecision:
         rng = np.random.default_rng(9)
         flagged = [(float(rng.uniform(0, 1)), bool(rng.integers(0, 2))) for _ in range(20)]
         total_gt = 15
-        base = average_precision(pr_curve(flagged, total_gt))
+        base = _ap(flagged, total_gt)
         squashed = [(s**3 * 0.5 + 0.1, f) for s, f in flagged]
-        assert average_precision(pr_curve(squashed, total_gt)) == pytest.approx(base)
+        assert _ap(squashed, total_gt) == pytest.approx(base)
 
     def test_empty_curve_rejected(self):
         with pytest.raises(UndefinedMetric):
-            average_precision([])
+            average_precision([], [])
 
     def test_no_prediction_curve_gives_zero(self):
-        assert average_precision(pr_curve([], total_gt=4)) == 0.0
+        assert _ap([], total_gt=4) == 0.0
 
     def test_envelope_non_increasing(self):
         rng = np.random.default_rng(10)
-        points = pr_curve(
+        _, precisions, _ = _curve(
             [(float(rng.uniform(0, 1)), bool(rng.integers(0, 2))) for _ in range(30)], 20
         )
+        precisions = precisions.tolist()
         envelope = []
-        for i, p in enumerate(points):
-            envelope.append(max(q.precision for q in points[i:]))
+        for i in range(len(precisions)):
+            envelope.append(max(precisions[i:]))
         assert envelope == sorted(envelope, reverse=True)
 
 
-_flagged = st.lists(st.tuples(strategies.scores, st.booleans()), max_size=60)
+_flagged = st.lists(st.tuples(st.one_of(strategies.scores, st.just(-0.0)), st.booleans()), max_size=60)
+
+
+_raw_values = st.one_of(st.just(math.nan), st.sampled_from([-0.0, 0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+def _points(thresholds, precisions, recalls):
+    """The curve columns as the oracles' ``PRPoint`` list."""
+    return [oracles.PRPoint(*point) for point in zip(thresholds, precisions, recalls)]
 
 
 class TestAveragePrecisionOracle:
-    """The one-pass envelope against the quadratic body it replaced."""
+    """The curve, AP and CSV columns against the per-point loops they replaced
+    and the quadratic envelope before those."""
 
     @given(_flagged, st.integers(0, 5))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=500, deadline=None)
     def test_equals_quadratic_oracle_on_pr_curves(self, flagged, extra_gt):
         total_gt = max(1, sum(1 for _, f in flagged if f) + extra_gt)
-        points = pr_curve(flagged, total_gt)
-        got = average_precision(points)
+        curve = _curve(flagged, total_gt)
+        assert all(column.dtype == np.float64 for column in curve)
+        points = oracles.loop_pr_curve(flagged, total_gt)
+        assert repr(_points(*(column.tolist() for column in curve))) == repr(points)
+        got = average_precision(*curve[1:])
+        assert repr(got) == repr(oracles.loop_average_precision(points))
         assert got == oracles.naive_average_precision(points)
+        assert pr_curve_to_csv(*curve).encode() == oracles.loop_pr_curve_to_csv(points).encode()
         if flagged:
             assert abs(got - oracles.ap_by_threshold_enumeration(flagged, total_gt)) <= 1e-9
 
     @given(
         st.lists(
-            st.tuples(
-                st.integers(0, 3),
-                st.one_of(st.just(math.nan), st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0])),
-            ),
+            st.tuples(st.integers(-1, 3), _raw_values, st.one_of(st.none(), _raw_values)),
             min_size=1,
             max_size=30,
         )
     )
     @settings(max_examples=300, deadline=None)
     def test_equals_quadratic_oracle_on_raw_curves(self, steps):
-        """Arbitrary curves with NaN precisions and repeated recalls: the same
-        bits where the oracle's envelope exists, UndefinedMetric where it does not."""
-        recall_steps = np.cumsum([step for step, _ in steps]) / (4.0 * len(steps))
-        points = [PRPoint(1.0, p, float(r)) for r, (_, p) in zip(recall_steps, steps)]
+        """Arbitrary curves with NaN and -0.0 precisions and repeated, falling,
+        NaN and -0.0 recalls: the same bits where the oracle's envelope exists,
+        UndefinedMetric with the loop's message where it does not."""
+        recalls = np.cumsum([step for step, _, _ in steps]) / (4.0 * len(steps))
+        recalls = np.array([r if raw is None else raw for r, (_, _, raw) in zip(recalls, steps)])
+        precisions = np.array([p for _, p, _ in steps])
+        points = _points([1.0] * len(steps), precisions.tolist(), recalls.tolist())
         try:
             want = oracles.naive_average_precision(points)
         except ValueError:  # max() of an empty sequence: every remaining precision is NaN
-            with pytest.raises(UndefinedMetric):
-                average_precision(points)
+            with pytest.raises(UndefinedMetric) as got:
+                average_precision(precisions, recalls)
+            with pytest.raises(UndefinedMetric) as loop:
+                oracles.loop_average_precision(points)
+            assert str(got.value) == str(loop.value)
         else:
-            assert average_precision(points) == want
+            assert average_precision(precisions, recalls) == want
+            assert repr(average_precision(precisions, recalls)) == repr(
+                oracles.loop_average_precision(points)
+            )
 
     def test_single_nan_point(self):
-        points = [PRPoint(1.0, math.nan, 0.0)]
-        assert average_precision(points) == oracles.naive_average_precision(points) == 0.0
+        points = [oracles.PRPoint(1.0, math.nan, 0.0)]
+        assert average_precision([math.nan], [0.0]) == oracles.naive_average_precision(points) == 0.0
 
     def test_nan_envelope_raises_undefined_metric(self):
-        with pytest.raises(UndefinedMetric):
-            average_precision([PRPoint(0.9, 1.0, 0.2), PRPoint(0.5, math.nan, 0.4)])
+        with pytest.raises(UndefinedMetric, match=r"no defined precision at recall >= 0\.4$"):
+            average_precision([1.0, math.nan], [0.2, 0.4])
 
 
 @st.composite
@@ -463,7 +508,8 @@ class TestMatchInstancesOracle:
 
         def pair_iou(p, g):
             return oracles.mask_iou(
-                polygon_to_mask(p.polygon, width, height), polygon_to_mask(g.polygon, width, height)
+                oracles.polygon_to_mask(p.polygon, width, height),
+                oracles.polygon_to_mask(g.polygon, width, height),
             )
 
         got = _match(preds, gts, thresh, mode="mask", extent=(width, height))
@@ -479,8 +525,7 @@ class TestMatchInstancesOracle:
 
 class TestCsvExport:
     def test_format(self):
-        points = [PRPoint(0.9, 1.0, 0.5), PRPoint(0.8, 0.5, 0.5)]
-        text = pr_curve_to_csv(points)
+        text = pr_curve_to_csv(np.array([0.9, 0.8]), np.array([1.0, 0.5]), np.array([0.5, 0.5]))
         lines = text.splitlines()
         assert lines[0] == "threshold,precision,recall"
         assert lines[1] == "0.900000,1.000000,0.500000"
