@@ -63,11 +63,3 @@ print(
     f" narrowest interior point is {widest.min_width_px:.1f} px"
     f" at {widest.min_width_location}."
 )
-
-# the distance transform behind the numbers is exact, not approximate
-edt = maskgeom.distance_transform(mask)
-peak = np.unravel_index(np.argmax(np.where(mask, edt, 0)), mask.shape)
-print(
-    f"\ndistance-transform peak {edt[peak]:.3f} px at {tuple(int(v) for v in peak)}"
-    f" -> inscribed-disk width {2 * edt[peak] - 1:.3f} px"
-)

@@ -201,7 +201,8 @@ def _checked(class_ids, scores, image_ids, lines, stacked) -> PolygonTable:
         raise kind(f"row {row}: {message}" if lines is None else f"line {lines[row]}: {message}")
     corners = np.hstack([ufunc.reduceat(vertices, starts[:-1]) for ufunc in (np.minimum, np.maximum)])
     return PolygonTable(np.array([int(v) for v in class_ids], dtype=np.int64),
-                        np.ones(len(counts)) if scores is None else np.array(scores, dtype=np.float64),
+                        # + 0.0 turns a score of -0.0 into 0.0
+                        np.ones(len(counts)) if scores is None else np.array(scores, dtype=np.float64) + 0.0,
                         image_ids if image_ids is None else np.array(image_ids, dtype=object),
                         vertices, starts, corners)
 

@@ -5,6 +5,8 @@ Python loops, exhaustive scans) and shares no code with the library paths
 it checks.  Two exceptions say so in their docstrings: ``window_thinning``
 reads the thinning tables, and ``polygon_to_mask`` pastes the library's
 crop into the full frame, where ``point_in_polygon`` checks it.
+``distance_transform`` is scipy's full-frame exact EDT, which
+``brute_force_edt`` checks.
 """
 
 import json
@@ -15,6 +17,7 @@ from itertools import chain, product
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import ndimage
 
 from crackscope import maskgeom
 from crackscope.dataio import polygon_to_crop
@@ -244,6 +247,18 @@ def brute_force_edt(mask, border_is_background=True):
     if border_is_background:
         dist = dist[1:-1, 1:-1]
     return dist
+
+
+def distance_transform(mask):
+    """Exact Euclidean distance from each pixel center to the nearest
+    background pixel center; background pixels are 0.
+
+    The plane outside the image counts as background, realised by a
+    one-pixel background ring (any farther outside pixel is dominated by the
+    ring pixel in the same direction).
+    """
+    padded = np.pad(np.asarray(mask, dtype=bool), 1, constant_values=False)
+    return ndimage.distance_transform_edt(padded)[1:-1, 1:-1]
 
 
 def reference_thinning(mask):

@@ -229,6 +229,21 @@ class TestEval:
         assert capsys.readouterr().err.startswith("error:")
         assert not pr_out.exists()
 
+    def test_negative_zero_score_prints_as_zero(self, tmp_path):
+        gt_dir = tmp_path / "gt"
+        gt_dir.mkdir()
+        (gt_dir / "img1.txt").write_text("0 0.2 0.2 0.6 0.2 0.6 0.6 0.2 0.6\n")
+        pred = {"image": "img1", "class": 0, "score": -0.0,
+                "polygon": [[0.2, 0.2], [0.6, 0.2], [0.6, 0.6], [0.2, 0.6]]}
+        pred_path = tmp_path / "preds.jsonl"
+        pred_path.write_text(json.dumps(pred) + "\n")
+        pr_out = tmp_path / "pr.csv"
+        code = main(["eval", "--gt", str(gt_dir), "--pred", str(pred_path),
+                     "--out", str(tmp_path / "metrics.json"), "--pr-out", str(pr_out)])
+        assert code == 0
+        assert pr_out.read_text().splitlines() == [
+            "threshold,precision,recall", "0.000000,1.000000,1.000000"]
+
     def test_unknown_image_id_exits_1(self, eval_fixture, tmp_path, capsys):
         gt_dir, pred_path = eval_fixture
         extra = {"image": "ghost", "class": 0, "score": 0.5,

@@ -1,3 +1,5 @@
+import json
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -13,7 +15,6 @@ from crackscope.maskgeom import (
     ScaleConfig,
     analyze_mask,
     connected_components,
-    distance_transform,
     skeletonize,
     threshold_mask,
 )
@@ -75,6 +76,40 @@ def mixed_width_masks(draw, max_side=256):
     return mask
 
 
+def corpus_like_mask(side, seed):
+    """A crack mask laid out like the benchmark's: one 21 px band across the
+    top, and below it a grid of 32 px cells, each holding a network of three
+    2-5 px wide segments kept 3 px inside its cell."""
+    rng = np.random.default_rng(seed)
+    mask = np.zeros((side, side), dtype=bool)
+    mask[:32] = oracles.rotated_bar_mask((32, side), (side / 2, 16), 2 * side, 21, rng.uniform(-2, 2))
+    for r in range(32, side - 31, 32):
+        for c in range(0, side - 31, 32):
+            width = rng.uniform(2, 5)
+            lo, hi = 3 + width / 2, 29 - width / 2
+            a, b, fork, end = (rng.uniform(lo, hi, 2) for _ in range(4))
+            cell = mask[r : r + 32, c : c + 32]
+            for p, q in ((a, b), (b, fork), ((a + b) / 2, end)):
+                center, (dx, dy) = (p + q) / 2, q - p
+                angle = np.degrees(np.arctan2(dy, dx))
+                cell |= oracles.rotated_bar_mask((32, 32), center, np.hypot(dx, dy), width, angle)
+    return mask
+
+
+def scipy_edt_reports(mask):
+    """The report dicts of ``mask`` as ``oracles.naive_analyze_component``
+    builds them on the library's skeleton, with widths read from scipy's
+    full-frame EDT (``oracles.distance_transform``); None if a component has
+    no skeleton pixels."""
+    components = sorted(oracles.flood_fill_components(mask), key=lambda s: (-len(s), min(s)))
+    edt, skeleton = oracles.distance_transform(mask), skeletonize(mask)
+    reports = [oracles.naive_analyze_component(np.array(sorted(c)), edt, skeleton)
+               for c in components]
+    if any(r is None for r in reports):
+        return None
+    return [{"component_id": i, **fields} for i, (_profile, fields) in enumerate(reports, start=1)]
+
+
 _REMOVABLE = maskgeom._REMOVABLE  # the tables as imported, so a counting table never wraps another
 
 
@@ -117,6 +152,23 @@ class TestThreshold:
     def test_empty_image_rejected(self):
         with pytest.raises(InvalidImage):
             threshold_mask(np.zeros((0, 4), dtype=np.uint8), 255)
+
+    @pytest.mark.parametrize("maxval", [1, 254, 255, 256, 65535])
+    def test_equals_the_int64_form_at_every_integer(self, maxval):
+        for dtype in (np.uint8, np.uint16):
+            gray = np.arange(np.iinfo(dtype).max + 1, dtype=dtype).reshape(-1, 256)
+            assert np.array_equal(threshold_mask(gray, maxval), 2 * gray.astype(np.int64) > maxval)
+
+    @pytest.mark.parametrize("maxval", [1, 254, 255, 256, 65535])
+    def test_floats_compare_twice_the_value_with_maxval(self, maxval):
+        rng = np.random.default_rng(maxval)
+        whole = rng.integers(-2, maxval + 3, (64, 64)).astype(np.float64)
+        assert np.array_equal(threshold_mask(whole, maxval), 2 * whole.astype(np.int64) > maxval)
+        half = maxval / 2
+        near = [np.nextafter(half, -np.inf), half, np.nextafter(half, np.inf)]
+        for dtype in (np.float64, np.float32):
+            gray = np.concatenate([rng.uniform(-1, maxval + 1, 61), near]).astype(dtype)[None, :]
+            assert np.array_equal(threshold_mask(gray, maxval), 2 * gray.astype(np.float64) > maxval)
 
 
 class TestComponents:
@@ -176,27 +228,83 @@ class TestComponents:
         assert str(info.value) == "component 2 (rows 7-8, cols 3-4) has no skeleton pixels"
 
 
+def edt_at_foreground(mask):
+    """The frame of ``sqrt(maskgeom._squared_edt_at)`` at every foreground
+    pixel of ``mask``, 0 at the background."""
+    flat = np.flatnonzero(mask)
+    edt = np.zeros(mask.shape)
+    edt.ravel()[flat] = np.sqrt(maskgeom._squared_edt_at(mask, flat))
+    return edt
+
+
+@st.composite
+def edt_masks(draw):
+    """Masks for the EDT: those of :func:`masks`, ``1 x n`` and ``n x 1``
+    rows of random fill, all-foreground frames of any shape (where the frame
+    ring sets every distance) and single pixels anywhere, the frame's edge
+    included."""
+    kind = draw(st.sampled_from(["masks", "line", "full", "single"]))
+    if kind == "masks":
+        return draw(masks(max_side=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h, w = (int(v) for v in rng.integers(1, 41, 2))
+    if kind == "line":
+        n = max(h, w)
+        row = rng.random(n) < draw(st.floats(0.3, 1.0))
+        return row[None, :] if rng.random() < 0.5 else row[:, None]
+    mask = np.full((h, w), kind == "full")
+    if kind == "single":
+        mask[rng.integers(h), rng.integers(w)] = True
+    return mask
+
+
 class TestDistanceTransform:
+    """``maskgeom._squared_edt_at``, the integer EDT at chosen pixels,
+    against the exhaustive scan of ``oracles.brute_force_edt``."""
+
     def test_single_foreground_pixel(self):
         mask = np.zeros((5, 5), dtype=bool)
         mask[2, 2] = True
-        edt = distance_transform(mask)
+        edt = edt_at_foreground(mask)
         assert edt[2, 2] == 1.0
         assert edt[0, 0] == 0.0
 
     def test_all_background_is_zero(self):
-        assert np.all(distance_transform(np.zeros((6, 6), dtype=bool)) == 0.0)
+        assert np.all(edt_at_foreground(np.zeros((6, 6), dtype=bool)) == 0.0)
 
     def test_exact_match_with_brute_force(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
             mask = rng.random((64, 64)) < rng.uniform(0.2, 0.8)
-            assert np.array_equal(distance_transform(mask), oracles.brute_force_edt(mask))
+            assert np.array_equal(edt_at_foreground(mask), oracles.brute_force_edt(mask))
 
     def test_border_counts_as_background_by_default(self):
         mask = np.ones((5, 9), dtype=bool)
-        edt = distance_transform(mask)
+        edt = edt_at_foreground(mask)
         assert edt[2, 4] == 3.0  # three rows from the virtual border ring
+
+    def test_squares_do_not_overflow_int32_in_a_tall_frame(self):
+        # the middle row's g is 50,001, whose square exceeds int32; the side
+        # rings are 2 columns away from the middle column
+        mask = np.ones((100_001, 3), dtype=bool)
+        d2 = maskgeom._squared_edt_at(mask, np.array([50_000 * 3 + 1, 1]))
+        assert d2.tolist() == [4, 1]
+
+    @given(edt_masks())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_brute_force_at_every_foreground_pixel(self, mask):
+        flat = np.flatnonzero(mask)
+        d2 = maskgeom._squared_edt_at(mask, flat)
+        assert d2.dtype == np.int64
+        assert np.array_equal(np.sqrt(d2), oracles.brute_force_edt(mask).ravel()[flat])
+
+    def test_values_at_any_subset_in_any_order(self):
+        rng = np.random.default_rng(2)
+        mask = oracles.disk_mask((40, 70), (20, 30), 15) | (rng.random((40, 70)) < 0.3)
+        want = oracles.distance_transform(mask).ravel()
+        flat = rng.permutation(mask.size)[:500]  # background pixels included, at distance 0
+        assert np.array_equal(np.sqrt(maskgeom._squared_edt_at(mask, flat)), want[flat])
+        assert len(maskgeom._squared_edt_at(mask, flat[:0])) == 0
 
 
 class TestSkeletonize:
@@ -494,3 +602,38 @@ class TestAnalyzeMask:
     def test_non_2d_rejected(self):
         with pytest.raises(InvalidShape):
             analyze_mask(np.zeros((2, 2, 2), dtype=bool))
+
+
+class TestAgainstScipyEdt:
+    """``analyze_mask`` reads its widths from the integer EDT at the
+    skeleton pixels; the reference reads them from scipy's full-frame EDT,
+    so every report byte must agree."""
+
+    @given(mixed_width_masks())
+    @settings(max_examples=60, deadline=None)
+    def test_reports_equal_on_mixed_widths(self, mask):
+        expected = scipy_edt_reports(mask)
+        if expected is None:
+            with pytest.raises(DegenerateComponent):
+                analyze_mask(mask)
+            return
+        assert json.dumps([r.to_dict() for r in analyze_mask(mask)]) == json.dumps(expected)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_reports_equal_on_tiles_of_a_corpus_like_mask(self, seed):
+        mask = np.tile(corpus_like_mask(192, seed), (2, 2))
+        expected = scipy_edt_reports(mask)
+        assert expected is not None
+        assert json.dumps([r.to_dict() for r in analyze_mask(mask)]) == json.dumps(expected)
+
+
+class TestAnalyzeMemory:
+    def test_peak_is_at_most_16_bytes_per_pixel_on_a_2048_tile(self):
+        mask = np.tile(corpus_like_mask(256, 0), (8, 8))
+        tracemalloc.start()
+        try:
+            analyze_mask(mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * mask.size, f"{peak / mask.size:.1f} bytes per pixel"
