@@ -18,7 +18,8 @@ pixels sorted by label, with no per-component work; thinning looks up
 8-neighbour codes in one 256-entry removal table per subiteration, after
 the first two only at the foreground neighbours of just-removed pixels;
 and the distance is one integer column pass over the frame, then a row
-search at the skeleton pixels only, each as wide as the pixel's distance.
+search at the skeleton pixels only, where a pixel at distance ``d`` takes
+at most ``d + 1`` steps, however far its crack runs vertically.
 """
 
 from __future__ import annotations
@@ -150,12 +151,11 @@ def _squared_edt_at(mask, flat) -> np.ndarray:
     Huttenlocher 2012), its second pass run only at ``flat``.  The column
     pass finds each pixel's vertical distance ``g`` to the nearest
     background pixel of its column, rows -1 and H included.  Then
-    ``d2 = min over |dc| <= reach of g[r, c + dc]**2 + dc**2``, where columns
-    -1 and W have ``g = 0``.  The nearest background pixel is no farther
-    than the one ``g`` rows away or those in its row at columns -1 and W, so
-    ``reach``, the least of those three distances, loses nothing.  The
-    pixels are sorted by decreasing reach, so step ``dc`` updates only a
-    prefix.
+    ``d2 = min over dc of g[r, c +- dc]**2 + dc**2``, where columns -1 and W
+    have ``g = 0``.  Step ``dc`` runs only at the pixels whose ``d2`` so far
+    exceeds ``dc**2``, since no farther column can win; at a side column
+    ``d2 <= dc**2``, so no step reads past it.  A pixel at distance ``d``
+    takes at most ``d + 1`` steps, whatever the crack's orientation.
     """
     h, w = mask.shape
     g = np.zeros((h, w + 2), dtype=np.int32)  # columns 0 and w + 1 are the frame's sides
@@ -170,20 +170,17 @@ def _squared_edt_at(mask, flat) -> np.ndarray:
         np.subtract(below, row, out=below)
         np.minimum(above, below, out=g[:, c0 + 1 : c0 + 1 + strip.shape[1]])
     g = g.ravel()
-    col = flat % w
     at = flat + 2 * (flat // w) + 1  # (row, col + 1) in the frame of g
-    reach = np.minimum(g[at], np.minimum(col + 1, w - col))
-    order = np.argsort(-reach)
-    at = at[order]
     d2 = g[at].astype(np.int64) ** 2  # squared in int64: past g = 46,340 a square overflows int32
-    ends = np.cumsum(np.bincount(reach)[::-1])[::-1]  # ends[dc]: how many reach dc or more
-    for dc, end in enumerate(ends[1:].tolist(), start=1):
-        near = at[:end]
+    live = np.flatnonzero(d2 > 1)
+    dc = 1
+    while len(live):
+        near = at[live]
         nearer = np.minimum(g[near - dc], g[near + dc]).astype(np.int64)
-        np.minimum(d2[:end], nearer * nearer + dc * dc, out=d2[:end])
-    out = np.empty_like(d2)
-    out[order] = d2
-    return out
+        d2[live] = np.minimum(d2[live], nearer * nearer + dc * dc)
+        dc += 1
+        live = live[d2[live] > dc * dc]
+    return d2
 
 
 def _ring_offsets(stride: int) -> np.ndarray:

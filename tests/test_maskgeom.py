@@ -96,18 +96,15 @@ def corpus_like_mask(side, seed):
     return mask
 
 
-def scipy_edt_reports(mask):
-    """The report dicts of ``mask`` as ``oracles.naive_analyze_component``
-    builds them on the library's skeleton, with widths read from scipy's
-    full-frame EDT (``oracles.distance_transform``); None if a component has
+def oracle_reports(mask, edt, thin):
+    """``oracles.naive_analyze_component``'s ``(profile, fields)`` per
+    flood-filled component in report order, with the distance frame
+    ``edt(mask)`` and the skeleton ``thin(mask)``; None for a component with
     no skeleton pixels."""
     components = sorted(oracles.flood_fill_components(mask), key=lambda s: (-len(s), min(s)))
-    edt, skeleton = oracles.distance_transform(mask), skeletonize(mask)
-    reports = [oracles.naive_analyze_component(np.array(sorted(c)), edt, skeleton)
-               for c in components]
-    if any(r is None for r in reports):
-        return None
-    return [{"component_id": i, **fields} for i, (_profile, fields) in enumerate(reports, start=1)]
+    distance, skeleton = edt(mask), thin(mask)
+    return [oracles.naive_analyze_component(np.array(sorted(c)), distance, skeleton)
+            for c in components]
 
 
 _REMOVABLE = maskgeom._REMOVABLE  # the tables as imported, so a counting table never wraps another
@@ -239,14 +236,16 @@ def edt_at_foreground(mask):
 
 @st.composite
 def edt_masks(draw):
-    """Masks for the EDT: those of :func:`masks`, ``1 x n`` and ``n x 1``
-    rows of random fill, all-foreground frames of any shape (where the frame
-    ring sets every distance) and single pixels anywhere, the frame's edge
-    included."""
-    kind = draw(st.sampled_from(["masks", "line", "full", "single"]))
+    """Masks for the EDT: those of :func:`masks`, 64 x 64 frames of random
+    fill, ``1 x n`` and ``n x 1`` rows of random fill, all-foreground frames
+    of any shape (where the frame ring sets every distance) and single
+    pixels anywhere, the frame's edge included."""
+    kind = draw(st.sampled_from(["masks", "random", "line", "full", "single"]))
     if kind == "masks":
         return draw(masks(max_side=40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        return rng.random((64, 64)) < rng.uniform(0.2, 0.8)
     h, w = (int(v) for v in rng.integers(1, 41, 2))
     if kind == "line":
         n = max(h, w)
@@ -272,12 +271,6 @@ class TestDistanceTransform:
     def test_all_background_is_zero(self):
         assert np.all(edt_at_foreground(np.zeros((6, 6), dtype=bool)) == 0.0)
 
-    def test_exact_match_with_brute_force(self):
-        rng = np.random.default_rng(1)
-        for _ in range(30):
-            mask = rng.random((64, 64)) < rng.uniform(0.2, 0.8)
-            assert np.array_equal(edt_at_foreground(mask), oracles.brute_force_edt(mask))
-
     def test_border_counts_as_background_by_default(self):
         mask = np.ones((5, 9), dtype=bool)
         edt = edt_at_foreground(mask)
@@ -297,6 +290,37 @@ class TestDistanceTransform:
         d2 = maskgeom._squared_edt_at(mask, flat)
         assert d2.dtype == np.int64
         assert np.array_equal(np.sqrt(d2), oracles.brute_force_edt(mask).ravel()[flat])
+
+    def test_row_search_work_does_not_follow_vertical_runs(self, monkeypatch):
+        # full-height 1 px lines in every 4th column: a pixel's vertical
+        # distance runs up to half the frame, its true distance is 1, so the
+        # row search steps once per pixel; a search as wide as the vertical
+        # distance steps about a hundred times per pixel here
+        mask = np.zeros((1024, 256), dtype=bool)
+        mask[:, 2::4] = True
+        flat = np.flatnonzero(mask)
+
+        class Minimum:  # np.minimum, tallying the int32 pairs g[c - dc], g[c + dc]
+            gathered = 0
+
+            def __call__(self, a, b, **kwargs):
+                if "out" not in kwargs and a.dtype == np.int32:
+                    self.gathered += a.size
+                return np.minimum(a, b, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(np.minimum, name)
+
+        class CountingNumpy:
+            minimum = Minimum()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(maskgeom, "np", CountingNumpy())
+        d2 = maskgeom._squared_edt_at(mask, flat)
+        assert np.all(d2 == 1)
+        assert 0 < CountingNumpy.minimum.gathered <= len(flat)
 
     def test_values_at_any_subset_in_any_order(self):
         rng = np.random.default_rng(2)
@@ -495,20 +519,10 @@ class TestAgainstFullFrameOracle:
     skeleton pixels; ``oracles.naive_analyze_component`` builds each
     flood-filled component's own full-frame mask."""
 
-    @staticmethod
-    def _expected(mask):
-        """Oracle ``(profile, fields)`` per component in report order (None
-        for a component with no skeleton pixels)."""
-        components = sorted(oracles.flood_fill_components(mask), key=lambda s: (-len(s), min(s)))
-        edt = oracles.brute_force_edt(mask)
-        skel = oracles.reference_thinning(mask)
-        return [oracles.naive_analyze_component(np.array(sorted(c)), edt, skel)
-                for c in components]
-
     @given(masks())
     @settings(max_examples=300, deadline=None)
     def test_matches_oracle(self, mask):
-        expected = self._expected(mask)
+        expected = oracle_reports(mask, oracles.brute_force_edt, oracles.reference_thinning)
         degenerate = [i for i, e in enumerate(expected, start=1) if e is None]
         if degenerate:
             with pytest.raises(DegenerateComponent, match=f"^component {degenerate[0]} "):
@@ -535,7 +549,8 @@ class TestAgainstFullFrameOracle:
         mask = np.zeros((9, 11), dtype=bool)
         mask[0:3, 0:3] = mask[4:6, 7:9] = mask[7:9, 0:2] = True
         mask[0, 5:11] = True
-        assert [e is None for e in self._expected(mask)] == [False, False, True, True]
+        expected = oracle_reports(mask, oracles.brute_force_edt, oracles.reference_thinning)
+        assert [e is None for e in expected] == [False, False, True, True]
         with pytest.raises(DegenerateComponent) as info:
             analyze_mask(mask)
         assert str(info.value) == "component 3 (rows 4-5, cols 7-8) has no skeleton pixels"
@@ -609,10 +624,19 @@ class TestAgainstScipyEdt:
     skeleton pixels; the reference reads them from scipy's full-frame EDT,
     so every report byte must agree."""
 
+    @staticmethod
+    def _expected(mask):
+        """The report dicts with widths from scipy's full-frame EDT on the
+        library's skeleton; None if a component has no skeleton pixels."""
+        reports = oracle_reports(mask, oracles.distance_transform, skeletonize)
+        if any(r is None for r in reports):
+            return None
+        return [{"component_id": i, **fields} for i, (_profile, fields) in enumerate(reports, start=1)]
+
     @given(mixed_width_masks())
     @settings(max_examples=60, deadline=None)
     def test_reports_equal_on_mixed_widths(self, mask):
-        expected = scipy_edt_reports(mask)
+        expected = self._expected(mask)
         if expected is None:
             with pytest.raises(DegenerateComponent):
                 analyze_mask(mask)
@@ -622,7 +646,7 @@ class TestAgainstScipyEdt:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_reports_equal_on_tiles_of_a_corpus_like_mask(self, seed):
         mask = np.tile(corpus_like_mask(192, seed), (2, 2))
-        expected = scipy_edt_reports(mask)
+        expected = self._expected(mask)
         assert expected is not None
         assert json.dumps([r.to_dict() for r in analyze_mask(mask)]) == json.dumps(expected)
 
