@@ -1,7 +1,7 @@
 """Dataset plumbing: label parsing, rasterization, the pinned split.
 
-Parses polygon label lines, rasterizes one polygon with the pixel-center
-rule, and partitions a 4029-item file list into 3717/200/112 with the
+Parses polygon label lines, rasterizes the first polygon's table row with
+the pixel-center rule, and partitions a 4029-item file list into 3717/200/112 with the
 pinned linear-congruential shuffle (identical on every platform).
 
 Run: ``python demos/dataset_pipeline.py``
@@ -9,7 +9,7 @@ Run: ``python demos/dataset_pipeline.py``
 
 import numpy as np
 
-from crackscope.dataio import SplitSpec, parse_label_file, polygon_to_crop, split_dataset
+from crackscope.dataio import SplitSpec, parse_label_file, split_dataset, table_crops
 
 label_text = """\
 0 0.10 0.20 0.90 0.25 0.85 0.45 0.15 0.40
@@ -20,8 +20,9 @@ print(f"parsed {len(records)} polygon(s):")
 for record in records:
     print(f"  class {record.class_id}, {len(record.polygon)} vertices")
 
-# the rasterizer returns the polygon's own window; place it in the 48 x 16 frame
-row0, col0, crop = polygon_to_crop(records[0].polygon, 48, 16)
+# the rasterizer fills a whole table at once and returns each polygon's own
+# window; place the first polygon's in the 48 x 16 frame
+((row0, col0, crop),) = table_crops(records[:1], 48, 16)
 mask = np.zeros((16, 48), dtype=bool)
 mask[row0 : row0 + crop.shape[0], col0 : col0 + crop.shape[1]] = crop
 print("\nfirst polygon rasterized at 48 x 16 (pixel-center rule):")

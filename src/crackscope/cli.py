@@ -176,9 +176,7 @@ def _cmd_eval(args) -> int:
 
 def _union_mask(table, width, height):
     mask = np.zeros((height, width), dtype=bool)
-    starts = table.starts.tolist()
-    for lo, hi in zip(starts, starts[1:]):
-        row0, col0, crop = dataio.polygon_to_crop(table.vertices[lo:hi], width, height)
+    for row0, col0, crop in dataio.table_crops(table, width, height):
         mask[row0 : row0 + crop.shape[0], col0 : col0 + crop.shape[1]] |= crop
     return mask
 

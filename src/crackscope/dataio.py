@@ -16,10 +16,11 @@ then slices contiguously.  The same items and seed give the identical
 partition on every platform.
 
 Polygon rasterization uses scanline even-odd filling with the pixel-center
-rule: a pixel is foreground iff its center lies inside the polygon.  One
-vectorised body fills only the rows and columns the polygon can cover and
-returns that crop with its offset (:func:`polygon_to_crop`); a caller that
-needs the full frame places the crop in it.
+rule: a pixel is foreground iff its center lies inside the polygon.
+:func:`table_crops` fills every row of a :class:`PolygonTable` in one
+vectorised pass, each polygon only in the rows and columns it can cover, and
+returns each crop with its offset; a caller that needs the full frame places
+the crops in it.
 
 Each label or prediction file reads into one :class:`PolygonTable`: a
 class, score and (for predictions) image id column, every vertex of the
@@ -59,7 +60,7 @@ __all__ = [
     "polygon_table",
     "SplitSpec",
     "parse_label_file",
-    "polygon_to_crop",
+    "table_crops",
     "split_dataset",
     "read_pgm",
     "write_pgm",
@@ -290,51 +291,100 @@ def parse_label_file(text: str) -> PolygonTable:
 # rasterization
 
 
-def polygon_to_crop(polygon, width: int, height: int):
-    """Scanline even-odd fill at pixel centers, inside the polygon's own window.
+_WINDOW_SLOTS = 1 << 16  # window slots (pixels plus one per row) filled in one buffer
 
-    ``polygon`` is a [k, 2] array of normalized vertices; x scales by
-    ``width``, y by ``height``.  Returns ``(row0, col0, crop)``: ``crop``
-    holds frame rows ``row0 ..`` and columns ``col0 ..`` and spans every
-    foreground pixel; the rest of the frame is background.  Crossings
-    are found in absolute pixel coordinates, so the crop is bit-identical to
-    the same window of a full-frame fill.  A zero-area polygon
-    rasterizes to an empty ``(0, 0)`` crop.
+
+def table_crops(table: PolygonTable, width: int, height: int) -> list:
+    """Scanline even-odd fill at pixel centers of every row of ``table``.
+
+    Vertices are normalized; x scales by ``width``, y by ``height``.  Returns
+    one ``(row0, col0, crop)`` per row: ``crop`` holds frame rows ``row0 ..``
+    and columns ``col0 ..`` and spans every foreground pixel of that polygon;
+    a polygon of zero signed area, or one that holds no pixel center, gives
+    an empty ``(0, 0)`` crop.  Crossings are found in absolute pixel
+    coordinates, so a crop is bit-identical to the same window of a
+    full-frame fill.
+
+    One pass serves the whole table: every edge's crossings with the rows it
+    spans, sorted by (polygon, row, x), pair up into spans.  The windows, one
+    spare column per row, lie in flat buffers of about ``_WINDOW_SLOTS``
+    slots: +1 at each span start, -1 at each end, then one running sum, back
+    at 0 at the end of every row.
     """
-    pts = np.asarray(polygon, dtype=np.float64) * np.array([width, height])
-    x1, y1 = pts[:, 0], pts[:, 1]
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    n = len(table)
     empty = (0, 0, np.zeros((0, 0), dtype=bool))
-    if np.sum(x1 * y2 - x2 * y1) == 0.0:
-        return empty
-    # a row can only be hit when its center lies in [min y, max y)
-    first_row = max(0, int(np.ceil(y1.min() - 0.5)))
-    rows = np.arange(first_row, min(height, int(np.ceil(y1.max() - 0.5))))
-    cy = rows[:, None] + 0.5
-    hits = ((y1 <= cy) & (cy < y2)) | ((y2 <= cy) & (cy < y1))  # [rows, edges]
-    t = np.divide(cy - y1, y2 - y1, out=np.zeros(hits.shape), where=hits)
-    crossings = np.where(hits, x1 + t * (x2 - x1), np.inf)
-    crossings.sort(axis=1)
-    if crossings.shape[1] % 2:
-        crossings = crossings[:, :-1]  # an unpaired last crossing fills nothing
-    # centers c + 0.5 in each half-open span [a, b), clipped to the frame
-    first = np.clip(np.ceil(crossings[:, 0::2] - 0.5), 0, width)
-    last = np.clip(np.ceil(crossings[:, 1::2] - 0.5), 0, width)
-    filled = np.isfinite(crossings[:, 1::2]) & (first < last)
-    span_rows, span_k = np.nonzero(filled)
-    if not len(span_rows):
-        return empty
-    first = first[span_rows, span_k].astype(np.intp)
-    last = last[span_rows, span_k].astype(np.intp)
-    row0, col0 = first_row + int(span_rows[0]), int(first.min())
-    n_rows, n_cols = int(span_rows[-1] - span_rows[0]) + 1, int(last.max()) - col0
-    # spans of one row are disjoint: +1 at each start, -1 at each end, then a running sum
-    local = (span_rows - span_rows[0]) * (n_cols + 1)
+    pts = table.vertices * np.array([width, height])
+    x1, y1 = pts[:, 0], pts[:, 1]
+    starts = table.starts
+    poly = np.repeat(np.arange(n), np.diff(starts))
+    succ = np.arange(1, len(pts) + 1)  # each vertex's successor in its polygon
+    succ[starts[1:] - 1] = starts[:-1]
+    x2, y2 = x1[succ], y1[succ]
+    # signed areas bit for bit as np.sum gives them, 0.0 plus a pairwise sum:
+    # each polygon's terms follow a 0.0 that reduceat starts from
+    terms = np.zeros(len(pts) + n)
+    terms[np.arange(len(pts)) + poly + 1] = x1 * y2 - x2 * y1
+    area = np.add.reduceat(terms, starts[:-1] + np.arange(n))
+    edge = np.flatnonzero((area[poly] != 0.0) & (y1 != y2))
+
+    def rows_between(low, high):  # rows whose center may lie in [low, high), a spare on each side
+        first = np.maximum(np.ceil(low - 0.5) - 1, 0).astype(np.intp)
+        return first, np.maximum(np.minimum(np.ceil(high - 0.5) + 1, height).astype(np.intp) - first, 0)
+
+    # each polygon's band of rows, stacked; a zero-area polygon's band is empty
+    top, band = rows_between(*(f.reduceat(y1, starts[:-1]) for f in (np.minimum, np.maximum)))
+    band[area == 0.0] = 0
+    stack = np.cumsum(band) - band
+    # each edge's rows, then the exact test
+    first, count = rows_between(np.minimum(y1, y2)[edge], np.maximum(y1, y2)[edge])
+    edge = np.repeat(edge, count)
+    rows = np.repeat(first - (np.cumsum(count) - count), count) + np.arange(len(edge))
+    cy = rows + 0.5
+    a, b = y1[edge], y2[edge]
+    hit = ((a <= cy) & (cy < b)) | ((b <= cy) & (cy < a))
+    edge, rows, cy = edge[hit], rows[hit], cy[hit]
+    t = (cy - y1[edge]) / (y2[edge] - y1[edge])
+    x = x1[edge] + t * (x2[edge] - x1[edge])
+    # an edge crosses a row iff its ends lie on either side of the center, so a
+    # polygon crosses each row an even number of times: sorted by (polygon,
+    # row, x), the crossings pair up 0-1, 2-3, ... within each row, into spans
+    # of the centers c + 0.5 in [a, b).  A span needs only ceil(x - 0.5), which
+    # rises with x, so one sort of (band row, column) keys pairs the same columns.
+    owner = poly[edge]
+    column = np.clip(np.ceil(x - 0.5), 0, width).astype(np.intp)
+    key = np.sort((stack[owner] + rows - top[owner]) * (width + 1) + column)
+    level, on = np.divmod(key[0::2], width + 1)
+    off = key[1::2] % (width + 1)
+    span = on < off
+    level, on, off = level[span], on[span], off[span]
+    if not len(level):
+        return [empty] * n
+
+    owner = np.searchsorted(stack, level, side="right") - 1  # past the empty bands
+    heads = np.flatnonzero(np.append(True, owner[1:] != owner[:-1]))  # each window's first span
+    owner = owner[heads]
+    row0 = level[heads] - stack[owner] + top[owner]
+    n_rows = level[np.append(heads[1:], len(level)) - 1] - level[heads] + 1
+    col0 = np.minimum.reduceat(on, heads)
+    n_cols = np.maximum.reduceat(off, heads) - col0
     size = n_rows * (n_cols + 1)
-    edges = np.bincount(local + first - col0, minlength=size)
-    edges -= np.bincount(local + last - col0, minlength=size)
-    crop = np.cumsum(edges.reshape(n_rows, n_cols + 1)[:, :n_cols], axis=1) > 0
-    return row0, col0, crop
+    offset = np.cumsum(size) - size
+    window = np.repeat(np.arange(len(heads)), np.diff(np.append(heads, len(level))))
+    slot = offset[window] + (level - level[heads][window]) * (n_cols[window] + 1) - col0[window]
+    on += slot
+    off += slot
+    crops = [empty] * n
+    windows = list(zip(*(v.tolist() for v in (owner, row0, col0, n_rows, n_cols, offset))))
+    heads = [*heads.tolist(), len(level)]
+    cuts = [0, *(np.flatnonzero(np.diff(offset // _WINDOW_SLOTS)) + 1).tolist(), len(windows)]
+    for w0, w1 in zip(cuts, cuts[1:]):
+        lo, hi = int(offset[w0]), int(offset[w1 - 1] + size[w1 - 1])
+        steps = np.bincount(on[heads[w0] : heads[w1]] - lo, minlength=hi - lo)
+        steps -= np.bincount(off[heads[w0] : heads[w1]] - lo, minlength=hi - lo)
+        filled = np.cumsum(steps, out=steps) > 0
+        for p, r, c, h, w, o in windows[w0:w1]:
+            crops[p] = (r, c, filled[o - lo : o - lo + h * (w + 1)].reshape(h, w + 1)[:, :w])
+    return crops
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ def _require_mask(m, name="mask") -> np.ndarray:
     arr = np.asarray(m)
     if arr.ndim != 2:
         raise InvalidShape(f"{name} must be 2-D, got shape {arr.shape}")
-    return arr.astype(bool)
+    return arr.astype(bool, copy=False)
 
 
 def threshold_mask(gray, maxval: int) -> np.ndarray:

@@ -8,8 +8,9 @@ each prediction claims the unmatched ground truth of highest IoU at or above
 the threshold (the first such at IoU ties), and every ground truth is
 claimed at most once.  Each image's ``len(preds) x len(gts)`` IoU matrix is
 built once: box IoU from the corner columns with numpy, mask IoU from one
-cropped raster per row (:func:`crackscope.dataio.polygon_to_crop`), counting
-the intersection only where two crops overlap.
+cropped raster per row, each table's crops from one call of
+:func:`crackscope.dataio.table_crops`, counting the intersection only where
+two crops overlap.
 
 The PR curve, average precision and its CSV are column arithmetic over the
 dataset's score and true-positive flag arrays: one stable sort by score, a
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import polygon_to_crop
+from .dataio import table_crops
 from .errors import InvalidShape, OutOfRange, UndefinedMetric, UnsupportedMode
 
 __all__ = [
@@ -124,10 +125,10 @@ def _box_iou_matrix(a, b) -> np.ndarray:
 
 
 def _mask_iou_matrix(preds, gts, extent) -> np.ndarray:
-    """Pixel IoU of every pair from one cropped raster per row; two empty
-    rasters score 1.0."""
+    """Pixel IoU of every pair from one cropped raster per row, each table
+    rasterized in one call; two empty rasters score 1.0."""
     width, height = extent
-    crops = [[polygon_to_crop(r.polygon, width, height) for r in side] for side in (preds, gts)]
+    crops = [table_crops(side, width, height) for side in (preds, gts)]
 
     def windows(side):  # crop windows as (col0, row0, col1, row1), and pixel counts
         corners = [(c0, r0, c0 + m.shape[1], r0 + m.shape[0]) for r0, c0, m in side]

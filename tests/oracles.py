@@ -6,7 +6,9 @@ it checks.  Two exceptions say so in their docstrings: ``window_thinning``
 reads the thinning tables, and ``polygon_to_mask`` pastes the library's
 crop into the full frame, where ``point_in_polygon`` checks it.
 ``distance_transform`` is scipy's full-frame exact EDT, which
-``brute_force_edt`` checks.
+``brute_force_edt`` checks.  ``polygon_to_crop`` is the one-polygon
+vectorised fill that ``dataio.table_crops`` replaced, kept as its
+reference.
 """
 
 import json
@@ -20,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from crackscope import maskgeom
-from crackscope.dataio import polygon_to_crop
+from crackscope.dataio import polygon_table, table_crops
 from crackscope.errors import MalformedLabel, MalformedPrediction, OutOfRange, UndefinedMetric
 
 
@@ -398,11 +400,58 @@ def max_inscribed_disk_width(mask, border_is_background=True):
     return float(2.0 * edt[mask].max() - 1.0)
 
 
+def polygon_to_crop(polygon, width: int, height: int):
+    """Scanline even-odd fill at pixel centers, inside the polygon's own window.
+
+    ``polygon`` is a [k, 2] array of normalized vertices; x scales by
+    ``width``, y by ``height``.  Returns ``(row0, col0, crop)``: ``crop``
+    holds frame rows ``row0 ..`` and columns ``col0 ..`` and spans every
+    foreground pixel; the rest of the frame is background.  Crossings
+    are found in absolute pixel coordinates, so the crop is bit-identical to
+    the same window of a full-frame fill.  A zero-area polygon
+    rasterizes to an empty ``(0, 0)`` crop.
+    """
+    pts = np.asarray(polygon, dtype=np.float64) * np.array([width, height])
+    x1, y1 = pts[:, 0], pts[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    empty = (0, 0, np.zeros((0, 0), dtype=bool))
+    if np.sum(x1 * y2 - x2 * y1) == 0.0:
+        return empty
+    # a row can only be hit when its center lies in [min y, max y)
+    first_row = max(0, int(np.ceil(y1.min() - 0.5)))
+    rows = np.arange(first_row, min(height, int(np.ceil(y1.max() - 0.5))))
+    cy = rows[:, None] + 0.5
+    hits = ((y1 <= cy) & (cy < y2)) | ((y2 <= cy) & (cy < y1))  # [rows, edges]
+    t = np.divide(cy - y1, y2 - y1, out=np.zeros(hits.shape), where=hits)
+    crossings = np.where(hits, x1 + t * (x2 - x1), np.inf)
+    crossings.sort(axis=1)
+    if crossings.shape[1] % 2:
+        crossings = crossings[:, :-1]  # an unpaired last crossing fills nothing
+    # centers c + 0.5 in each half-open span [a, b), clipped to the frame
+    first = np.clip(np.ceil(crossings[:, 0::2] - 0.5), 0, width)
+    last = np.clip(np.ceil(crossings[:, 1::2] - 0.5), 0, width)
+    filled = np.isfinite(crossings[:, 1::2]) & (first < last)
+    span_rows, span_k = np.nonzero(filled)
+    if not len(span_rows):
+        return empty
+    first = first[span_rows, span_k].astype(np.intp)
+    last = last[span_rows, span_k].astype(np.intp)
+    row0, col0 = first_row + int(span_rows[0]), int(first.min())
+    n_rows, n_cols = int(span_rows[-1] - span_rows[0]) + 1, int(last.max()) - col0
+    # spans of one row are disjoint: +1 at each start, -1 at each end, then a running sum
+    local = (span_rows - span_rows[0]) * (n_cols + 1)
+    size = n_rows * (n_cols + 1)
+    edges = np.bincount(local + first - col0, minlength=size)
+    edges -= np.bincount(local + last - col0, minlength=size)
+    crop = np.cumsum(edges.reshape(n_rows, n_cols + 1)[:, :n_cols], axis=1) > 0
+    return row0, col0, crop
+
+
 def polygon_to_mask(polygon, width, height):
-    """The full ``[height, width]`` frame of ``dataio.polygon_to_crop``: the
-    crop pasted at its offset.  The tests check this frame against
-    :func:`point_in_polygon` at every pixel center."""
-    row0, col0, crop = polygon_to_crop(polygon, width, height)
+    """The full ``[height, width]`` frame of ``dataio.table_crops`` for a
+    one-row table: the crop pasted at its offset.  The tests check this
+    frame against :func:`point_in_polygon` at every pixel center."""
+    ((row0, col0, crop),) = table_crops(polygon_table([0], [polygon]), width, height)
     mask = np.zeros((height, width), dtype=bool)
     mask[row0 : row0 + crop.shape[0], col0 : col0 + crop.shape[1]] = crop
     return mask

@@ -10,10 +10,10 @@ _coordinate = st.one_of(_grid, _free)
 
 
 @st.composite
-def unit_polygons(draw, max_vertices=8):
+def unit_polygons(draw, max_vertices=8, min_vertices=3):
     """[k, 2] polygons in the unit square: arbitrary (often self-intersecting),
     tiny (rasterizing empty at small extents) or touching the frame."""
-    k = draw(st.integers(3, max_vertices))
+    k = draw(st.integers(min_vertices, max_vertices))
     kind = draw(st.sampled_from(["free", "tiny", "frame"]))
     points = np.array([[draw(_coordinate), draw(_coordinate)] for _ in range(k)])
     if kind == "tiny":

@@ -13,10 +13,10 @@ from crackscope.dataio import (
     atomic_write_text,
     parse_label_file,
     polygon_table,
-    polygon_to_crop,
     read_pgm,
     read_predictions,
     split_dataset,
+    table_crops,
     write_pgm,
 )
 from crackscope.errors import (
@@ -161,7 +161,7 @@ class TestPolygonToMask:
     @given(strategies.unit_polygons(max_vertices=10), st.integers(1, 40), st.integers(1, 40))
     @settings(max_examples=200, deadline=None)
     def test_crop_is_the_tight_window_of_the_mask(self, poly, width, height):
-        row0, col0, crop = polygon_to_crop(poly, width, height)
+        ((row0, col0, crop),) = table_crops(polygon_table([0], [poly]), width, height)
         mask = oracles.polygon_to_mask(poly, width, height)
         rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
         if not mask.any():
@@ -175,6 +175,79 @@ class TestPolygonToMask:
         half = np.array([[0.25, 0.25], [0.75, 0.25], [0.75, 0.75], [0.25, 0.75]])
         mask = oracles.polygon_to_mask(half, 256, 256)
         assert abs(int(mask.sum()) - 16384) <= 256
+
+
+@st.composite
+def _raster_tables(draw):
+    """A table of 1-6 polygons and an extent of 1-40 px per side: arbitrary,
+    tiny and frame-touching polygons, grid bowties (zero signed area), 8-12
+    vertices (where np.sum adds pairwise) and vertices on pixel centers."""
+    width, height = (draw(st.one_of(st.just(1), st.integers(1, 40))) for _ in range(2))
+    polygons = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["any", "bowtie", "many", "centers"]))
+        if kind == "any":
+            polygon = draw(strategies.unit_polygons(max_vertices=12))
+        elif kind == "bowtie":
+            (x0, y0), (x1, y1) = draw(strategies.unit_polygons(max_vertices=3))[:2] * 16 // 1 / 16
+            polygon = np.array([[x0, y0], [x1, y1], [x1, y0], [x0, y1]])
+        elif kind == "many":
+            polygon = draw(strategies.unit_polygons(min_vertices=8, max_vertices=12))
+        else:
+            k = draw(st.integers(3, 10))
+            cols = draw(st.lists(st.integers(0, width - 1), min_size=k, max_size=k))
+            rows = draw(st.lists(st.integers(0, height - 1), min_size=k, max_size=k))
+            polygon = (np.array([cols, rows]).T + 0.5) / [width, height]
+        polygons.append(polygon)
+    return polygon_table([0] * len(polygons), polygons), width, height
+
+
+def _assert_crops_match_the_polygon_reference(table, width, height):
+    crops = table_crops(table, width, height)
+    assert len(crops) == len(table)
+    for row, (row0, col0, crop) in zip(table, crops):
+        want_row0, want_col0, want = oracles.polygon_to_crop(row.polygon, width, height)
+        assert (row0, col0) == (want_row0, want_col0)
+        assert crop.shape == want.shape and crop.dtype == bool
+        assert np.array_equal(crop, want)
+        x, y = (row.polygon * [width, height]).T
+        if np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) == 0.0:
+            assert crop.shape == (0, 0)
+
+
+class TestTableCrops:
+    """The table body against the one-polygon fill it replaced
+    (``oracles.polygon_to_crop``), row by row: offset, shape and bits."""
+
+    @given(_raster_tables(), st.sampled_from([1, 7, 64, None]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_polygon_reference(self, drawn, slots):
+        table, width, height = drawn
+        with pytest.MonkeyPatch.context() as patch:
+            if slots is not None:  # small buffers: every few windows start a new one
+                patch.setattr(dataio, "_WINDOW_SLOTS", slots)
+            _assert_crops_match_the_polygon_reference(table, width, height)
+
+    def test_bowtie_rows_stay_empty(self):
+        bowtie = np.array([[0.25, 0.25], [0.75, 0.75], [0.75, 0.25], [0.25, 0.75]])
+        square = np.array([[0.25, 0.25], [0.75, 0.25], [0.75, 0.75], [0.25, 0.75]])
+        crops = table_crops(polygon_table([0, 0, 0], [bowtie, square, bowtie]), 16, 16)
+        assert [c.shape for *_, c in crops] == [(0, 0), (8, 8), (0, 0)]
+        assert crops[1][:2] == (4, 4) and crops[1][2].all()
+
+    def test_windows_larger_than_one_buffer(self):
+        # each window holds more slots than one buffer, so each fills alone
+        rng = np.random.default_rng(0)
+        polygons = [np.clip(0.5 + 0.5 * rng.uniform(-1, 1, (k, 2)), 0, 1) for k in (4, 9, 12, 5)]
+        polygons.append(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+        table = polygon_table([0] * len(polygons), polygons)
+        width, height = 640, 480
+        areas = [crop.shape[0] * (crop.shape[1] + 1) for *_, crop in table_crops(table, width, height)]
+        assert max(areas) > dataio._WINDOW_SLOTS
+        _assert_crops_match_the_polygon_reference(table, width, height)
+
+    def test_empty_table(self):
+        assert table_crops(polygon_table([], []), 8, 8) == []
 
 
 class TestSplit:

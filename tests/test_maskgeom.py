@@ -661,3 +661,9 @@ class TestAnalyzeMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * mask.size, f"{peak / mask.size:.1f} bytes per pixel"
+
+    def test_a_bool_mask_is_checked_without_a_copy(self):
+        mask = corpus_like_mask(64, 0)
+        assert maskgeom._require_mask(mask) is mask
+        as_bytes = maskgeom._require_mask(mask.view(np.uint8))
+        assert as_bytes.dtype == bool and np.array_equal(as_bytes, mask)
