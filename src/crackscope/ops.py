@@ -18,10 +18,11 @@ output's shape and returns the exact gradients with respect to every
 *array* input, one per input and of its shape, as a tuple in positional
 order (structural arguments such as pooling sizes get no gradient).  The
 pullback reuses what the forward saved (im2col columns, padded arrays,
-sigmoid values, argmax inputs, max pooling's row-segment maxima) and writes
-into none of it, so it may be called any number of times; the caller in
-turn must not write into the inputs or the output while it holds the
-pullback.  ``<op>(...)`` is ``<op>_vjp(...)[0]``, and :data:`VJP_OPS` maps
+sigmoid values, argmax inputs; max pooling saves only its output and
+recomputes its row-segment maxima from the input) and writes into none of
+it, so it may be called any number of times; the caller in turn must not
+write into the inputs or the output while it holds the pullback.
+``<op>(...)`` is ``<op>_vjp(...)[0]``, and :data:`VJP_OPS` maps
 each op's name to its body.  A pullback trusts its caller to pass an
 upstream of the output's shape.  There is no autodiff graph: composite
 blocks chain the pullbacks by hand in reverse order.
@@ -118,63 +119,100 @@ def global_max_pool(x) -> np.ndarray:
     return global_max_pool_vjp(x)[0]
 
 
-def _shifted(a, axis: int, k: int, count: int):
-    """The ``k`` views of ``a`` shifted by 0..k-1 along ``axis``, each
-    ``count`` long."""
-    index = [slice(None)] * a.ndim
-    for d in range(k):
-        index[axis] = slice(d, d + count)
-        yield a[tuple(index)]
+# padded elements in one slab of max pooling's planes: the slab's frame, its
+# column maxima and its row maxima, 8 bytes each, fit a 2 MB L2 cache together
+_SLAB_ELEMENTS = 2**15
 
 
 def maxpool2d_vjp(x, k: int):
-    """Separable shifted maxima: a running max over ``k`` columns, then over
-    ``k`` rows (van Herk 1992; Gil & Werman 1993).  The pullback finds each
-    window's first row-major maximum in two O(k) passes, over the padded
-    input and its row-segment maxima, and routes the upstream to it with one
-    ``np.bincount``."""
+    """Separable running maxima over ``k`` columns, then ``k`` rows (van Herk
+    1992; Gil & Werman 1993), one slab of about ``_SLAB_ELEMENTS`` padded
+    elements at a time.  A slab lays its ``-inf`` padded planes out flat with
+    a ``-inf`` tail, so every column or row shift is one contiguous 1-D slice
+    and the passes run in cache.  The forward keeps only its output.  The
+    pullback rebuilds each slab's frame and column maxima from ``x``, finds
+    each window's first row-major maximum in two O(k) passes, one per axis,
+    and routes the upstream to it with one ``np.bincount`` per slab."""
     x = as_nchw(x, "x")
     (pad,) = _same_padding(x, "pooling", k)
     n, c, h, w = x.shape
-    hp, wp = h + 2 * pad, w + 2 * pad
+    planes, hp, wp = n * c, h + 2 * pad, w + 2 * pad
+    # whole planes, at least one and at most all of them
+    per_slab = max(1, min(_SLAB_ELEMENTS // (hp * wp), planes))
+    size = per_slab * hp * wp
 
-    def running_max(a, axis, count):
-        views = _shifted(a, axis, k, count)
-        best = next(views).copy()
-        for view in views:
-            np.maximum(best, view, out=best)
-        return best
+    def running_max(a, step, count, out):
+        # out[i] = max over d < k of a[i + d * step], folded in order of d
+        out = out[:count]
+        np.copyto(out, a[:count])
+        for d in range(1, k):
+            np.maximum(out, a[d * step : d * step + count], out=out)
+        return out
 
-    def first_max(a, best, axis, count):
-        # offset 0..k-1 of the first shifted view equal to best, NaN counting
-        # as maximal (as argmax does); best is one of the k views' values, so
-        # offset k-1 wins where none of the first k-1 views match
-        first = np.full(best.shape, k - 1, dtype=np.min_scalar_type(k))
-        for d, view in reversed(list(enumerate(_shifted(a, axis, k - 1, count)))):
-            hit = (view == best) | np.isnan(view)
-            first -= hit * (first - d)  # first = d at hits; a masked store is slower
+    def slabs():
+        """``(start, count, frame, cols)`` per slab of ``count`` planes from
+        ``start``: the padded planes flat, then the tail, and each flat
+        position's maximum over ``k`` columns."""
+        frame = np.full(size + k - 1, -np.inf)
+        interior = frame[:size].reshape(per_slab, hp, wp)[:, pad : pad + h, pad : pad + w]
+        cols = np.empty(size)
+        xs = x.reshape(planes, h, w)
+        for start in range(0, planes, per_slab):
+            count = min(per_slab, planes - start)
+            # the previous slab wrote only interiors, so the padding and the
+            # tail (the next plane's top padding row) still hold -inf
+            interior[:count] = xs[start : start + count]
+            yield start, count, frame, running_max(frame, 1, count * hp * wp, cols)
+
+    def first_max(a, best, step, count, nan):
+        # offset d < k of the first a[i + d * step] equal to best[i], NaN
+        # counting as maximal (as argmax does), as the number of offsets
+        # that miss before it; best is one of those k values, so offset k-1
+        # wins where none of the first k-1 match
+        first = np.zeros(count, dtype=np.min_scalar_type(k))
+        missed = np.ones(count, dtype=bool)  # every offset so far missed
+        miss = np.empty(count, dtype=bool)
+        for d in range(k - 1):
+            view = a[d * step : d * step + count]
+            missed &= np.not_equal(view, best[:count], out=miss)
+            if nan:
+                missed &= np.equal(view, view, out=miss)
+            first += missed  # a masked store is slower
         return first
 
-    padded = np.full((n, c, hp, wp), -np.inf, dtype=np.float64)
-    padded[:, :, pad : pad + h, pad : pad + w] = x
-    row_max = running_max(padded, 3, w)  # max of each row segment, [n, c, hp, w]
-    out = running_max(row_max, 2, h)
+    out = np.empty((planes, h, w))
+    rows = np.empty(size)
+    for start, count, _, cols in slabs():
+        running_max(cols, wp, len(cols) - (k - 1) * wp, rows)
+        out[start : start + count] = rows.reshape(per_slab, hp, wp)[:count, :h, :w]
 
     def pullback(up):
-        col = first_max(padded, row_max, 3, w)  # winner's offset in each row segment
-        # each window's winning row, counted in the [n * c * hp, wp] stack of rows
-        rows = first_max(row_max, out, 2, h) + np.arange(h)[:, None]
-        rows += hp * np.arange(n * c).reshape(n, c, 1, 1)
-        starts = np.arange(w)
-        # flat padded-frame index of each window's winner, in output row-major
-        # order, so bincount adds in the order a sequential scatter-add would
-        dest = col.reshape(-1, w)[rows, starts] + starts
-        rows *= wp
-        dest += rows
-        grad = np.bincount(dest.ravel(), weights=np.ravel(up), minlength=n * c * hp * wp)
-        return (grad.reshape(n, c, hp, wp)[:, :, pad : pad + h, pad : pad + w],)
+        up = np.reshape(up, (planes, h * w))
+        grad = np.empty((planes, h, w))
+        # each window's top-left corner in the flat frame, in output row-major order
+        corner = np.arange(per_slab)[:, None, None] * (hp * wp)
+        corner = (corner + np.arange(h)[:, None] * wp + np.arange(w)).ravel()
+        winner = np.empty_like(corner)
+        # the slab's output at its corners, -inf elsewhere
+        best = np.full(size, -np.inf)
+        for start, count, frame, cols in slabs():
+            length, windows = len(cols), count * h * w
+            window_max = out[start : start + count]
+            nan = bool(np.isnan(window_max).any())  # a NaN in a window is its max
+            best.reshape(per_slab, hp, wp)[:count, :h, :w] = window_max
+            col = first_max(frame, cols, 1, length, nan)  # winner's column in its row
+            row = first_max(cols, best, wp, length - (k - 1) * wp, nan)  # winner's row
+            # each window's winning row segment, then the winner in it
+            at = np.multiply(row[corner[:windows]], wp, out=winner[:windows], dtype=winner.dtype)
+            at += corner[:windows]
+            at += col[at]
+            # bincount adds in output row-major order, as a sequential scatter-add would
+            weights = up[start : start + count].ravel()
+            slab = np.bincount(at, weights=weights, minlength=length).reshape(count, hp, wp)
+            grad[start : start + count] = slab[:, pad : pad + h, pad : pad + w]
+        return (grad.reshape(x.shape),)
 
-    return out, pullback
+    return out.reshape(x.shape), pullback
 
 
 def maxpool2d(x, k: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,22 @@ class TestPipeline:
         assert calls == {"conv2d_vjp": 4, "maxpool2d_vjp": 3, "sigmoid_vjp": 3}
         assert np.array_equal(attention.pipeline_input_grad(x, p, np.ones_like(out)), grad)
         assert np.array_equal(attention.demo_pipeline(x, p), out)
+
+    def test_input_grad_peak_memory(self):
+        """At the benchmark's shapes (1x3x80x80 in, 64 channels, SPPF 32 -> 64)
+        the input gradient peaked at 58.1 MB while each max pool kept its
+        padded frame and row-segment maxima, and peaks at 49.2 MB with pools
+        that keep only their output."""
+        rng = np.random.default_rng(24)
+        p = attention.init_pipeline(3, 64, 32, 64, seed=0)
+        x, up = rng.standard_normal((1, 3, 80, 80)), rng.standard_normal((1, 64, 80, 80))
+        tracemalloc.start()
+        try:
+            attention.pipeline_input_grad(x, p, up)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 53.6e6
 
 
 class TestBlockGradients:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crackscope import ops
+from crackscope import attention, ops
 from crackscope.gradcheck import (
     _BLOCKS,
     GradCheckReport,
@@ -92,6 +92,43 @@ def test_every_op_passes_gradcheck(op):
         inputs = random_op_case(op, rng)
         report = gradcheck_fn(op, ops.VJP_OPS[op], inputs, eps=1e-5, tol=1e-4, seed=case)
         assert report.passed, f"{op} case {case}: {report}"
+
+
+class TestCallCount:
+    """``gradcheck_fn`` calls ``fn`` once for the output and twice per
+    element of the array inputs, so a pullback that runs a forward again
+    shows in the count."""
+
+    @staticmethod
+    def _count(calls, name, body):
+        def counted(*args):
+            calls[name] += 1
+            return body(*args)
+
+        return counted
+
+    @staticmethod
+    def _probes(inputs):
+        return 1 + 2 * sum(a.size for a in inputs if isinstance(a, np.ndarray))
+
+    def test_maxpool_and_sppf_run_one_forward_per_probe(self, monkeypatch):
+        calls = {"pool": 0, "sppf": 0}
+        pool = self._count(calls, "pool", ops.maxpool2d_vjp)
+        sppf = self._count(calls, "sppf", attention.sppf_vjp)
+        monkeypatch.setattr(ops, "maxpool2d_vjp", pool)
+        monkeypatch.setattr(attention, "maxpool2d_vjp", pool)
+        monkeypatch.setattr(attention, "sppf_vjp", sppf)
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            inputs = random_op_case("maxpool2d", rng)
+            calls["pool"] = 0
+            gradcheck_fn("maxpool2d", pool, inputs)
+            assert calls["pool"] == self._probes(inputs)
+        for _ in range(3):
+            inputs = _random_block_case("sppf", rng)
+            calls.update(pool=0, sppf=0)
+            gradcheck_fn("sppf", sppf, inputs)
+            assert calls == {"pool": 3 * self._probes(inputs), "sppf": self._probes(inputs)}
 
 
 class TestKinkRule:

@@ -261,6 +261,20 @@ def _assert_matches_former_body(x, k, up):
     assert np.ascontiguousarray(grad).tobytes() == np.ascontiguousarray(ref_grad).tobytes()
 
 
+@st.composite
+def multi_slab_pool_cases(draw):
+    """``(x, k, upstream)`` with up to 12 planes per sample, NaN and +-inf
+    among the values, and some planes all ``-inf``."""
+    k = draw(st.sampled_from([1, 3, 5, 7]))
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 12)))
+    shape += (draw(st.integers(1, k + 5)), draw(st.integers(1, k + 5)))
+    x = draw(arrays(np.float64, shape, elements=st.sampled_from(_POOL_VALUES)))
+    for plane in draw(st.lists(st.integers(0, shape[0] * shape[1] - 1), max_size=3)):
+        x.reshape(-1, *shape[2:])[plane] = -np.inf
+    up = draw(arrays(np.float64, shape, elements=_UPSTREAM))
+    return x, k, up
+
+
 class TestMaxpool2d:
     def test_identity_window(self):
         rng = np.random.default_rng(9)
@@ -307,6 +321,37 @@ class TestMaxpool2d:
         up = np.array([1e16, -1e16, 1.0, 5.0]).reshape(1, 1, 1, 4)
         _assert_matches_former_body(x, 5, up)
         assert ops.maxpool2d_vjp(x, 5)[1](up)[0][0, 0, 0, 0] == 1.0
+
+    @given(multi_slab_pool_cases(), st.sampled_from([1, 7, None]))
+    @settings(max_examples=300, deadline=None)
+    def test_slabs_of_any_size_match_former_body_bit_for_bit(self, case, planes_per_slab):
+        """One plane per slab, seven (so the last slab is partial) and the
+        default give the former body's bytes, and a pullback called twice
+        gives the same bytes and leaves ``x`` as it was."""
+        x, k, up = case
+        plane = (x.shape[2] + k - 1) * (x.shape[3] + k - 1)
+        with pytest.MonkeyPatch.context() as patch:
+            if planes_per_slab is not None:
+                patch.setattr(ops, "_SLAB_ELEMENTS", planes_per_slab * plane)
+            _assert_matches_former_body(x, k, up)
+            saved = x.copy()
+            pullback = ops.maxpool2d_vjp(x, k)[1]
+            first = pullback(up)[0].tobytes()
+            assert pullback(up)[0].tobytes() == first
+            assert x.tobytes() == saved.tobytes()
+
+    def test_forward_keeps_only_its_output(self):
+        """What a forward at 1x32x80x80, k=5, still holds stays within 1.25x
+        its output; keeping the padded frame and the row-segment maxima held
+        3.15x."""
+        x = np.random.default_rng(22).standard_normal((1, 32, 80, 80))
+        tracemalloc.start()
+        try:
+            out, pullback = ops.maxpool2d_vjp(x, 5)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.25 * out.nbytes
 
     def test_peak_memory_stays_linear_in_the_input(self):
         """A forward and one pullback at 1x32x80x80, k=5, allocate under 8x
