@@ -124,12 +124,11 @@ def _cmd_eval(args) -> int:
             + ", ".join(repr(image_id) for image_id in unknown)
         )
 
-    # each image's rows of the file, in file order
+    # the table sorted by image id (stably: each image's rows stay in file order); each image views its run
     image_ids = np.array(sorted(gts), dtype=object)
-    order = np.argsort(preds.image_ids, kind="stable")
-    ids = preds.image_ids[order]
-    los, his = np.searchsorted(ids, image_ids, "left"), np.searchsorted(ids, image_ids, "right")
-    by_image = {image_id: preds[order[lo:hi]] for image_id, lo, hi in zip(image_ids, los, his)}
+    preds = preds[np.argsort(preds.image_ids, kind="stable")]
+    los, his = (np.searchsorted(preds.image_ids, image_ids, side).tolist() for side in ("left", "right"))
+    by_image = {image_id: preds[lo:hi] for image_id, lo, hi in zip(image_ids, los, his)}
     width = height = args.raster_size
 
     instance = args.mode == "instance"
@@ -143,7 +142,7 @@ def _cmd_eval(args) -> int:
         tp = int(flags.sum())
         counts = metrics.ConfusionCounts(tp=tp, fp=len(flags) - tp, fn=sum(fn for _, fn in matches))
         total_gt = sum(len(g) for g in gts.values())
-        curve = (metrics.pr_curve(preds.scores[order], flags, total_gt) if total_gt
+        curve = (metrics.pr_curve(preds.scores, flags, total_gt) if total_gt
                  else (np.empty(0),) * 3)
     else:  # pixel
         counts = sum((metrics.pixel_confusion(_union_mask(by_image[image_id], width, height),

@@ -29,16 +29,21 @@ box.  :func:`polygon_table` is the one check, run over whole columns: a
 class id is an integer in [0, 2^63), a score a number in [0, 1], an image id
 a string, and a polygon >= 3 (x, y) vertices of numbers in [0, 1].  An
 error names the first bad line, and within it the first failing check.
+A step-1 slice of a table gives views, an index array copies.
+:func:`read_predictions` pauses the cyclic garbage collector while parsed
+JSON is alive: ``json.loads`` builds only acyclic lists and dicts, which
+reference counting frees, so a collector pass over them finds nothing.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import numbers
 import os
 import re
 import tempfile
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -85,7 +90,8 @@ class PolygonTable:
     labels), float64 ``vertices`` ``[V, 2]`` with row ``i``'s polygon at
     ``starts[i]:starts[i + 1]``, and ``corners`` ``[n, 4]``, each polygon's
     ``(x0, y0, x1, y1)`` bounds.  An int index gives a :class:`PolygonRow`,
-    a slice or an index array the table of those rows."""
+    a slice or an index array the table of those rows: a step-1 slice as
+    views of these columns, any other slice or an index array as copies."""
 
     class_ids: np.ndarray
     scores: np.ndarray
@@ -104,6 +110,11 @@ class PolygonTable:
             polygon = self.vertices[self.starts[i] : self.starts[i + 1]]
             image_id = None if ids is None else ids[i]
             return PolygonRow(image_id, int(self.class_ids[i]), float(self.scores[i]), polygon)
+        if isinstance(index, slice) and index.step in (None, 1):  # views of every column
+            lo, hi, _ = index.indices(len(self))
+            hi, starts = max(lo, hi), self.starts[lo : max(lo, hi) + 1]
+            return PolygonTable(self.class_ids[lo:hi], self.scores[lo:hi], ids if ids is None else ids[lo:hi],
+                                self.vertices[starts[0] : starts[-1]], starts - starts[0], self.corners[lo:hi])
         rows = np.arange(len(self))[index]
         counts = np.diff(self.starts)[rows]
         starts = np.concatenate([[0], np.cumsum(counts)])
@@ -505,6 +516,18 @@ def write_pgm(image) -> bytes:
 _CHUNK_ROWS = 1024  # parsed JSON takes far more memory than its table: check it as it comes
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector in the block, then restore its state."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _json_row(lineno, line):
     """``(lineno, image, class, score, polygon)`` of one prediction line."""
     try:
@@ -529,18 +552,19 @@ def read_predictions(text: str) -> PolygonTable:
         return _checked(class_ids, scores, image_ids, lines, _stack(polygons, MalformedPrediction))
 
     tables, rows, syntax = [], [], None
-    for lineno, line in enumerate(text.split("\n"), start=1):  # as parse_label_file's lines
-        if not line.strip():
-            continue
-        try:
-            rows.append(_json_row(lineno, line))
-        except MalformedPrediction as exc:  # reported unless an earlier line fails a value check
-            syntax = exc
-            break
-        if len(rows) == _CHUNK_ROWS:
-            tables.append(table(rows))
-            rows = []
-    tables.append(table(rows))
+    with _collector_paused():  # json.loads builds no cycles: reference counts free each chunk
+        for lineno, line in enumerate(text.split("\n"), start=1):  # as parse_label_file's lines
+            if not line.strip():
+                continue
+            try:
+                rows.append(_json_row(lineno, line))
+            except MalformedPrediction as exc:  # reported unless an earlier line fails a value check
+                syntax = exc
+                break
+            if len(rows) == _CHUNK_ROWS:
+                tables.append(table(rows))
+                rows = []
+        tables.append(table(rows))
     if syntax is not None:
         raise syntax
     return _concat(tables)

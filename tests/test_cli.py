@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+import oracles
+from crackscope import dataio, metrics
 from crackscope.cli import main
 from crackscope.dataio import write_pgm
 
@@ -273,6 +275,149 @@ class TestEval:
         finally:
             del os.environ["CRACKSCOPE_THREADS"]
         assert single.read_text() == multi.read_text()
+
+
+def _star(rng, cx, cy, radius):
+    """A 6-vertex star-shaped polygon around (cx, cy), rounded to 4 places."""
+    angles = (np.arange(6) + rng.uniform(-0.3, 0.3, 6)) * (np.pi / 3)
+    radii = radius * rng.uniform(0.7, 1.0, 6)
+    return np.round(np.clip(np.stack([cx + radii * np.cos(angles), cy + radii * np.sin(angles)], 1), 0, 1), 4)
+
+
+def _write_corpus(directory, counts, seed):
+    """One label file per ``(n_gt, n_pred)`` of ``counts``, image ids
+    ``im000 ..``; half the predictions jitter a ground truth of their image.
+    The prediction file lists the images in reverse id order, one row of each
+    image in turn.  Returns ``(gt_dir, pred_path, images)`` with ``images``
+    mapping an id to its ``(gts, preds)`` lists of ``(class, [score,] polygon)``."""
+    rng = np.random.default_rng(seed)
+    gt_dir = directory / "gt"
+    gt_dir.mkdir()
+    images = {}
+    for i, (n_gt, n_pred) in enumerate(counts):
+        gts = [(k % 2, _star(rng, *rng.uniform(0.15, 0.85, 2), rng.uniform(0.05, 0.15))) for k in range(n_gt)]
+        preds = []
+        for k in range(n_pred):
+            if gts and k % 2 == 0:
+                class_id, polygon = gts[int(rng.integers(len(gts)))]
+                polygon = np.round(np.clip(polygon + rng.uniform(-0.01, 0.01, polygon.shape), 0, 1), 4)
+            else:
+                class_id, polygon = k % 2, _star(rng, *rng.uniform(0.15, 0.85, 2), rng.uniform(0.05, 0.15))
+            preds.append((class_id, round(float(rng.uniform()), 2), polygon))  # 2 places: ties across images
+        images[f"im{i:03d}"] = gts, preds
+        (gt_dir / f"im{i:03d}.txt").write_text(
+            "".join(f"{c} " + " ".join(map(str, p.ravel())) + "\n" for c, p in gts))
+    lines = []
+    for k in range(max((len(p) for _, p in images.values()), default=0)):
+        for image_id in sorted(images, reverse=True):
+            if k < len(images[image_id][1]):
+                class_id, score, polygon = images[image_id][1][k]
+                lines.append(json.dumps({"image": image_id, "class": class_id, "score": score,
+                                         "polygon": polygon.tolist()}))
+    pred_path = directory / "preds.jsonl"
+    pred_path.write_text("".join(line + "\n" for line in lines))
+    return gt_dir, pred_path, images
+
+
+def _full_mask(polygon, size):
+    row0, col0, crop = oracles.polygon_to_crop(polygon, size, size)
+    mask = np.zeros((size, size), dtype=bool)
+    mask[row0 : row0 + crop.shape[0], col0 : col0 + crop.shape[1]] = crop
+    return mask
+
+
+class TestEvalPerImageReference:
+    """Images interleaved in the prediction file, listed in reverse id order,
+    one without predictions: every mode equals a per-image reference."""
+
+    SIZE = 48
+    COUNTS = [(3, 5), (2, 4), (4, 0), (1, 3), (3, 6)]
+
+    def _run(self, tmp_path, *flags):
+        gt_dir, pred_path, images = _write_corpus(tmp_path, self.COUNTS, seed=11)
+        out, pr = tmp_path / "m.json", tmp_path / "pr.csv"
+        argv = ["eval", "--gt", str(gt_dir), "--pred", str(pred_path), "--raster-size", str(self.SIZE),
+                "--out", str(out), *flags]
+        assert main(argv + ([] if "pixel" in flags else ["--pr-out", str(pr)])) == 0
+        return images, json.loads(out.read_text()), pr
+
+    @pytest.mark.parametrize("match", ["box", "mask"])
+    def test_instance_modes(self, tmp_path, match):
+        images, doc, pr = self._run(tmp_path, "--match", match)
+        assert images["im002"][1] == []
+
+        def pair_iou(p, g):
+            if match == "box":
+                return oracles.corner_iou(oracles.polygon_corners(p), oracles.polygon_corners(g))
+            return oracles.mask_iou(_full_mask(p, self.SIZE), _full_mask(g, self.SIZE))
+
+        flagged, fn = [], 0
+        for gts, preds in (images[image_id] for image_id in sorted(images)):
+            matrix = [[pair_iou(p, g) if c == k else 0.0 for k, g in gts] for c, _, p in preds]
+            flags, missed = oracles.greedy_match_reference([s for _, s, _ in preds], gts, matrix, 0.5)
+            flagged += [(s, f) for (_, s, _), f in zip(preds, flags)]
+            fn += missed
+        tp = sum(f for _, f in flagged)
+        points = oracles.loop_pr_curve(flagged, sum(len(g) for g, _ in images.values()))
+        assert 0 < tp < len(flagged)
+        assert (doc["tp"], doc["fp"], doc["fn"]) == (tp, len(flagged) - tp, fn)
+        assert (doc["precision"], doc["recall"]) == (tp / len(flagged), tp / (tp + fn))
+        assert doc["ap"] == oracles.loop_average_precision(points)
+        assert pr.read_text() == oracles.loop_pr_curve_to_csv(points)
+
+    def test_pixel_mode(self, tmp_path):
+        images, doc, _ = self._run(tmp_path, "--mode", "pixel")
+        tp = fp = fn = tn = 0
+        for gts, preds in images.values():
+            union = [np.zeros((self.SIZE, self.SIZE), dtype=bool) for _ in range(2)]
+            for side, rows in zip(union, (preds, gts)):
+                for row in rows:
+                    side |= _full_mask(row[-1], self.SIZE)
+            p, g = union
+            tp, fp, fn, tn = tp + (p & g).sum(), fp + (p & ~g).sum(), fn + (~p & g).sum(), tn + (~p & ~g).sum()
+        assert (doc["tp"], doc["fp"], doc["fn"], doc["tn"]) == (tp, fp, fn, tn)
+        assert doc["accuracy"] == (tp + tn) / (tp + fp + fn + tn)
+
+
+class TestEvalWork:
+    """Doubling the images at the same per-image counts doubles the records
+    parsed and the IoU pairs, the pairs are each image's n_pred * n_gt, and
+    the PR curve and AP are built once."""
+
+    COUNTS = [(3, 5), (0, 2), (4, 0), (2, 7), (5, 3), (1, 1)]
+
+    def _work(self, directory, counts, monkeypatch):
+        directory.mkdir()
+        gt_dir, pred_path, _ = _write_corpus(directory, counts, seed=12)
+        work = {"records": 0, "iou_pairs": 0, "pr_curve": 0, "average_precision": 0}
+
+        def counted(key, fn, size=lambda result: 1):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                work[key] += size(result)
+                return result
+
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dataio, "_json_row", counted("records", dataio._json_row))
+            patch.setattr(metrics, "_box_iou_matrix", counted("iou_pairs", metrics._box_iou_matrix,
+                                                              lambda iou: iou.size))
+            patch.setattr(metrics, "pr_curve", counted("pr_curve", metrics.pr_curve))
+            patch.setattr(metrics, "average_precision", counted("average_precision",
+                                                                metrics.average_precision))
+            argv = ["eval", "--gt", str(gt_dir), "--pred", str(pred_path), "--match", "box",
+                    "--out", str(directory / "m.json"), "--pr-out", str(directory / "pr.csv")]
+            assert main(argv) == 0
+        return work
+
+    def test_work_doubles_with_the_images(self, tmp_path, monkeypatch):
+        one = self._work(tmp_path / "n", self.COUNTS * 4, monkeypatch)
+        two = self._work(tmp_path / "2n", self.COUNTS * 8, monkeypatch)
+        assert one["records"] == 4 * sum(p for _, p in self.COUNTS)
+        assert one["iou_pairs"] == 4 * sum(g * p for g, p in self.COUNTS)
+        assert (two["records"], two["iou_pairs"]) == (2 * one["records"], 2 * one["iou_pairs"])
+        assert one["pr_curve"] == one["average_precision"] == two["pr_curve"] == two["average_precision"] == 1
 
 
 # (key, raw JSON value) of one bad prediction line

@@ -1,4 +1,6 @@
+import gc
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 import strategies
 from crackscope import dataio
+from crackscope.cli import main
 from crackscope.dataio import (
     SplitSpec,
     atomic_write_text,
@@ -467,6 +470,136 @@ class TestPredictions:
         bad = "\n".join(line % i for i in range(count - 1)) + "\n" + (line % 0).replace("0.3", "1.3")
         with pytest.raises(OutOfRange, match=f"^line {count}: "):
             read_predictions(bad)
+
+
+def _prediction_lines(rows, rng):
+    """``rows`` valid prediction lines of 3 to 6 vertices over images a-d."""
+    lines = []
+    for i in range(rows):
+        polygon = np.round(rng.uniform(0, 1, (int(rng.integers(3, 7)), 2)), 4).tolist()
+        lines.append('{"image": "%s", "class": %d, "score": %s, "polygon": %s}'
+                     % ("abcd"[i % 4], i % 3, round(float(rng.uniform()), 4), polygon))
+    return lines
+
+
+def _label_text(rows, rng):
+    return "".join(f"{i % 3} " + " ".join(map(str, np.round(rng.uniform(0, 1, 2 * int(rng.integers(3, 7))), 4)))
+                   + "\n" for i in range(rows))
+
+
+def _columns(table):
+    return [table.class_ids, table.scores, table.image_ids, table.vertices, table.starts, table.corners]
+
+
+class TestSliceViews:
+    """A step-1 slice gives views that equal the copying index-array path."""
+
+    @pytest.mark.parametrize("kind", ["labels", "predictions"])
+    def test_slices_equal_the_index_path(self, kind):
+        rng = np.random.default_rng(3)
+        for n in (0, 1, 2, 7, 40):
+            table = (parse_label_file(_label_text(n, rng)) if kind == "labels"
+                     else read_predictions("\n".join(_prediction_lines(n, rng))))
+            bounds = [None, *range(-n - 3, n + 4)]
+            for lo, hi in [(None, None), (0, n), (n, n + 5), (-n - 3, n + 3)] + [
+                    tuple(rng.choice(bounds, 2)) for _ in range(60)]:
+                view, copy = table[lo:hi], table[np.arange(len(table))[lo:hi]]
+                assert len(view) == len(copy)
+                for got, want in zip(_columns(view), _columns(copy)):
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        assert got.dtype == want.dtype and np.array_equal(got, want)
+                if len(view):
+                    assert np.shares_memory(view.vertices, table.vertices)
+
+    def test_other_steps_still_match_the_index_path(self):
+        table = read_predictions("\n".join(_prediction_lines(9, np.random.default_rng(4))))
+        for index in (slice(None, None, 2), slice(None, None, -1), slice(7, 1, -3)):
+            picked, want = table[index], table[np.arange(len(table))[index]]
+            for got, expected in zip(_columns(picked), _columns(want)):
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+            assert not np.shares_memory(picked.vertices, table.vertices)
+
+
+@contextmanager
+def _collector(enabled):
+    """Run the block with the cyclic collector on or off, then restore it."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+class TestCollectorPause:
+    """read_predictions parses with the cyclic collector paused and leaves it
+    as the caller had it."""
+
+    ROWS = 2 * dataio._CHUNK_ROWS + 3
+
+    def _text(self, last_line=None):
+        lines = _prediction_lines(self.ROWS, np.random.default_rng(5))
+        return "\n".join(lines[:-1] + [last_line or lines[-1]])
+
+    def test_parse_runs_no_collection(self):
+        """CPython counts container allocations while the collector is off,
+        so switching it back on may start one young-generation pass; the
+        parse itself starts none (an unpaused parse of this file starts
+        about twenty, some of them older-generation)."""
+        text = self._text()
+        starts = []
+
+        def hook(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        with _collector(True):
+            gc.callbacks.append(hook)
+            try:
+                table = read_predictions(text)
+            finally:
+                gc.callbacks.remove(hook)
+        assert len(table) == self.ROWS and starts in ([], [0])
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("last_line, error", [
+        (None, None),
+        ("{not json}", MalformedPrediction),
+        ('{"image": "a", "class": 0, "score": 1.5, "polygon": [[0.1, 0.1], [0.5, 0.1], [0.3, 0.6]]}',
+         OutOfRange),
+    ])
+    def test_collector_state_is_restored(self, enabled, last_line, error):
+        text = self._text(last_line)
+        with _collector(enabled):
+            if error is None:
+                assert len(read_predictions(text)) == self.ROWS
+            else:
+                with pytest.raises(error, match=f"^line {self.ROWS}: "):
+                    read_predictions(text)
+            assert gc.isenabled() == enabled
+
+    def test_eval_bytes_do_not_depend_on_the_collector(self, tmp_path):
+        gt = tmp_path / "gt"
+        gt.mkdir()
+        rng = np.random.default_rng(6)
+        for image in "abcd":
+            (gt / f"{image}.txt").write_text(_label_text(5, rng))
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text("\n".join(_prediction_lines(40, rng)) + "\n")
+        outputs = []
+        for enabled in (True, False):
+            with _collector(enabled):
+                for mode in (["--match", "box"], ["--match", "mask"]):
+                    out = tmp_path / f"{enabled}{mode[1]}"
+                    assert main(["eval", "--gt", str(gt), "--pred", str(pred), *mode, "--raster-size", "64",
+                                 "--out", f"{out}.json", "--pr-out", f"{out}.csv"]) == 0
+                    outputs += [(tmp_path / f"{out}.{ext}").read_bytes() for ext in ("json", "csv")]
+                assert main(["eval", "--gt", str(gt), "--pred", str(pred), "--mode", "pixel",
+                             "--raster-size", "64", "--out", str(tmp_path / f"{enabled}pixel.json")]) == 0
+                outputs.append((tmp_path / f"{enabled}pixel.json").read_bytes())
+                assert gc.isenabled() == enabled
+        assert outputs[:5] == outputs[5:]
 
 
 class TestAtomicWrite:
