@@ -8,8 +8,9 @@ Usage (from the repository root)::
 The op calls are the ones one ``attention.pipeline_vjp`` forward and
 pullback make on a 1x3x80x80 input with 64 channels, SPPF widths 32 and 64:
 each op body that ``attention`` imports is wrapped while the pipeline runs,
-and each distinct call (op, argument shapes and sizes) is then timed alone,
-its forward as ``body(*args)`` and its pullback on a fixed upstream;
+and each distinct call (op, argument shapes and sizes, keyword arguments
+such as a convolution's ``input_only``) is then timed alone, its forward as
+``body(*args, **kwargs)`` and its pullback on a fixed upstream;
 ``calls_per_pipeline`` says how often the pipeline makes that call.  The
 sweep runs ``maxpool2d_vjp(x, 5)`` at C = 32 from 40x40 to 320x320 and fits
 the log-log slope of time against pixels.  Every time is the best of
@@ -48,8 +49,8 @@ def describe(arg):
     return arg if isinstance(arg, int) else list(np.shape(arg))
 
 
-def pipeline_calls() -> list[tuple[str, tuple, int]]:
-    """``(op, args, count)`` for each distinct op call of one pipeline
+def pipeline_calls() -> list[tuple[str, tuple, dict, int]]:
+    """``(op, args, kwargs, count)`` for each distinct op call of one pipeline
     forward and pullback at the benchmark's shapes, in first-call order."""
     rng = np.random.default_rng(0)
     x = rng.standard_normal(BLOCK_SHAPE)
@@ -60,10 +61,10 @@ def pipeline_calls() -> list[tuple[str, tuple, int]]:
     originals = {name: body for name, body in originals.items() if body is not None}
 
     def recorder(name, body):
-        def record(*args):
-            key = json.dumps([name, [describe(a) for a in args]])
-            calls.setdefault(key, [name, args, 0])[2] += 1
-            return body(*args)
+        def record(*args, **kwargs):
+            key = json.dumps([name, [describe(a) for a in args], kwargs], sort_keys=True)
+            calls.setdefault(key, [name, args, kwargs, 0])[3] += 1
+            return body(*args, **kwargs)
 
         return record
 
@@ -78,11 +79,11 @@ def pipeline_calls() -> list[tuple[str, tuple, int]]:
     return [tuple(call) for call in calls.values()]
 
 
-def time_call(body, args, repeats: int) -> dict:
-    out, pullback = body(*args)
+def time_call(body, args, kwargs, repeats: int) -> dict:
+    out, pullback = body(*args, **kwargs)
     up = np.random.default_rng(1).standard_normal(np.shape(out))
     return {
-        "forward_ms": best_ms(lambda: body(*args), repeats),
+        "forward_ms": best_ms(lambda: body(*args, **kwargs), repeats),
         "pullback_ms": best_ms(lambda: pullback(up), repeats),
     }
 
@@ -99,11 +100,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     op_rows = []
-    for name, call_args, count in pipeline_calls():
-        row = {"op": name, "args": [describe(a) for a in call_args], "calls_per_pipeline": count}
-        row.update(time_call(ops.VJP_OPS[name], call_args, args.repeats))
+    for name, call_args, kwargs, count in pipeline_calls():
+        row = {"op": name, "args": [describe(a) for a in call_args], "kwargs": kwargs,
+               "calls_per_pipeline": count}
+        row.update(time_call(ops.VJP_OPS[name], call_args, kwargs, args.repeats))
         op_rows.append(row)
-        print(f"{name:16s} {json.dumps(row['args']):48s} x{count}"
+        print(f"{name:16s} {json.dumps(row['args']):48s} {json.dumps(kwargs):22s} x{count}"
               f"  forward {row['forward_ms']:8.3f} ms  pullback {row['pullback_ms']:8.3f} ms")
 
     rng = np.random.default_rng(2)
@@ -111,7 +113,7 @@ def main(argv=None) -> int:
     forward, backward = [], []
     for side in SWEEP_SIDES:
         x = rng.standard_normal((1, SWEEP_CHANNELS, side, side))
-        times = time_call(ops.maxpool2d_vjp, (x, SWEEP_POOL), args.repeats)
+        times = time_call(ops.maxpool2d_vjp, (x, SWEEP_POOL), {}, args.repeats)
         forward.append(times["forward_ms"])
         backward.append(times["pullback_ms"])
         print(f"maxpool2d sweep {side}x{side}: forward {forward[-1]:8.3f} ms"

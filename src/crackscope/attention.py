@@ -21,9 +21,10 @@ the forward; a container checks only what no op does.
 Each block has one body, ``<block>_vjp(x, *params) -> (out, pullback)``,
 that chains the op-level pullbacks of :mod:`crackscope.ops`;
 ``pullback(upstream)`` returns the exact input gradient as ``(dx,)`` from
-what the forward saved, and ``<block>_forward`` is ``<block>_vjp(...)[0]``.
-There is no autodiff graph.  Parameter containers are frozen dataclasses,
-safe to share across threads.
+what the forward saved, and ``<block>_forward`` is ``<block>_vjp(...)[0]``;
+block parameters get no gradient, so every convolution asks ``conv2d_vjp``
+for ``dx`` alone.  There is no autodiff graph.  Parameter containers are
+frozen dataclasses, safe to share across threads.
 """
 
 from __future__ import annotations
@@ -167,7 +168,8 @@ def _gate_vjp(x, weights_vjp, p):
 
     def pullback(up):
         dx, dw = mul_pullback(up)
-        return (dx + weights_pullback(dw),)
+        dx += weights_pullback(dw)
+        return (dx,)
 
     return out, pullback
 
@@ -236,7 +238,9 @@ def _cam_weights_vjp(x, p: CamParams):
         (dlogits,) = sigmoid_pullback(dw[:, :, 0, 0])
         (dpre,) = relu_pullback(dlogits @ p.w2)
         davg, dmax = dpre @ p.w1
-        return avg_pullback(davg)[0] + max_pullback(dmax)[0]
+        (g,) = max_pullback(dmax)
+        g += avg_pullback(davg)[0]
+        return g
 
     return w.reshape(n, c, 1, 1), pullback
 
@@ -260,7 +264,7 @@ def cam_forward(x, p: CamParams) -> np.ndarray:
 
 def _sam_map_vjp(x, p: SamParams):
     stats, stats_pullback = channel_stats_vjp(x)
-    z, conv_pullback = conv2d_vjp(stats, p.kernel, [p.bias])
+    z, conv_pullback = conv2d_vjp(stats, p.kernel, [p.bias], input_only=True)
     m, sigmoid_pullback = sigmoid_vjp(z)
 
     def pullback(dm):
@@ -300,19 +304,20 @@ def cbam_forward(x, cam: CamParams, sam: SamParams) -> np.ndarray:
 
 def sppf_vjp(x, p: SppfParams):
     """Reduce, pool three times, concat the four stages, expand."""
-    y0, reduce_pullback = conv2d_vjp(x, p.reduce_kernel, p.reduce_bias)
+    y0, reduce_pullback = conv2d_vjp(x, p.reduce_kernel, p.reduce_bias, input_only=True)
     y1, pool1_pullback = maxpool2d_vjp(y0, p.POOL)
     y2, pool2_pullback = maxpool2d_vjp(y1, p.POOL)
     y3, pool3_pullback = maxpool2d_vjp(y2, p.POOL)
     stacked = np.concatenate([y0, y1, y2, y3], axis=1)
-    out, expand_pullback = conv2d_vjp(stacked, p.expand_kernel, p.expand_bias)
+    out, expand_pullback = conv2d_vjp(stacked, p.expand_kernel, p.expand_bias, input_only=True)
 
     def pullback(up):
+        # views of the expand pullback's fresh dx, each finished in place
         d0, d1, d2, d3 = np.split(expand_pullback(up)[0], 4, axis=1)
-        d2 = d2 + pool3_pullback(d3)[0]
-        d1 = d1 + pool2_pullback(d2)[0]
-        d0 = d0 + pool1_pullback(d1)[0]
-        return reduce_pullback(d0)[:1]
+        d2 += pool3_pullback(d3)[0]
+        d1 += pool2_pullback(d2)[0]
+        d0 += pool1_pullback(d1)[0]
+        return reduce_pullback(d0)
 
     return out, pullback
 
@@ -323,13 +328,13 @@ def sppf_forward(x, p: SppfParams) -> np.ndarray:
 
 def pipeline_vjp(x, p: PipelineParams):
     """Smoke-test composition: 3x3 conv, then eca, cbam and sppf in order."""
-    y0, conv_pullback = conv2d_vjp(x, p.conv_kernel, p.conv_bias)
+    y0, conv_pullback = conv2d_vjp(x, p.conv_kernel, p.conv_bias, input_only=True)
     y1, eca_pullback = eca_vjp(y0, p.eca)
     y2, cbam_pullback = cbam_vjp(y1, p.cam, p.sam)
     out, sppf_pullback = sppf_vjp(y2, p.sppf)
 
     def pullback(up):
-        return conv_pullback(*eca_pullback(*cbam_pullback(*sppf_pullback(up))))[:1]
+        return conv_pullback(*eca_pullback(*cbam_pullback(*sppf_pullback(up))))
 
     return out, pullback
 

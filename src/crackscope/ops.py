@@ -16,13 +16,14 @@ closure idiom of ``jax.vjp``: it validates the inputs and computes its one
 array output once, and ``pullback(upstream)`` takes one upstream of the
 output's shape and returns the exact gradients with respect to every
 *array* input, one per input and of its shape, as a tuple in positional
-order (structural arguments such as pooling sizes get no gradient).  The
-pullback reuses what the forward saved (im2col columns, padded arrays,
-sigmoid values, argmax inputs; max pooling saves only its output and
-recomputes its row-segment maxima from the input) and writes into none of
-it, so it may be called any number of times; the caller in turn must not
-write into the inputs or the output while it holds the pullback.
-``<op>(...)`` is ``<op>_vjp(...)[0]``, and :data:`VJP_OPS` maps
+order (structural arguments such as pooling sizes get no gradient;
+``conv2d_vjp(..., input_only=True)`` returns ``(dx,)`` alone and keeps no
+im2col columns).  The pullback reuses what the forward saved (im2col
+columns, padded arrays, sigmoid values, argmax inputs; max pooling saves
+only its output and recomputes its row-segment maxima from the input) and
+writes into none of it, so it may be called any number of times; the caller
+in turn must not write into the inputs or the output while it holds the
+pullback.  ``<op>(...)`` is ``<op>_vjp(...)[0]``, and :data:`VJP_OPS` maps
 each op's name to its body.  A pullback trusts its caller to pass an
 upstream of the output's shape.  There is no autodiff graph: composite
 blocks chain the pullbacks by hand in reverse order.
@@ -256,12 +257,15 @@ def conv1d_channels(w, kernel) -> np.ndarray:
     return conv1d_channels_vjp(w, kernel)[0]
 
 
-def conv2d_vjp(x, kernel, bias):
+def conv2d_vjp(x, kernel, bias, *, input_only=False):
     """One GEMM, ``kernel.reshape(Cout, -1) @ cols``, over im2col columns
     ``cols`` ``[N, Cin*kh*kw, H*W]``, each output pixel's zero-padded window
     (Chellapilla et al. 2006); a 1x1 kernel's columns are ``x`` reshaped.
     The pullback returns ``(dx, dkernel, dbias)``: ``dkernel`` contracts the
-    upstream with ``cols``, and ``dx`` is col2im of ``kernelᵀ @ upstream``."""
+    upstream with ``cols``, and ``dx`` is col2im of ``kernelᵀ @ upstream``,
+    whose taps are single products ``kernel[0, :, i, j] * upstream`` when
+    Cout = 1.  ``input_only=True`` drops ``cols`` (a 1x1 kernel's hold on
+    ``x``) after the GEMM, and the pullback returns ``(dx,)``."""
     x = as_nchw(x, "x")
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim != 4:
@@ -283,18 +287,24 @@ def conv2d_vjp(x, kernel, bias):
         cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, cin * kh * kw, h * w)
     out = matrix @ cols
     out += bias[:, None]
+    if input_only:
+        del cols  # only dkernel reads the columns
 
     def pullback(up):
         rows = np.reshape(up, (n, cout, h * w))
-        dkernel = np.tensordot(rows, cols, axes=((0, 2), (0, 2))).reshape(kernel.shape)
-        dcols = (matrix.T @ rows).reshape(n, cin, kh, kw, h, w)
         if kh * kw == 1:
-            dx = dcols.reshape(x.shape)
+            dx = (matrix.T @ rows).reshape(n, cin, h, w)
         else:
+            if cout > 1:  # one GEMM: a GEMM per tap would round differently
+                dcols = (matrix.T @ rows).reshape(n, cin, kh, kw, h, w)
             dx = np.zeros((n, cin, h + 2 * ph, w + 2 * pw))
             for i, j in np.ndindex(kh, kw):
-                dx[:, :, i : i + h, j : j + w] += dcols[:, :, i, j]
+                tap = dcols[:, :, i, j] if cout > 1 else kernel[0, :, i, j, None, None] * up
+                dx[:, :, i : i + h, j : j + w] += tap
             dx = dx[:, :, ph : ph + h, pw : pw + w]
+        if input_only:
+            return (dx,)
+        dkernel = np.tensordot(rows, cols, axes=((0, 2), (0, 2))).reshape(kernel.shape)
         return dx, dkernel, up.sum(axis=(0, 2, 3))
 
     return out.reshape(n, cout, h, w), pullback
@@ -374,7 +384,8 @@ def channel_stats_vjp(x):
         winner = x.argmax(axis=1, keepdims=True)  # first maximal channel at ties
         scatter = np.zeros_like(x)
         np.put_along_axis(scatter, winner, up[:, :1], axis=1)
-        return (up[:, 1:] / c + scatter,)
+        scatter += up[:, 1:] / c
+        return (scatter,)
 
     out = np.concatenate([x.max(axis=1, keepdims=True), x.mean(axis=1, keepdims=True)], axis=1)
     return out, pullback

@@ -234,9 +234,9 @@ class TestPipeline:
         for name in calls:
             body = getattr(attention, name)
 
-            def counted(*args, _body=body, _name=name):
+            def counted(*args, _body=body, _name=name, **kwargs):
                 calls[_name] += 1
-                return _body(*args)
+                return _body(*args, **kwargs)
 
             monkeypatch.setattr(attention, name, counted)
         rng = np.random.default_rng(19)
@@ -248,21 +248,83 @@ class TestPipeline:
         assert np.array_equal(attention.pipeline_input_grad(x, p, np.ones_like(out)), grad)
         assert np.array_equal(attention.demo_pipeline(x, p), out)
 
-    def test_input_grad_peak_memory(self):
-        """At the benchmark's shapes (1x3x80x80 in, 64 channels, SPPF 32 -> 64)
-        the input gradient peaked at 58.1 MB while each max pool kept its
-        padded frame and row-segment maxima, and peaks at 49.2 MB with pools
-        that keep only their output."""
+    @staticmethod
+    def _bench_case():
+        """The benchmark's shapes: 1x3x80x80 in, 64 channels, SPPF 32 -> 64."""
         rng = np.random.default_rng(24)
         p = attention.init_pipeline(3, 64, 32, 64, seed=0)
-        x, up = rng.standard_normal((1, 3, 80, 80)), rng.standard_normal((1, 64, 80, 80))
+        return p, rng.standard_normal((1, 3, 80, 80)), rng.standard_normal((1, 64, 80, 80))
+
+    def test_input_grad_peak_memory(self):
+        """The input gradient peaked at 58.1 MB while each max pool kept its
+        padded frame and row-segment maxima, at 49.2 MB with pools that keep
+        only their output, and peaks at 32.9 MB now that the block chains'
+        convolutions keep nothing for their kernel and bias gradients."""
+        p, x, up = self._bench_case()
         tracemalloc.start()
         try:
             attention.pipeline_input_grad(x, p, up)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 53.6e6
+        assert peak < 35e6
+
+    def test_forward_holds_no_kernel_gradient_inputs(self):
+        """What one forward leaves alive, its output and what its pullback
+        saved: 36.1 MB while each convolution kept its im2col columns (for a
+        1x1 kernel, its input) for ``dkernel``, 19.7 MB with input-only
+        convolutions."""
+        p, x, _ = self._bench_case()
+        tracemalloc.start()
+        try:
+            out, pullback = attention.pipeline_vjp(x, p)  # both alive while measured
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 21e6
+
+    def test_pullback_contracts_no_kernel_gradient(self, monkeypatch):
+        """No block reads a convolution's ``dkernel``, so no pullback makes
+        the ``np.tensordot`` contraction that builds it (4 per pipeline
+        while every convolution returned all three gradients)."""
+        calls = []
+        tensordot = np.tensordot
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return tensordot(*args, **kwargs)
+
+        monkeypatch.setattr(np, "tensordot", counted)
+        p, x, up = self._bench_case()
+        out, pullback = attention.pipeline_vjp(x, p)
+        (grad,) = pullback(up)
+        assert grad.shape == x.shape and len(calls) == 0
+
+
+_BLOCKS = {
+    "eca": lambda x: attention.eca_vjp(x, attention.init_eca(4, seed=0)),
+    "cam": lambda x: attention.cam_vjp(x, attention.init_cam(4, seed=1)),
+    "sam": lambda x: attention.sam_vjp(x, attention.init_sam(seed=2)),
+    "cbam": lambda x: attention.cbam_vjp(x, attention.init_cam(4, seed=3), attention.init_sam(seed=4)),
+    "sppf": lambda x: attention.sppf_vjp(x, attention.init_sppf(4, 2, 3, seed=5)),
+    "pipeline": lambda x: attention.pipeline_vjp(x, attention.init_pipeline(4, 4, 2, 3, seed=6)),
+}
+
+
+@pytest.mark.parametrize("block", sorted(_BLOCKS))
+def test_block_pullback_is_repeatable_and_writes_no_input(block):
+    """The chains add gradients in place, only into arrays they have just
+    allocated: a second pullback gives the same bytes, and neither call
+    writes into the input, the output or the upstream."""
+    rng = np.random.default_rng(27)
+    x = _rand(rng, (2, 4, 6, 5))
+    out, pullback = _BLOCKS[block](x)
+    up = _rand(rng, out.shape)
+    saved = [a.copy() for a in (x, out, up)]
+    (first,) = pullback(up)
+    (second,) = pullback(up)
+    assert first.shape == x.shape and first.tobytes() == second.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(saved, (x, out, up)))
 
 
 class TestBlockGradients:

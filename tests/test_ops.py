@@ -118,6 +118,20 @@ def _assert_conv_matches_oracle(x, kernel, bias, up):
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
+@st.composite
+def input_only_cases(draw):
+    """``(x, kernel, bias, upstream)`` for conv2d at block-like sizes: one
+    output channel (SAM's case) or several, odd kernels up to 7 per axis,
+    sides 3 to 40."""
+    kh, kw = draw(st.sampled_from([1, 3, 5, 7])), draw(st.sampled_from([1, 3, 5, 7]))
+    n, cin = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    cout = draw(st.one_of(st.just(1), st.integers(2, 4)))
+    h, w = draw(st.integers(3, 40)), draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (_rand(rng, (n, cin, h, w)), _rand(rng, (cout, cin, kh, kw)), _rand(rng, cout),
+            _rand(rng, (n, cout, h, w)))
+
+
 class TestConv2d:
     def test_unit_1x1_kernel_is_identity(self):
         rng = np.random.default_rng(6)
@@ -186,6 +200,24 @@ class TestConv2d:
         rng = np.random.default_rng(sum(shape + kernel))
         x, k, bias = _rand(rng, shape), _rand(rng, kernel), _rand(rng, kernel[0])
         _assert_conv_matches_oracle(x, k, bias, _rand(rng, (shape[0], kernel[0]) + shape[2:]))
+
+    @given(input_only_cases())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_input_only_pullback_gives_the_same_dx(self, case):
+        """``input_only=True`` returns ``(dx,)`` with the bytes of the full
+        pullback's ``dx``, and the same output; the default call still
+        returns all three gradients.  With one output channel, where col2im
+        takes each tap as a product, ``dx`` also matches the loop oracle."""
+        x, kernel, bias, up = case
+        out, pullback = ops.conv2d_vjp(x, kernel, bias)
+        out_only, pullback_only = ops.conv2d_vjp(x, kernel, bias, input_only=True)
+        full, (dx,) = pullback(up), pullback_only(up)
+        assert [g.shape for g in full] == [x.shape, kernel.shape, bias.shape]
+        assert out_only.tobytes() == out.tobytes()
+        assert dx.shape == x.shape and dx.tobytes() == full[0].tobytes()
+        if kernel.shape[0] == 1:
+            want = oracles.naive_conv2d_vjp(x, kernel, bias)[1](up)[0]
+            assert np.abs(dx - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_pullback_is_repeatable_and_writes_no_input(self, k):
