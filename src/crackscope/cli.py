@@ -17,6 +17,7 @@ are atomic (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -104,7 +105,7 @@ def _load_ground_truth(gt_dir):
         paths[stem] = path
     if not paths:
         raise CrackscopeError(f"no label files (*.txt) found in {gt_dir}")
-    return {stem: _parse_file(dataio.parse_label_file, path) for stem, path in paths.items()}
+    return dict(zip(paths, dataio.parse_label_files(paths.values(), _read_text)))
 
 
 def _cmd_eval(args) -> int:
@@ -289,6 +290,7 @@ def _cmd_attn_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one tree serves every call of main in a process
 def _build_parser() -> _Parser:
     parser = _Parser(prog="crackscope")
     sub = parser.add_subparsers(dest="command", required=True)

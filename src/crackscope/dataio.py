@@ -27,12 +27,17 @@ class, score and (for predictions) image id column, every vertex of the
 file in one ``[V, 2]`` array with row offsets, and each polygon's bounding
 box.  :func:`polygon_table` is the one check, run over whole columns: a
 class id is an integer in [0, 2^63), a score a number in [0, 1], an image id
-a string, and a polygon >= 3 (x, y) vertices of numbers in [0, 1].  An
-error names the first bad line, and within it the first failing check.
+a string, and a polygon >= 3 (x, y) vertices of numbers in [0, 1].  Each
+column check confirms the column in one pass and scans it value by value
+only to name a failure.  An error names the first bad line, and within it
+the first failing check.  :func:`parse_label_files` checks all the label
+files of a run together and gives each file a slice of the one table.
 A step-1 slice of a table gives views, an index array copies.
 :func:`read_predictions` pauses the cyclic garbage collector while parsed
 JSON is alive: ``json.loads`` builds only acyclic lists and dicts, which
-reference counting frees, so a collector pass over them finds nothing.
+reference counting frees, so a collector pass over them finds nothing.  It
+splits its text into lines one block at a time, so only that block's lines
+are alive at once.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ import numbers
 import os
 import re
 import tempfile
+from array import array
+from bisect import bisect_right
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import chain
@@ -52,6 +59,7 @@ import numpy as np
 
 from .errors import (
     CorruptImage,
+    CrackscopeError,
     InvalidSplit,
     MalformedLabel,
     MalformedPrediction,
@@ -65,6 +73,7 @@ __all__ = [
     "polygon_table",
     "SplitSpec",
     "parse_label_file",
+    "parse_label_files",
     "table_crops",
     "split_dataset",
     "read_pgm",
@@ -166,36 +175,57 @@ def _first(flags):
     return int(flags.argmax()) if flags.any() else None
 
 
+def _first_bad(column, confirm, bad):
+    """Index of the first ``bad`` value of ``column``, or None.  A column
+    that ``confirm`` passes in one pass has none; only one that it fails, or
+    raises on, is scanned value by value."""
+    with suppress(Exception):  # say an integer beyond float range: the scan names its row
+        if confirm(column):
+            return None
+    return _first(list(map(bad, column)))
+
+
+def _in_unit(column) -> bool:
+    """Every number of a column of floats and ints lies in [0, 1] (a NaN does not)."""
+    values = np.array(column, dtype=np.float64)
+    return bool(((values >= 0.0) & (values <= 1.0)).all())
+
+
 def _score_range_error(score):
     with suppress(OverflowError):  # an integer beyond float range is shown as it is
         score = float(score)
     return f"score must be in [0, 1], got {score}"
 
 
-def _checked(class_ids, scores, image_ids, lines, stacked) -> PolygonTable:
+def _checked(class_ids, scores, image_ids, where, stacked) -> PolygonTable:
     """The table of these columns and the polygons ``stacked`` by
     :func:`_stack`, or the first failing check of the first bad row.  Each
     check runs once over its column, in a row's order: image id type, class
     type and range, score type and range, then the polygon's conversion,
     shape and coordinate types (by :func:`_stack`), vertex count and
-    coordinate range.  The message starts ``line <lines[row]>: ``, or
-    ``row <row>: `` when ``lines`` is None."""
+    coordinate range (see :func:`_first_bad`).  The message starts
+    ``<where(row)>: ``."""
     vertices, counts, failure = stacked
     error = MalformedLabel if image_ids is None else MalformedPrediction
     first = failure or (len(class_ids), None, None)  # (row, error type, message)
     limit = first[0] + 1  # a polygon error ranks after its row's other errors
-    for column, bad, kind, message in (
-        (image_ids, lambda v: not isinstance(v, str), error,
-         lambda v: f"image id must be a string, got {v!r}"),
-        (class_ids, lambda v: type(v) is not int and (isinstance(v, bool) or not isinstance(v, numbers.Integral)),
+    for column, confirm, bad, kind, message in (
+        (image_ids, lambda c: set(map(type, c)) <= {str},
+         lambda v: not isinstance(v, str), error, lambda v: f"image id must be a string, got {v!r}"),
+        (class_ids, lambda c: set(map(type, c)) <= {int},
+         lambda v: type(v) is not int and (isinstance(v, bool) or not isinstance(v, numbers.Integral)),
          error, lambda v: f"class must be an integer, got {v!r}"),
-        (class_ids, lambda v: v < 0, error, lambda v: f"class id must be >= 0, got {int(v)}"),
-        (class_ids, lambda v: v >= 2**63, error, lambda v: f"class id must be < 2^63, got {int(v)}"),
-        (scores, lambda v: type(v) is not float and (isinstance(v, bool) or not isinstance(v, numbers.Real)),
+        (class_ids, lambda c: set(map(type, c)) <= {int} and min(c, default=0) >= 0,
+         lambda v: v < 0, error, lambda v: f"class id must be >= 0, got {int(v)}"),
+        (class_ids, lambda c: set(map(type, c)) <= {int} and max(c, default=0) < 2**63,
+         lambda v: v >= 2**63, error, lambda v: f"class id must be < 2^63, got {int(v)}"),
+        (scores, lambda c: set(map(type, c)) <= {float, int},
+         lambda v: type(v) is not float and (isinstance(v, bool) or not isinstance(v, numbers.Real)),
          error, lambda v: f"score must be a number, got {v!r}"),
-        (scores, lambda v: not 0.0 <= v <= 1.0, OutOfRange, _score_range_error),
+        (scores, lambda c: set(map(type, c)) <= {float, int} and _in_unit(c),
+         lambda v: not 0.0 <= v <= 1.0, OutOfRange, _score_range_error),
     ):
-        row = None if column is None else _first(list(map(bad, column[:limit])))
+        row = None if column is None else _first_bad(column[:limit], confirm, bad)
         if row is not None:
             first, limit = (row, kind, message(column[row])), row
     counts = np.array(counts[: first[0]], dtype=np.intp)
@@ -210,9 +240,10 @@ def _checked(class_ids, scores, image_ids, lines, stacked) -> PolygonTable:
         first = short, error, _SHAPE_ERROR.format((int(counts[short]), 2))
     row, kind, message = first
     if kind is not None:
-        raise kind(f"row {row}: {message}" if lines is None else f"line {lines[row]}: {message}")
+        raise kind(f"{where(row)}: {message}")
     corners = np.hstack([ufunc.reduceat(vertices, starts[:-1]) for ufunc in (np.minimum, np.maximum)])
-    return PolygonTable(np.array([int(v) for v in class_ids], dtype=np.int64),
+    ints = class_ids if set(map(type, class_ids)) <= {int} else [int(v) for v in class_ids]
+    return PolygonTable(np.array(ints, dtype=np.int64),
                         # + 0.0 turns a score of -0.0 into 0.0
                         np.ones(len(counts)) if scores is None else np.array(scores, dtype=np.float64) + 0.0,
                         image_ids if image_ids is None else np.array(image_ids, dtype=object),
@@ -238,7 +269,7 @@ def polygon_table(class_ids, polygons, scores=None, image_ids=None) -> PolygonTa
     image ids, and a number out of range :class:`OutOfRange`, naming the
     first bad row."""
     error = MalformedLabel if image_ids is None else MalformedPrediction
-    return _checked(class_ids, scores, image_ids, None, _stack(polygons, error))
+    return _checked(class_ids, scores, image_ids, "row {}".format, _stack(polygons, error))
 
 
 @dataclass(frozen=True)
@@ -267,35 +298,56 @@ class SplitSpec:
 
 def parse_label_file(text: str) -> PolygonTable:
     """Parse ``class x1 y1 x2 y2 ...`` lines into a table, order preserved."""
-    class_ids, counts, coords, lines = [], [], [], []
-    syntax = None  # reported unless an earlier line fails a value check
-    plain = text.isascii() and "_" not in text  # else int() and float() may read '1_0' or '٣'
-    # a line ends at "\n" only: str.splitlines also ends one at "\f", "\x85",
-    # "\u2028" and their kin; the "\r" of "\r\n" is whitespace to both readers
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
+    return parse_label_files([None], lambda _: text)[0]
+
+
+def parse_label_files(paths, read) -> list[PolygonTable]:
+    """Each label file's table, ``read(path)`` giving its text: the files are
+    tokenized one at a time, checked together, and each gets a step-1 slice
+    of the one table.  An error starts ``<path>: line N: `` (``line N: ``
+    for a path of None) and is the first that parsing each file alone in
+    turn would raise: a read or syntax error follows earlier rows' value errors."""
+    class_ids, counts, lines, names, ends, coords = [], [], [], [], [], array("d")
+    failure = None  # raised unless an earlier row fails a value check
+    for path in paths:
         try:
-            if not plain and (odd := [tok for tok in tokens if not tok.isascii() or "_" in tok]):
-                raise ValueError(f"{odd[0]!r} holds '_' or a non-ASCII character")
-            class_id = int(tokens[0])
-            values = [float(tok) for tok in tokens[1:]]
-        except ValueError as exc:
-            syntax = MalformedLabel(f"line {lineno}: unparseable token ({exc})")
+            text = read(path)
+        except (OSError, CrackscopeError) as exc:  # a file that cannot be read, or is not UTF-8
+            failure = exc
             break
-        if len(values) % 2 != 0:
-            syntax = MalformedLabel(f"line {lineno}: odd coordinate count {len(values)}")
+        name = "" if path is None else f"{path}: "
+        plain = text.isascii() and "_" not in text  # else int() and float() may read '1_0' or '٣'
+        # a line ends at "\n" only: str.splitlines also ends one at "\f", "\x85",
+        # "\u2028" and their kin; the "\r" of "\r\n" is whitespace to both readers
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            try:
+                if not plain and (odd := [tok for tok in tokens if not tok.isascii() or "_" in tok]):
+                    raise ValueError(f"{odd[0]!r} holds '_' or a non-ASCII character")
+                class_id = int(tokens[0])
+                values = list(map(float, tokens[1:]))
+            except ValueError as exc:
+                failure = MalformedLabel(f"{name}line {lineno}: unparseable token ({exc})")
+                break
+            if len(values) % 2 != 0:
+                failure = MalformedLabel(f"{name}line {lineno}: odd coordinate count {len(values)}")
+                break
+            class_ids.append(class_id)
+            counts.append(len(values) // 2)
+            coords.fromlist(values)
+            lines.append(lineno)
+        names.append(name)
+        ends.append(len(class_ids))
+        if failure is not None:
             break
-        class_ids.append(class_id)
-        counts.append(len(values) // 2)
-        coords.extend(values)
-        lines.append(lineno)
-    vertices = np.array(coords, dtype=np.float64).reshape(-1, 2)
-    table = _checked(class_ids, None, None, lines, (vertices, counts, None))
-    if syntax is not None:
-        raise syntax
-    return table
+    vertices = np.frombuffer(coords, dtype=np.float64).reshape(-1, 2)
+    where = lambda row: f"{names[bisect_right(ends, row)]}line {lines[row]}"  # noqa: E731
+    table = _checked(class_ids, None, None, where, (vertices, counts, None))
+    if failure is not None:
+        raise failure
+    return [table[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
 # ---------------------------------------------------------------------------
@@ -528,14 +580,35 @@ def _collector_paused():
             gc.enable()
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _lines(text, block=1 << 18):
+    """The items of ``text.split("\\n")``, split a block of at least ``block``
+    characters at a time so that only one block's lines are alive at once."""
+    start = 0
+    while (end := text.find("\n", start + block)) >= 0:
+        yield from text[start:end].split("\n")
+        start = end + 1
+    yield from text[start:].split("\n")
+
+
 def _json_row(lineno, line):
-    """``(lineno, image, class, score, polygon)`` of one prediction line."""
+    """``(lineno, image, class, score, polygon)`` of one prediction line;
+    ``json.loads`` runs only where ``raw_decode`` does not read the line up to
+    trailing JSON whitespace (such as the "\\r" of "\\r\\n"), for its message
+    or its value."""
     try:
-        doc = json.loads(line)
-    except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
-        raise MalformedPrediction(f"line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
-    except RecursionError:
-        raise MalformedPrediction(f"line {lineno}: invalid JSON (nested too deeply)") from None
+        doc, end = _raw_decode(line)
+    except (ValueError, RecursionError):
+        end = None
+    if end is None or line[end:].strip(" \t\n\r"):
+        try:
+            doc = json.loads(line)
+        except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
+            raise MalformedPrediction(f"line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
+        except RecursionError:
+            raise MalformedPrediction(f"line {lineno}: invalid JSON (nested too deeply)") from None
     if not isinstance(doc, dict):
         raise MalformedPrediction(f"line {lineno}: expected a JSON object")
     try:
@@ -549,11 +622,12 @@ def read_predictions(text: str) -> PolygonTable:
 
     def table(rows):
         lines, image_ids, class_ids, scores, polygons = zip(*rows) if rows else ((),) * 5
-        return _checked(class_ids, scores, image_ids, lines, _stack(polygons, MalformedPrediction))
+        return _checked(class_ids, scores, image_ids, lambda row: f"line {lines[row]}",
+                        _stack(polygons, MalformedPrediction))
 
     tables, rows, syntax = [], [], None
     with _collector_paused():  # json.loads builds no cycles: reference counts free each chunk
-        for lineno, line in enumerate(text.split("\n"), start=1):  # as parse_label_file's lines
+        for lineno, line in enumerate(_lines(text), start=1):
             if not line.strip():
                 continue
             try:

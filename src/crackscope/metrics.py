@@ -10,7 +10,7 @@ claimed at most once.  Each image's ``len(preds) x len(gts)`` IoU matrix is
 built once: box IoU from the corner columns with numpy, mask IoU from one
 cropped raster per row, each table's crops from one call of
 :func:`crackscope.dataio.table_crops`, counting the intersection only where
-two crops overlap.
+two crops of the same class overlap.
 
 The PR curve, average precision and its CSV are column arithmetic over the
 dataset's score and true-positive flag arrays: one stable sort by score, a
@@ -28,6 +28,7 @@ it is therefore only computed from pixel-level confusion counts
 from __future__ import annotations
 
 import math
+from itertools import chain
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,9 +125,18 @@ def _box_iou_matrix(a, b) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros_like(inter), where=defined)
 
 
+def _crop_intersection(a, b) -> int:
+    """Pixels set in both ``(row0, col0, crop)`` rasters."""
+    (ra, ca, ma), (rb, cb, mb) = a, b
+    y0, x0 = max(ra, rb), max(ca, cb)
+    y1, x1 = min(ra + ma.shape[0], rb + mb.shape[0]), min(ca + ma.shape[1], cb + mb.shape[1])
+    return np.count_nonzero(ma[y0 - ra : y1 - ra, x0 - ca : x1 - ca] & mb[y0 - rb : y1 - rb, x0 - cb : x1 - cb])
+
+
 def _mask_iou_matrix(preds, gts, extent) -> np.ndarray:
-    """Pixel IoU of every pair from one cropped raster per row, each table
-    rasterized in one call; two empty rasters score 1.0."""
+    """Pixel IoU of every same-class pair from one cropped raster per row,
+    each table rasterized in one call; two empty rasters score 1.0.  Pairs of
+    other classes, which never match, count no intersection."""
     width, height = extent
     crops = [table_crops(side, width, height) for side in (preds, gts)]
 
@@ -137,12 +147,9 @@ def _mask_iou_matrix(preds, gts, extent) -> np.ndarray:
     (a, na), (b, nb) = windows(crops[0]), windows(crops[1])
     iou = np.where((na[:, None] + nb[None, :]) == 0, 1.0, 0.0)
     iw, ih = _overlap(a, b)
-    for i, j in zip(*np.nonzero((iw > 0) & (ih > 0))):
-        (ra, ca, ma), (rb, cb, mb) = crops[0][i], crops[1][j]
-        x0, y0 = max(ca, cb), max(ra, rb)
-        x1, y1 = x0 + iw[i, j], y0 + ih[i, j]
-        inter = np.count_nonzero(ma[y0 - ra : y1 - ra, x0 - ca : x1 - ca]
-                                 & mb[y0 - rb : y1 - rb, x0 - cb : x1 - cb])
+    same = preds.class_ids[:, None] == gts.class_ids[None, :]
+    for i, j in zip(*np.nonzero((iw > 0) & (ih > 0) & same)):
+        inter = _crop_intersection(crops[0][i], crops[1][j])
         iou[i, j] = inter / (na[i] + nb[j] - inter)
     return iou
 
@@ -178,7 +185,7 @@ def match_instances(
     for i in np.argsort(-preds.scores, kind="stable").tolist():
         if not reachable[i]:
             continue
-        j = int(np.argmax(iou[i]))
+        j = int(iou[i].argmax())
         if iou[i, j] >= iou_thresh:
             flags[i] = True
             iou[:, j] = 0.0
@@ -239,7 +246,8 @@ def average_precision(precisions, recalls) -> float:
 
 def pr_curve_to_csv(thresholds, precisions, recalls) -> str:
     """CSV export: header plus one ``threshold,precision,recall`` row per
-    distinct threshold, six decimal places."""
-    points = zip(*(np.asarray(c).tolist() for c in (thresholds, precisions, recalls)))
-    rows = [f"{t:.6f},{p:.6f},{r:.6f}" for t, p, r in points]
-    return "\n".join(["threshold,precision,recall"] + rows) + "\n"
+    distinct threshold, six decimal places, all rows from one ``%`` format
+    of the columns' Python values (NaN prints as ``nan``)."""
+    columns = [np.asarray(c).tolist() for c in (thresholds, precisions, recalls)]
+    n = min(map(len, columns))
+    return "threshold,precision,recall\n" + ("%.6f,%.6f,%.6f\n" * n) % tuple(chain.from_iterable(zip(*columns)))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from crackscope import dataio, metrics
+from crackscope import cli, dataio, metrics
 from crackscope.cli import main
 from crackscope.dataio import write_pgm
 
@@ -381,15 +382,16 @@ class TestEvalPerImageReference:
 
 class TestEvalWork:
     """Doubling the images at the same per-image counts doubles the records
-    parsed and the IoU pairs, the pairs are each image's n_pred * n_gt, and
-    the PR curve and AP are built once."""
+    parsed and the IoU pairs, the pairs are each image's n_pred * n_gt, the
+    PR curve and AP are built once, and the label files take one check."""
 
     COUNTS = [(3, 5), (0, 2), (4, 0), (2, 7), (5, 3), (1, 1)]
 
     def _work(self, directory, counts, monkeypatch):
         directory.mkdir()
         gt_dir, pred_path, _ = _write_corpus(directory, counts, seed=12)
-        work = {"records": 0, "iou_pairs": 0, "pr_curve": 0, "average_precision": 0}
+        work = {"records": 0, "iou_pairs": 0, "pr_curve": 0, "average_precision": 0,
+                "label_checks": 0, "prediction_checks": 0}
 
         def counted(key, fn, size=lambda result: 1):
             def wrapper(*args, **kwargs):
@@ -401,6 +403,13 @@ class TestEvalWork:
 
         with monkeypatch.context() as patch:
             patch.setattr(dataio, "_json_row", counted("records", dataio._json_row))
+            checked = dataio._checked
+
+            def check(class_ids, scores, image_ids, *args):
+                work["label_checks" if image_ids is None else "prediction_checks"] += 1
+                return checked(class_ids, scores, image_ids, *args)
+
+            patch.setattr(dataio, "_checked", check)
             patch.setattr(metrics, "_box_iou_matrix", counted("iou_pairs", metrics._box_iou_matrix,
                                                               lambda iou: iou.size))
             patch.setattr(metrics, "pr_curve", counted("pr_curve", metrics.pr_curve))
@@ -418,6 +427,10 @@ class TestEvalWork:
         assert one["iou_pairs"] == 4 * sum(g * p for g, p in self.COUNTS)
         assert (two["records"], two["iou_pairs"]) == (2 * one["records"], 2 * one["iou_pairs"])
         assert one["pr_curve"] == one["average_precision"] == two["pr_curve"] == two["average_precision"] == 1
+        # all label files are checked together, the predictions once per chunk of rows
+        for work in (one, two):
+            assert work["label_checks"] == 1
+            assert work["prediction_checks"] == math.ceil(work["records"] / dataio._CHUNK_ROWS)
 
 
 # (key, raw JSON value) of one bad prediction line
@@ -591,6 +604,56 @@ class TestBadValues:
         assert err.startswith(f"error: {pred_path}: predictions reference 2 unknown image id(s): 'ghost', 'zed'")
 
 
+_GOOD = "0 0.1 0.1 0.9 0.1 0.5 0.9\n"
+_OUTSIDE = "0 0.1 0.1 1.5 0.1 0.5 0.9\n"
+_NEGATIVE = "-1 0.1 0.1 0.9 0.1 0.5 0.9\n"
+_SYNTAX = "0 0.1 x 0.9\n"
+_NOT_UTF8 = b"0 0.1 \xff 0.9\n"
+_RANGE_ERROR = "polygon coordinates must be finite and lie in [0, 1]"
+_TOKEN_ERROR = "unparseable token (could not convert string to float: 'x')"
+
+# (label files by stem, the one error line naming the first bad file in sorted
+# order); a value of None makes that name a directory, whose read error is {<stem>_error}
+LABEL_PRECEDENCE = [
+    ({"a": _GOOD + _OUTSIDE, "b": _SYNTAX}, f"{{a}}: line 2: {_RANGE_ERROR}"),
+    ({"a": _OUTSIDE, "b": _NOT_UTF8}, f"{{a}}: line 1: {_RANGE_ERROR}"),
+    ({"a": _GOOD + _GOOD + _NEGATIVE, "b": _OUTSIDE}, "{a}: line 3: class id must be >= 0, got -1"),
+    ({"a": _OUTSIDE, "b": None}, f"{{a}}: line 1: {_RANGE_ERROR}"),
+    ({"a": _GOOD + _OUTSIDE + "\n" + _SYNTAX}, f"{{a}}: line 2: {_RANGE_ERROR}"),
+    ({"a": _GOOD + _SYNTAX + _OUTSIDE, "b": _NEGATIVE}, f"{{a}}: line 2: {_TOKEN_ERROR}"),
+    ({"a": _GOOD, "b": _GOOD + _SYNTAX}, f"{{b}}: line 2: {_TOKEN_ERROR}"),
+    ({"a": "", "b": _NOT_UTF8, "c": _OUTSIDE}, "{b}: not UTF-8 text (bad byte at offset 6)"),
+    ({"a": _GOOD, "b": None}, "{b_error}"),
+    ({"a": _GOOD, "b": _GOOD, "c": "\n" + _NEGATIVE}, "{c}: line 2: class id must be >= 0, got -1"),
+    ({"a": _GOOD, "b": _OUTSIDE + "0 0.1\n", "c": _NOT_UTF8}, f"{{b}}: line 1: {_RANGE_ERROR}"),
+]
+
+
+@pytest.mark.parametrize("files, message", LABEL_PRECEDENCE, ids=[
+    "value-a-before-syntax-b", "value-a-before-non-utf8-b", "value-a-before-value-b", "value-a-before-dir-b",
+    "value-before-later-syntax", "syntax-before-later-value", "clean-a-then-syntax-b", "empty-a-then-non-utf8-b",
+    "clean-a-then-dir-b", "two-clean-then-value-c", "value-b-before-syntax-b-and-non-utf8-c"])
+def test_label_error_precedence_across_files(tmp_path, files, message, capsys):
+    """Of a run's label files, the first in sorted order with a read, UTF-8,
+    syntax or value error is the one reported, and within it the first bad
+    line, as if each file were read alone in turn."""
+    gt_dir = tmp_path / "gt"
+    gt_dir.mkdir()
+    names = {stem: gt_dir / f"{stem}.txt" for stem in files}
+    for stem, content in files.items():
+        if content is None:
+            names[stem].mkdir()
+            with pytest.raises(OSError) as exc:
+                open(names[stem])
+            names[f"{stem}_error"] = exc.value
+        else:
+            names[stem].write_bytes(content if isinstance(content, bytes) else content.encode())
+    pred_path = tmp_path / "preds.jsonl"
+    pred_path.write_text("")
+    assert main(["eval", "--gt", str(gt_dir), "--pred", str(pred_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(**names)}\n"
+
+
 class TestSplit:
     def test_writes_three_files(self, tmp_path, capsys):
         listing = tmp_path / "all.txt"
@@ -723,6 +786,28 @@ class TestUsageErrors:
 
     def test_missing_required_flag_exits_2(self, capsys):
         assert main(["analyze", "--mask", "x"]) == 2
+
+    def test_one_parser_serves_every_call(self, eval_fixture, monkeypatch, capsys):
+        """The process's one parser gives each call the exit code and output
+        of a parser built for that call alone."""
+        gt_dir, pred_path = eval_fixture
+        calls = [["analyze", "--mask", "x"], ["eval", "--gt", str(gt_dir), "--pred", str(pred_path)],
+                 ["--help"], ["analyze", "--mask", "x"]]
+
+        def run():
+            results = []
+            for argv in calls:
+                code = main(argv)
+                results.append((code, *capsys.readouterr()))
+            return results
+
+        shared = run()
+        assert cli._build_parser() is cli._build_parser()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)  # a new parser per call
+            fresh = run()
+        assert [code for code, *_ in shared] == [2, 0, 0, 2]
+        assert shared == fresh
 
 
 def test_module_entry_point(tmp_path):

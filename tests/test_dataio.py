@@ -428,6 +428,21 @@ class TestPredictions:
         with pytest.raises(OutOfRange, match="^line 2: score"):
             read_predictions(line % ("a\u2028b", "0.5") + "\n" + line % ("d", "1.5"))
 
+    @pytest.mark.parametrize("end", ["", "\r", " \t\r"])
+    def test_a_valid_line_is_decoded_once(self, end, monkeypatch):
+        """Only a line that is not one JSON value followed by JSON whitespace
+        goes on to json.loads, for its value or its message."""
+        calls = []
+        loads = dataio.json.loads
+        monkeypatch.setattr(dataio.json, "loads", lambda line: calls.append(line) or loads(line))
+        line = '{"image": "a", "class": 0, "score": 0.5, "polygon": [[0.1, 0.1], [0.5, 0.1], [0.3, 0.6]]}'
+        assert len(read_predictions((line + end + "\n") * 3)) == 3 and calls == []
+        assert len(read_predictions(" " + line)) == 1 and len(calls) == 1
+        for bad in [line + "\x0c", "\ufeff" + line, line + "x"]:
+            with pytest.raises(MalformedPrediction, match="^line 2: invalid JSON"):
+                read_predictions(line + "\n" + bad)
+        assert len(calls) == 4
+
     def test_missing_key(self):
         with pytest.raises(MalformedPrediction):
             read_predictions('{"image": "a", "score": 0.5}\n')
@@ -470,6 +485,24 @@ class TestPredictions:
         bad = "\n".join(line % i for i in range(count - 1)) + "\n" + (line % 0).replace("0.3", "1.3")
         with pytest.raises(OutOfRange, match=f"^line {count}: "):
             read_predictions(bad)
+
+    @pytest.mark.parametrize("block", [0, 1, 2, 5, 64, 1 << 18])
+    def test_lines_split_block_by_block_as_one_split(self, block):
+        for text in ["", "\n", "a", "a\n\nbc\r\n  \n" * 7 + "d", "\n\nx\n" * 5]:
+            assert list(dataio._lines(text, block)) == text.split("\n")
+
+    def test_line_numbers_run_on_across_blocks(self):
+        """A file several times longer than one block of the line splitter,
+        with blank lines: each row and a late error keep their line numbers."""
+        line = '{"image": "a%d", "class": 0, "score": 0.5, "polygon": [[0.1, 0.1], [0.5, 0.1], [0.3, 0.6]]}'
+        count = 3 * (1 << 18) // len(line)
+        text = "".join(line % i + ("\n\n  \n" if i % 7 == 0 else "\n") for i in range(count))
+        assert read_predictions(text).image_ids.tolist() == [f"a{i}" for i in range(count)]
+        lines = text.split("\n")
+        last = max(k for k, row in enumerate(lines) if row.startswith("{"))
+        lines[last] = lines[last].replace('"score": 0.5', '"score": 2')
+        with pytest.raises(OutOfRange, match=f"^line {last + 1}: score"):
+            read_predictions("\n".join(lines))
 
 
 def _prediction_lines(rows, rng):

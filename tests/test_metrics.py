@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies
+from crackscope import dataio, metrics
 from crackscope.boxes import BBox
 from crackscope.dataio import PolygonRow, polygon_table
 from crackscope.errors import CrackscopeError, OutOfRange, UndefinedMetric
@@ -523,6 +524,29 @@ class TestMatchInstancesOracle:
         assert _match([pred], [gt], 1.0, mode="mask", extent=(8, 8)) == ([True], 0)
 
 
+    @given(_image(), st.integers(1, 40), st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_mask_mode_intersects_same_class_pairs_only(self, image, width, height):
+        """One crop intersection per same-class pair whose crop windows
+        overlap; pairs of other classes never match, so they cost none."""
+        preds, gts = image
+        pred_table, gt_table = _table(preds), _table(gts)
+        crops = [dataio.table_crops(t, width, height) for t in (pred_table, gt_table)]
+        expected = 0
+        if preds and gts:
+            for p, (r0, c0, a) in zip(preds, crops[0]):
+                for g, (s0, d0, b) in zip(gts, crops[1]):
+                    rows = min(r0 + a.shape[0], s0 + b.shape[0]) - max(r0, s0)
+                    cols = min(c0 + a.shape[1], d0 + b.shape[1]) - max(c0, d0)
+                    expected += p.class_id == g.class_id and rows > 0 and cols > 0
+        calls = []
+        intersection = metrics._crop_intersection
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_crop_intersection", lambda a, b: calls.append(1) or intersection(a, b))
+            match_instances(pred_table, gt_table, 0.5, mode="mask", extent=(width, height))
+        assert len(calls) == expected
+
+
 class TestCsvExport:
     def test_format(self):
         text = pr_curve_to_csv(np.array([0.9, 0.8]), np.array([1.0, 0.5]), np.array([0.5, 0.5]))
@@ -530,6 +554,15 @@ class TestCsvExport:
         assert lines[0] == "threshold,precision,recall"
         assert lines[1] == "0.900000,1.000000,0.500000"
         assert text.endswith("\n")
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_same_text_as_a_row_per_point(self, n):
+        """Float and int columns, NaN, +-inf and -0.0 print as one f-string per row would."""
+        rng = np.random.default_rng(n)
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 0.5, 1e-7, 0.9999995, 123456.5]
+        columns = (rng.choice(special, n), rng.uniform(0, 1, n), rng.integers(0, 3, n))
+        rows = [f"{t:.6f},{p:.6f},{r:.6f}" for t, p, r in zip(*(c.tolist() for c in columns))]
+        assert pr_curve_to_csv(*columns) == "\n".join(["threshold,precision,recall", *rows]) + "\n"
 
 
 def _detection(image, cls, score, polygon):
