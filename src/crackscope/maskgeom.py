@@ -13,13 +13,14 @@ The image border counts as background, so a crack touching the frame is
 measured to the frame edge.
 
 The cost is linear in pixels, not components x pixels: the mask is labelled
-once, in report order; the reports come from one pass over the skeleton
-pixels sorted by label, with no per-component work; thinning looks up
-8-neighbour codes in one 256-entry removal table per subiteration, after
-the first two only at the foreground neighbours of just-removed pixels;
-and the distance is one integer column pass over the frame, then a row
-search at the skeleton pixels only, where a pixel at distance ``d`` takes
-at most ``d + 1`` steps, however far its crack runs vertically.
+once, and only the skeleton pixels' labels are mapped to report ids; the
+reports come from one pass over the skeleton pixels sorted by id, with no
+per-component work; thinning looks up 8-neighbour codes in one 256-entry
+removal table per subiteration, at every foreground pixel only in the
+first, then only where a verdict can have changed; and the distance is an
+integer column pass that writes only the foreground runs' pixels, then a
+row search at the skeleton pixels only, where a pixel at distance ``d``
+takes at most ``d + 1`` steps, however far its crack runs vertically.
 """
 
 from __future__ import annotations
@@ -126,20 +127,25 @@ def threshold_mask(gray, maxval: int) -> np.ndarray:
     return arr > maxval / 2
 
 
-def connected_components(mask) -> tuple[np.ndarray, np.ndarray]:
-    """8-connected components as ``(labels, areas)``: background is 0 and
-    ids 1..len(areas) run largest area first, ties broken by the smallest
-    (row, col) pixel; ``areas[i - 1]`` is component ``i``'s pixel count.
-
-    ``ndimage.label`` numbers components in the raster order of their first
-    pixel, so a stable sort by decreasing area gives the report order.
-    """
-    labels, count = ndimage.label(_require_mask(mask), structure=_EIGHT)
-    areas = np.bincount(labels.ravel(), minlength=count + 1)[1:]
+def _label(mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``ndimage.label``'s 8-connected labels, the table from them to report
+    ids and the areas in report order, counted at the foreground only.  The
+    labels run in the raster order of each component's first pixel, so a
+    stable sort by decreasing area gives the report order."""
+    labels, count = ndimage.label(mask, structure=_EIGHT)
+    areas = np.bincount(labels[mask], minlength=count + 1)[1:]
     order = np.argsort(-areas, kind="stable")
     relabel = np.zeros(count + 1, dtype=labels.dtype)
     relabel[order + 1] = np.arange(1, count + 1)
-    return relabel[labels], areas[order]
+    return labels, relabel, areas[order]
+
+
+def connected_components(mask) -> tuple[np.ndarray, np.ndarray]:
+    """8-connected components as ``(labels, areas)``: background is 0 and
+    ids 1..len(areas) run largest area first, ties broken by the smallest
+    (row, col) pixel; ``areas[i - 1]`` is component ``i``'s pixel count."""
+    labels, relabel, areas = _label(_require_mask(mask))
+    return relabel[labels], areas
 
 
 def _squared_edt_at(mask, flat) -> np.ndarray:
@@ -149,7 +155,8 @@ def _squared_edt_at(mask, flat) -> np.ndarray:
 
     The separable exact EDT (Meijster et al. 2000; Felzenszwalb &
     Huttenlocher 2012), its second pass run only at ``flat``.  The column
-    pass finds each pixel's vertical distance ``g`` to the nearest
+    pass writes, at the pixel ``j`` places into a vertical foreground run of
+    ``L`` pixels, its distance ``g = min(j + 1, L - j)`` to the nearest
     background pixel of its column, rows -1 and H included.  Then
     ``d2 = min over dc of g[r, c +- dc]**2 + dc**2``, where columns -1 and W
     have ``g = 0``.  Step ``dc`` runs only at the pixels whose ``d2`` so far
@@ -158,25 +165,25 @@ def _squared_edt_at(mask, flat) -> np.ndarray:
     takes at most ``d + 1`` steps, whatever the crack's orientation.
     """
     h, w = mask.shape
-    g = np.zeros((h, w + 2), dtype=np.int32)  # columns 0 and w + 1 are the frame's sides
-    row = np.arange(h, dtype=np.int32)[:, None]
+    g = np.zeros((w + 2) * h, dtype=np.int32)  # column-major; columns -1 and w are the frame's sides
     for c0 in range(0, w, _STRIP):
-        strip = mask[:, c0 : c0 + _STRIP]
-        above = np.where(strip, -1, row)
-        np.maximum.accumulate(above, axis=0, out=above)  # the nearest background row at or above
-        below = np.where(strip, h, row)
-        np.minimum.accumulate(below[::-1], axis=0, out=below[::-1])  # ... at or below
-        np.subtract(row, above, out=above)
-        np.subtract(below, row, out=below)
-        np.minimum(above, below, out=g[:, c0 + 1 : c0 + 1 + strip.shape[1]])
-    g = g.ravel()
-    at = flat + 2 * (flat // w) + 1  # (row, col + 1) in the frame of g
+        strip = np.zeros((min(_STRIP, w - c0), h + 2), dtype=bool)  # a row per column, between background
+        # copied out before the transpose: read in place, long rows cost a page per pixel
+        strip[:, 1:-1] = np.ascontiguousarray(mask[:, c0 : c0 + _STRIP]).T
+        runs = strip.ravel()  # a foreground run starts and ends where adjacent pixels differ
+        start, stop = (np.flatnonzero(runs[1:] != runs[:-1]) + 1).reshape(-1, 2).T
+        length = stop - start
+        ahead = np.cumsum(length) - length  # the run pixels before each run
+        j = np.arange(length.sum()) - np.repeat(ahead, length)  # each run pixel's place in its run
+        at = j + np.repeat((c0 + 1) * h + start - 2 * (start // (h + 2)) - 1, length)
+        g[at] = np.minimum(j + 1, np.repeat(length, length) - j, out=j)
+    at = (flat % w + 1) * h + flat // w  # (row, col + 1) in the frame of g
     d2 = g[at].astype(np.int64) ** 2  # squared in int64: past g = 46,340 a square overflows int32
     live = np.flatnonzero(d2 > 1)
     dc = 1
     while len(live):
         near = at[live]
-        nearer = np.minimum(g[near - dc], g[near + dc]).astype(np.int64)
+        nearer = np.minimum(g[near - dc * h], g[near + dc * h]).astype(np.int64)
         d2[live] = np.minimum(d2[live], nearer * nearer + dc * dc)
         dc += 1
         live = live[d2[live] > dc * dc]
@@ -197,17 +204,19 @@ def skeletonize(mask) -> np.ndarray:
 
     Each subiteration looks up candidate pixels' 8-neighbour codes, gathered
     at flat offsets in the padded frame, in its removal table.  The first
-    two evaluate every foreground pixel.  A verdict changes only where a
-    neighbour changed since the same table last ran, so after that the
-    candidates are the foreground 8-neighbours of the pixels removed in the
-    previous two subiterations; thinning stops when there are none.
+    evaluates every foreground pixel, the second only the pixels with a
+    background neighbour, since one with 8 foreground neighbours is never
+    removed.  A verdict changes only where a neighbour changed since the
+    same table last ran, so after that the candidates are the foreground
+    8-neighbours of the pixels removed in the previous two subiterations;
+    thinning stops when there are none.
     """
     mask = _require_mask(mask)
     img = np.pad(mask, 1).view(np.uint8)  # 0/1 with a background ring
     flat = img.ravel()
     ring = _ring_offsets(img.shape[1])
     frontier = np.zeros(flat.size, dtype=bool)  # scratch, all False between subiterations
-    pixels = np.flatnonzero(flat)
+    pixels = np.flatnonzero(flat.view(bool))
     previous = None  # the pixels removed in the previous subiteration
     step = 0
     while len(pixels):
@@ -216,15 +225,15 @@ def skeletonize(mask) -> np.ndarray:
             code |= flat[pixels + offset] << bit
         removed = pixels[_REMOVABLE[step][code]]
         flat[removed] = 0
-        if previous is None:  # the second subiteration sees every pixel too
-            pixels = np.flatnonzero(flat)
-        else:  # deduplicated by a scratch frame, in raster order, with no sort
-            for offset in ring:
-                frontier[previous + offset] = True
-                frontier[removed + offset] = True
-            frontier &= flat.view(bool)
-            pixels = np.flatnonzero(frontier)
-            frontier[pixels] = False
+        if previous is None:  # a code of 255 stays 255 until a neighbour is removed
+            frontier[pixels[code != 255]] = True
+            previous = removed[:0]
+        for offset in ring:  # deduplicated by a scratch frame, in raster order, with no sort
+            frontier[previous + offset] = True
+            frontier[removed + offset] = True
+        frontier &= flat.view(bool)
+        pixels = np.flatnonzero(frontier)
+        frontier[pixels] = False
         previous = removed
         step ^= 1
     return img[1:-1, 1:-1].astype(bool)
@@ -250,17 +259,18 @@ def analyze_mask(mask, scale: ScaleConfig | None = None) -> list[WidthReport]:
     over that single sorted list.
     """
     mask = _require_mask(mask)
-    labels, area = connected_components(mask)
+    labels, relabel, area = _label(mask)
     count = len(area)
     if not count:
         return []
     skeleton = skeletonize(mask)
     flat = np.flatnonzero(skeleton)  # row-major
-    ids = labels.ravel()[flat]
+    ids = relabel[labels.ravel()[flat]]
     length = np.bincount(ids, minlength=count + 1)[1:]
     if not length.all():
         bad = int(np.argmin(length)) + 1  # argmin takes the first zero
-        rows, cols = ndimage.find_objects(labels, max_label=bad)[bad - 1]
+        raw = int(np.argmax(relabel == bad))  # its label in ``labels``
+        rows, cols = ndimage.find_objects(labels, max_label=raw)[raw - 1]
         raise DegenerateComponent(
             f"component {bad} (rows {rows.start}-{rows.stop - 1}, "
             f"cols {cols.start}-{cols.stop - 1}) has no skeleton pixels"

@@ -110,6 +110,17 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err == "error: component 1 (rows 3-4, cols 3-4) has no skeleton pixels\n"
 
+    def test_component_without_skeleton_is_named_by_its_report_id(self, tmp_path, capsys):
+        # the 2x2 speck comes first in raster order, but the 6 px line below
+        # it is larger, so the speck is component 2
+        gray = np.zeros((6, 8), dtype=np.uint8)
+        gray[0:2, 0:2] = 255
+        gray[4, 1:7] = 255
+        speck = tmp_path / "speck.pgm"
+        speck.write_bytes(write_pgm(gray))
+        assert main(["analyze", "--mask", str(speck), "--out", str(tmp_path / "o.json")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: component 2 (rows 0-1, cols 0-1) has no skeleton pixels\n"
 
     def test_maxval_1_mask_reports_as_its_maxval_255_twin(self, tmp_path, capsys):
         # a 2 px wide crack: at maxval 1 its samples are 1, which a fixed

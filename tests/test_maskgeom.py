@@ -110,9 +110,9 @@ def oracle_reports(mask, edt, thin):
 _REMOVABLE = maskgeom._REMOVABLE  # the tables as imported, so a counting table never wraps another
 
 
-def thin_counting(thin, mask):
-    """``thin(mask)`` and how many 8-neighbour codes it looked up in the
-    removal tables."""
+def thin_lookups(thin, mask):
+    """``thin(mask)`` and, for each removal-table lookup in order, how many
+    8-neighbour codes it looked up and how many of those were removable."""
     looked_up = []
 
     class Counting:
@@ -120,12 +120,20 @@ def thin_counting(thin, mask):
             self.table = table
 
         def __getitem__(self, code):
-            looked_up.append(code.size)
-            return self.table[code]
+            verdict = self.table[code]
+            looked_up.append((code.size, int(verdict.sum())))
+            return verdict
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(maskgeom, "_REMOVABLE", tuple(Counting(t) for t in _REMOVABLE))
-        return thin(mask), sum(looked_up)
+        return thin(mask), looked_up
+
+
+def thin_counting(thin, mask):
+    """``thin(mask)`` and how many 8-neighbour codes it looked up in the
+    removal tables."""
+    result, looked_up = thin_lookups(thin, mask)
+    return result, sum(codes for codes, _ in looked_up)
 
 
 class TestThreshold:
@@ -215,6 +223,16 @@ class TestComponents:
                 want[r, c] = i
         assert np.array_equal(labels, want)
 
+    @given(masks())
+    @settings(max_examples=150, deadline=None)
+    def test_analyze_reports_the_areas_it_labels(self, mask):
+        _, areas = connected_components(mask)
+        try:
+            reports = analyze_mask(mask)
+        except DegenerateComponent:
+            return
+        assert [r.area_px for r in reports] == areas.tolist()
+
     def test_bbox_covers_pixels(self):
         # the one place a bbox is reported: a component that thins away
         mask = np.zeros((10, 10), dtype=bool)
@@ -238,9 +256,11 @@ def edt_at_foreground(mask):
 def edt_masks(draw):
     """Masks for the EDT: those of :func:`masks`, 64 x 64 frames of random
     fill, ``1 x n`` and ``n x 1`` rows of random fill, all-foreground frames
-    of any shape (where the frame ring sets every distance) and single
-    pixels anywhere, the frame's edge included."""
-    kind = draw(st.sampled_from(["masks", "random", "line", "full", "single"]))
+    of any shape (where the frame ring sets every distance), single pixels
+    anywhere, the frame's edge included, frames whose foreground runs touch
+    the first and the last row, frames about one and two column-pass strips
+    wide, and ``1 x n`` frames up to three strips wide."""
+    kind = draw(st.sampled_from(["masks", "random", "line", "full", "single", "edges", "strips", "flat"]))
     if kind == "masks":
         return draw(masks(max_side=40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -251,6 +271,18 @@ def edt_masks(draw):
         n = max(h, w)
         row = rng.random(n) < draw(st.floats(0.3, 1.0))
         return row[None, :] if rng.random() < 0.5 else row[:, None]
+    if kind in ("edges", "strips", "flat"):
+        if kind == "strips":
+            w = draw(st.sampled_from([maskgeom._STRIP - 1, maskgeom._STRIP, maskgeom._STRIP + 1,
+                                      2 * maskgeom._STRIP + 3]))
+        elif kind == "flat":
+            h, w = 1, int(rng.integers(1, 3 * maskgeom._STRIP + 1))
+        mask = rng.random((h, w)) < rng.uniform(0.2, 0.9)
+        if kind == "edges":
+            mask[0] |= rng.random(w) < 0.7
+            mask[-1] |= rng.random(w) < 0.7
+            mask[:, rng.random(w) < 0.2] = True  # full-height runs
+        return mask
     mask = np.full((h, w), kind == "full")
     if kind == "single":
         mask[rng.integers(h), rng.integers(w)] = True
@@ -391,9 +423,10 @@ class TestSkeletonize:
 
 class TestThinningWork:
     """Thinning looks up codes for the foreground and its removals, not for
-    the frame: two passes over every foreground pixel, then at most the 8
-    neighbours of each removal in each of the next two subiterations, so at
-    most 18 codes per foreground pixel."""
+    the frame: one pass over every foreground pixel, one over at most every
+    foreground pixel left, then at most the 8 neighbours of each removal in
+    each of the next two subiterations, so at most 18 codes per foreground
+    pixel."""
 
     @staticmethod
     def bar_and_hairline(side, gap):
@@ -411,6 +444,12 @@ class TestThinningWork:
             assert codes <= 18 * mask.sum()
             counts.append(codes)
         assert counts[0] == counts[1] == counts[2]
+
+    def test_the_second_subiteration_skips_pixels_with_eight_foreground_neighbours(self):
+        mask = self.bar_and_hairline(64, 10)
+        _, ((first, removed), (second, _), *_) = thin_lookups(skeletonize, mask)
+        assert first == mask.sum()
+        assert second < first - removed  # the bar's interior is not looked up again
 
     def test_the_bbox_window_fails_the_gate(self):
         mask = self.bar_and_hairline(1024, 900)
@@ -649,6 +688,76 @@ class TestAgainstScipyEdt:
         expected = self._expected(mask)
         assert expected is not None
         assert json.dumps([r.to_dict() for r in analyze_mask(mask)]) == json.dumps(expected)
+
+
+def analyze_work(mask):
+    """``analyze_mask(mask)``'s work, counted: ``labelled``, the pixels handed
+    to ``ndimage.label``; ``lookups``, thinning's code lookups; ``steps``,
+    the row search's steps (the int32 pairs of ``g`` that its ``np.minimum``
+    compares); and ``report``, the array elements handed to numpy functions
+    outside labeling, thinning and the EDT."""
+    work = dict(labelled=0, steps=0, report=0)
+    stages = []  # the stage functions running
+
+    class Counting:  # a module or function of numpy or scipy.ndimage, tallying array arguments
+        def __init__(self, target):
+            self.target = target
+
+        def __getattr__(self, name):
+            attr = getattr(self.target, name)
+            return Counting(attr) if callable(attr) and not isinstance(attr, type) else attr
+
+        def __call__(self, *args, **kwargs):
+            size = sum(a.size for a in args if isinstance(a, np.ndarray))
+            if self.target is ndimage.label:
+                work["labelled"] += size
+            elif self.target is np.minimum and "out" not in kwargs and args[0].dtype == np.int32:
+                work["steps"] += args[0].size
+            elif not stages:
+                work["report"] += size
+            return self.target(*args, **kwargs)
+
+    def stage(fn):
+        def run(*args):
+            stages.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                stages.pop()
+        return run
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maskgeom, "np", Counting(np))
+        patch.setattr(maskgeom, "ndimage", Counting(ndimage))
+        for name in ("_label", "skeletonize", "_squared_edt_at"):
+            patch.setattr(maskgeom, name, stage(getattr(maskgeom, name)))
+        reports, work["lookups"] = thin_counting(analyze_mask, mask)
+    return reports, work
+
+
+class TestAnalyzeWork:
+    """``analyze``'s work follows the pixels: a mask tiled 2 x 2, with a
+    background margin so that each component appears four times, costs at
+    most four times the labeling, thinning and report work of the mask, and
+    the row search takes at most ``d + 1`` steps at a skeleton pixel at
+    distance ``d``."""
+
+    @pytest.fixture(scope="class")
+    def masks_and_work(self):
+        mask = np.pad(corpus_like_mask(128, 0), 2)
+        tiled = np.tile(mask, (2, 2))
+        return [(m, *analyze_work(m)) for m in (mask, tiled)]
+
+    def test_work_at_most_quadruples_on_the_tiled_mask(self, masks_and_work):
+        (_, reports, one), (_, tiled_reports, four) = masks_and_work
+        assert len(tiled_reports) == 4 * len(reports)
+        for name, count in one.items():  # 16 elements of slack: ``length[:-1]`` is one short of each id
+            assert 0 < four[name] <= 4 * count + 16, name
+
+    def test_row_search_steps_at_most_distance_plus_one(self, masks_and_work):
+        for mask, _, work in masks_and_work:
+            d = oracles.distance_transform(mask)[skeletonize(mask)]
+            assert work["steps"] <= (d + 1).sum()
 
 
 class TestAnalyzeMemory:
