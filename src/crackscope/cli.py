@@ -94,8 +94,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _load_ground_truth(gt_dir):
+    """The sorted image ids, and the label files' one table read in that order with its row bounds."""
     paths = {}
-    for name in sorted(os.listdir(gt_dir)):
+    for name in sorted(os.listdir(gt_dir), key=os.path.splitext):  # by id, then extension
         stem, ext = os.path.splitext(name)
         if ext.lower() != ".txt":
             continue
@@ -105,7 +106,7 @@ def _load_ground_truth(gt_dir):
         paths[stem] = path
     if not paths:
         raise CrackscopeError(f"no label files (*.txt) found in {gt_dir}")
-    return dict(zip(paths, dataio.parse_label_files(paths.values(), _read_text)))
+    return np.array(list(paths), dtype=object), *dataio.parse_label_files(paths.values(), _read_text)
 
 
 def _cmd_eval(args) -> int:
@@ -113,42 +114,38 @@ def _cmd_eval(args) -> int:
         raise CrackscopeError("--pr-out requires --mode instance")
     if args.raster_size < 1:
         raise CrackscopeError(f"--raster-size must be >= 1, got {args.raster_size}")
-    # a rasterizer row is raster_size + 1 int64 counters wide
+    # the documented bound, 8 n (n + 1) bytes, keeps every window slot offset far inside intp
     if 8 * args.raster_size * (args.raster_size + 1) > np.iinfo(np.intp).max:
         raise CrackscopeError(f"--raster-size {args.raster_size} is too large to rasterize")
-    gts = _load_ground_truth(args.gt)
+    image_ids, gts, gt_bounds = _load_ground_truth(args.gt)
     preds = _parse_file(dataio.read_predictions, args.pred)
-    unknown = sorted(set(preds.image_ids) - set(gts))
+    unknown = sorted(set(preds.image_ids) - set(image_ids))
     if unknown:
         raise CrackscopeError(
             f"{args.pred}: predictions reference {len(unknown)} unknown image id(s): "
             + ", ".join(repr(image_id) for image_id in unknown)
         )
 
-    # the table sorted by image id (stably: each image's rows stay in file order); each image views its run
-    image_ids = np.array(sorted(gts), dtype=object)
+    # the table sorted by image id (stably: each image's rows stay in file order); every
+    # prediction's image is known, so image k holds rows bounds[k]:bounds[k + 1]
     preds = preds[np.argsort(preds.image_ids, kind="stable")]
-    los, his = (np.searchsorted(preds.image_ids, image_ids, side).tolist() for side in ("left", "right"))
-    by_image = {image_id: preds[lo:hi] for image_id, lo, hi in zip(image_ids, los, his)}
+    bounds = [*np.searchsorted(preds.image_ids, image_ids).tolist(), len(preds)], gt_bounds
     width = height = args.raster_size
 
     instance = args.mode == "instance"
     curve = None
     if instance:
-        matches = [metrics.match_instances(by_image[image_id], gts[image_id], args.iou,
-                                           mode=args.match, extent=(width, height))
-                   for image_id in image_ids]
-        # every prediction's image is known, so the images' rows in turn are the sorted order
-        flags = np.concatenate([image_flags for image_flags, _ in matches])
+        flags, fn = metrics._match_images(preds, gts, bounds, args.iou, args.match, (width, height))
         tp = int(flags.sum())
-        counts = metrics.ConfusionCounts(tp=tp, fp=len(flags) - tp, fn=sum(fn for _, fn in matches))
-        total_gt = sum(len(g) for g in gts.values())
-        curve = (metrics.pr_curve(preds.scores, flags, total_gt) if total_gt
+        counts = metrics.ConfusionCounts(tp=tp, fp=len(flags) - tp, fn=fn)
+        curve = (metrics.pr_curve(preds.scores, flags, len(gts)) if len(gts)
                  else (np.empty(0),) * 3)
-    else:  # pixel
-        counts = sum((metrics.pixel_confusion(_union_mask(by_image[image_id], width, height),
-                                              _union_mask(gts[image_id], width, height))
-                      for image_id in image_ids), metrics.ConfusionCounts())
+    else:  # pixel: both frames first, so a raster too large to hold fails before any polygon is filled
+        frames = [np.zeros((height, width), dtype=bool) for _ in range(2)]
+        counts = metrics.ConfusionCounts()
+        for _, crops in dataio._group_crops((preds, gts), bounds, width, height):
+            counts = sum((metrics.pixel_confusion(*map(_paste, frames, pair)) for pair in crops), counts)
+            del crops  # before the next group is rasterized
     summary = {
         "mode": args.mode,
         "iou_threshold": args.iou if instance else None,
@@ -174,11 +171,11 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _union_mask(table, width, height):
-    mask = np.zeros((height, width), dtype=bool)
-    for row0, col0, crop in dataio.table_crops(table, width, height):
-        mask[row0 : row0 + crop.shape[0], col0 : col0 + crop.shape[1]] |= crop
-    return mask
+def _paste(frame, crops):  # the frame cleared, then the union of the crops
+    frame[...] = False
+    for row0, col0, crop in crops:
+        frame[row0 : row0 + crop.shape[0], col0 : col0 + crop.shape[1]] |= crop
+    return frame
 
 
 def _try_metric(fn, counts):

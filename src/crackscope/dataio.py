@@ -18,9 +18,9 @@ partition on every platform.
 Polygon rasterization uses scanline even-odd filling with the pixel-center
 rule: a pixel is foreground iff its center lies inside the polygon.
 :func:`table_crops` fills every row of a :class:`PolygonTable` in one
-vectorised pass, each polygon only in the rows and columns it can cover, and
+vectorised pass, each edge only in the rows whose center it spans, and
 returns each crop with its offset; a caller that needs the full frame places
-the crops in it.
+the crops in it.  ``eval`` rasterizes once per group of images.
 
 Each label or prediction file reads into one :class:`PolygonTable`: a
 class, score and (for predictions) image id column, every vertex of the
@@ -31,7 +31,7 @@ a string, and a polygon >= 3 (x, y) vertices of numbers in [0, 1].  Each
 column check confirms the column in one pass and scans it value by value
 only to name a failure.  An error names the first bad line, and within it
 the first failing check.  :func:`parse_label_files` checks all the label
-files of a run together and gives each file a slice of the one table.
+files of a run together, in one table with each file's row bounds.
 A step-1 slice of a table gives views, an index array copies.
 :func:`read_predictions` pauses the cyclic garbage collector while parsed
 JSON is alive: ``json.loads`` builds only acyclic lists and dicts, which
@@ -301,12 +301,12 @@ def parse_label_file(text: str) -> PolygonTable:
     return parse_label_files([None], lambda _: text)[0]
 
 
-def parse_label_files(paths, read) -> list[PolygonTable]:
-    """Each label file's table, ``read(path)`` giving its text: the files are
-    tokenized one at a time, checked together, and each gets a step-1 slice
-    of the one table.  An error starts ``<path>: line N: `` (``line N: ``
-    for a path of None) and is the first that parsing each file alone in
-    turn would raise: a read or syntax error follows earlier rows' value errors."""
+def parse_label_files(paths, read) -> tuple[PolygonTable, list]:
+    """The label files' one table, tokenized one file at a time and checked
+    together, and its bounds: file ``k``, read by ``read(path)``, holds rows
+    ``bounds[k]:bounds[k + 1]``.  An error starts ``<path>: line N: ``
+    (``line N: `` for a path of None) and is the first that parsing each file
+    alone in turn would raise: a read or syntax error follows earlier rows' value errors."""
     class_ids, counts, lines, names, ends, coords = [], [], [], [], [], array("d")
     failure = None  # raised unless an earlier row fails a value check
     for path in paths:
@@ -347,14 +347,14 @@ def parse_label_files(paths, read) -> list[PolygonTable]:
     table = _checked(class_ids, None, None, where, (vertices, counts, None))
     if failure is not None:
         raise failure
-    return [table[lo:hi] for lo, hi in zip([0, *ends], ends)]
+    return table, [0, *ends]
 
 
 # ---------------------------------------------------------------------------
 # rasterization
 
 
-_WINDOW_SLOTS = 1 << 16  # window slots (pixels plus one per row) filled in one buffer
+_WINDOW_SLOTS = 1 << 20  # bool window slots of one group of images (or of one image that holds more)
 
 
 def table_crops(table: PolygonTable, width: int, height: int) -> list:
@@ -368,11 +368,11 @@ def table_crops(table: PolygonTable, width: int, height: int) -> list:
     coordinates, so a crop is bit-identical to the same window of a
     full-frame fill.
 
-    One pass serves the whole table: every edge's crossings with the rows it
-    spans, sorted by (polygon, row, x), pair up into spans.  The windows, one
-    spare column per row, lie in flat buffers of about ``_WINDOW_SLOTS``
-    slots: +1 at each span start, -1 at each end, then one running sum, back
-    at 0 at the end of every row.
+    One pass serves the whole table: every edge's crossings with exactly the
+    rows whose center it spans, sorted by (polygon, row, x), pair up into
+    spans.  The windows, one spare column per row, lie in one bool buffer:
+    each span's start and end toggle their slot, and one running XOR in
+    place fills the spans, back at False at the end of every row.
     """
     n = len(table)
     empty = (0, 0, np.zeros((0, 0), dtype=bool))
@@ -390,23 +390,19 @@ def table_crops(table: PolygonTable, width: int, height: int) -> list:
     area = np.add.reduceat(terms, starts[:-1] + np.arange(n))
     edge = np.flatnonzero((area[poly] != 0.0) & (y1 != y2))
 
-    def rows_between(low, high):  # rows whose center may lie in [low, high), a spare on each side
-        first = np.maximum(np.ceil(low - 0.5) - 1, 0).astype(np.intp)
-        return first, np.maximum(np.minimum(np.ceil(high - 0.5) + 1, height).astype(np.intp) - first, 0)
+    def rows_between(low, high):  # rows whose center lies in [low, high): v - 0.5 is exact for v >= 0.5
+        first = np.ceil(low - 0.5).astype(np.intp)
+        return first, np.ceil(high - 0.5).astype(np.intp) - first
 
     # each polygon's band of rows, stacked; a zero-area polygon's band is empty
     top, band = rows_between(*(f.reduceat(y1, starts[:-1]) for f in (np.minimum, np.maximum)))
     band[area == 0.0] = 0
     stack = np.cumsum(band) - band
-    # each edge's rows, then the exact test
+    # each edge's rows: those whose center lies between its ends
     first, count = rows_between(np.minimum(y1, y2)[edge], np.maximum(y1, y2)[edge])
     edge = np.repeat(edge, count)
     rows = np.repeat(first - (np.cumsum(count) - count), count) + np.arange(len(edge))
-    cy = rows + 0.5
-    a, b = y1[edge], y2[edge]
-    hit = ((a <= cy) & (cy < b)) | ((b <= cy) & (cy < a))
-    edge, rows, cy = edge[hit], rows[hit], cy[hit]
-    t = (cy - y1[edge]) / (y2[edge] - y1[edge])
+    t = (rows + 0.5 - y1[edge]) / (y2[edge] - y1[edge])
     x = x1[edge] + t * (x2[edge] - x1[edge])
     # an edge crosses a row iff its ends lie on either side of the center, so a
     # polygon crosses each row an even number of times: sorted by (polygon,
@@ -434,20 +430,39 @@ def table_crops(table: PolygonTable, width: int, height: int) -> list:
     offset = np.cumsum(size) - size
     window = np.repeat(np.arange(len(heads)), np.diff(np.append(heads, len(level))))
     slot = offset[window] + (level - level[heads][window]) * (n_cols[window] + 1) - col0[window]
-    on += slot
-    off += slot
+    # spans are disjoint and nonempty: starts are distinct slots, and so are ends
+    filled = np.zeros(int(offset[-1] + size[-1]), dtype=bool)
+    filled[on + slot] = True
+    filled[off + slot] ^= True
+    np.logical_xor.accumulate(filled, out=filled)
     crops = [empty] * n
-    windows = list(zip(*(v.tolist() for v in (owner, row0, col0, n_rows, n_cols, offset))))
-    heads = [*heads.tolist(), len(level)]
-    cuts = [0, *(np.flatnonzero(np.diff(offset // _WINDOW_SLOTS)) + 1).tolist(), len(windows)]
-    for w0, w1 in zip(cuts, cuts[1:]):
-        lo, hi = int(offset[w0]), int(offset[w1 - 1] + size[w1 - 1])
-        steps = np.bincount(on[heads[w0] : heads[w1]] - lo, minlength=hi - lo)
-        steps -= np.bincount(off[heads[w0] : heads[w1]] - lo, minlength=hi - lo)
-        filled = np.cumsum(steps, out=steps) > 0
-        for p, r, c, h, w, o in windows[w0:w1]:
-            crops[p] = (r, c, filled[o - lo : o - lo + h * (w + 1)].reshape(h, w + 1)[:, :w])
+    for p, r, c, h, w, o in zip(*(v.tolist() for v in (owner, row0, col0, n_rows, n_cols, offset))):
+        crops[p] = (r, c, filled[o : o + h * (w + 1)].reshape(h, w + 1)[:, :w])
     return crops
+
+
+def _group_crops(sides, bounds, width, height):
+    """``(images, crops)`` for each group of consecutive images: one image, or as
+    many as keep their windows (bounded from the corners) within ``_WINDOW_SLOTS``.
+    Image ``k`` holds rows ``bounds[s][k]:bounds[s][k + 1]`` of side ``s``, and
+    ``crops[k - images.start]`` its crops on each side, from one :func:`table_crops`
+    call per side.  A caller drops a group's crops before it takes the next."""
+    slots = 0
+    for side, b in zip(sides, bounds):
+        x0, y0, x1, y1 = np.ceil(side.corners * [width, height, width, height] - 0.5).T
+        total = np.append(0, np.cumsum((y1 - y0) * (x1 - x0 + 2)))  # a spare column and one of slack
+        slots = slots + total[b[1:]] - total[b[:-1]]
+    cuts, held = [0], 0
+    for k, s in enumerate(slots.tolist()):
+        if held + s > _WINDOW_SLOTS and k > cuts[-1]:
+            cuts.append(k)
+            held = 0
+        held += s
+    for i, j in zip(cuts, [*cuts[1:], len(slots)]):
+        crops = [table_crops(side[b[i] : b[j]], width, height) for side, b in zip(sides, bounds)]
+        yield range(i, j), [[c[b[k] - b[i] : b[k + 1] - b[i]] for c, b in zip(crops, bounds)]
+                            for k in range(i, j)]
+        del crops
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ largest disk of pixel centers around it (pixel-center distance convention).
 The image border counts as background, so a crack touching the frame is
 measured to the frame edge.
 
-The cost is linear in pixels, not components x pixels: the mask is labelled
-once, and only the skeleton pixels' labels are mapped to report ids; the
+The cost is linear in pixels, not components x pixels: the mask is thinned,
+then labelled once, and only the skeleton pixels' labels are mapped to
+report ids, after which the label frame is freed before the distance; the
 reports come from one pass over the skeleton pixels sorted by id, with no
 per-component work; thinning looks up 8-neighbour codes in one 256-entry
 removal table per subiteration, at every foreground pixel only in the
@@ -259,11 +260,11 @@ def analyze_mask(mask, scale: ScaleConfig | None = None) -> list[WidthReport]:
     over that single sorted list.
     """
     mask = _require_mask(mask)
+    skeleton = skeletonize(mask)  # before labeling: only the skeleton's labels are read
     labels, relabel, area = _label(mask)
     count = len(area)
     if not count:
         return []
-    skeleton = skeletonize(mask)
     flat = np.flatnonzero(skeleton)  # row-major
     ids = relabel[labels.ravel()[flat]]
     length = np.bincount(ids, minlength=count + 1)[1:]
@@ -275,6 +276,7 @@ def analyze_mask(mask, scale: ScaleConfig | None = None) -> list[WidthReport]:
             f"component {bad} (rows {rows.start}-{rows.stop - 1}, "
             f"cols {cols.start}-{cols.stop - 1}) has no skeleton pixels"
         )
+    del labels  # the EDT and the reports need only the skeleton's ids
     order = np.argsort(ids, kind="stable")  # by id, row-major within an id
     flat, index = flat[order], ids[order] - 1
     starts = np.concatenate(([0], np.cumsum(length[:-1])))

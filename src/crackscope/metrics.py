@@ -1,16 +1,17 @@
 """Detection evaluation: confusion-count metrics, instance matching,
 precision-recall curves and average precision.
 
-Matching takes one image's predictions and ground truths as
-:class:`crackscope.dataio.PolygonTable`s and reads their class, score and
-corner columns.  It is greedy by descending score (ties keep input order):
-each prediction claims the unmatched ground truth of highest IoU at or above
-the threshold (the first such at IoU ties), and every ground truth is
-claimed at most once.  Each image's ``len(preds) x len(gts)`` IoU matrix is
-built once: box IoU from the corner columns with numpy, mask IoU from one
-cropped raster per row, each table's crops from one call of
-:func:`crackscope.dataio.table_crops`, counting the intersection only where
-two crops of the same class overlap.
+Matching takes a run's predictions and ground truths as two
+:class:`crackscope.dataio.PolygonTable`s with each image's row bounds
+(:func:`match_instances` is the one-image case) and reads their class,
+score and corner columns.  It is greedy by descending score within an image
+(ties keep input order): each prediction claims the unmatched ground truth
+of highest IoU at or above the threshold (the first such at IoU ties), and
+every ground truth is claimed at most once.  Each image's ``len(preds) x
+len(gts)`` IoU matrix is built once: box IoU from the corner columns with
+numpy, mask IoU from one cropped raster per row, each side rasterized once
+per group of images (:func:`crackscope.dataio._group_crops`), counting the
+intersection only where two crops of the same class overlap.
 
 The PR curve, average precision and its CSV are column arithmetic over the
 dataset's score and true-positive flag arrays: one stable sort by score, a
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import table_crops
+from . import dataio
 from .errors import InvalidShape, OutOfRange, UndefinedMetric, UnsupportedMode
 
 __all__ = [
@@ -96,11 +97,9 @@ def pixel_confusion(pred, gt) -> ConfusionCounts:
     gt = np.asarray(gt, dtype=bool)
     if pred.shape != gt.shape:
         raise InvalidShape(f"mask extents differ: {pred.shape} vs {gt.shape}")
-    tp = int(np.sum(pred & gt))
-    fp = int(np.sum(pred & ~gt))
-    fn = int(np.sum(~pred & gt))
-    tn = int(np.sum(~pred & ~gt))
-    return ConfusionCounts(tp, fp, fn, tn)
+    tp = int(np.count_nonzero(pred & gt))
+    fp, fn = int(np.count_nonzero(pred)) - tp, int(np.count_nonzero(gt)) - tp
+    return ConfusionCounts(tp, fp, fn, pred.size - tp - fp - fn)
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +132,10 @@ def _crop_intersection(a, b) -> int:
     return np.count_nonzero(ma[y0 - ra : y1 - ra, x0 - ca : x1 - ca] & mb[y0 - rb : y1 - rb, x0 - cb : x1 - cb])
 
 
-def _mask_iou_matrix(preds, gts, extent) -> np.ndarray:
-    """Pixel IoU of every same-class pair from one cropped raster per row,
-    each table rasterized in one call; two empty rasters score 1.0.  Pairs of
-    other classes, which never match, count no intersection."""
-    width, height = extent
-    crops = [table_crops(side, width, height) for side in (preds, gts)]
+def _mask_iou_matrix(other, crops) -> np.ndarray:
+    """Pixel IoU of every pair from the rows' ``crops``, one list per table;
+    two empty rasters score 1.0.  Pairs of ``other`` classes, which never
+    match, count no intersection."""
 
     def windows(side):  # crop windows as (col0, row0, col1, row1), and pixel counts
         corners = [(c0, r0, c0 + m.shape[1], r0 + m.shape[0]) for r0, c0, m in side]
@@ -147,8 +144,7 @@ def _mask_iou_matrix(preds, gts, extent) -> np.ndarray:
     (a, na), (b, nb) = windows(crops[0]), windows(crops[1])
     iou = np.where((na[:, None] + nb[None, :]) == 0, 1.0, 0.0)
     iw, ih = _overlap(a, b)
-    same = preds.class_ids[:, None] == gts.class_ids[None, :]
-    for i, j in zip(*np.nonzero((iw > 0) & (ih > 0) & same)):
+    for i, j in zip(*np.nonzero((iw > 0) & (ih > 0) & ~other)):
         inter = _crop_intersection(crops[0][i], crops[1][j])
         iou[i, j] = inter / (na[i] + nb[j] - inter)
     return iou
@@ -168,27 +164,36 @@ def match_instances(
     built once; a pick is the first maximum of the prediction's row over the
     eligible ground truths.
     """
+    return _match_images(preds, gts, ([0, len(preds)], [0, len(gts)]), iou_thresh, mode, extent)
+
+
+def _match_images(preds, gts, bounds, iou_thresh, mode, extent):
+    """:func:`match_instances` of every image of a run, image ``k`` holding rows
+    ``bounds[0][k]:bounds[0][k + 1]`` of ``preds`` and ``bounds[1][k]:..`` of ``gts``."""
     if not 0.0 < iou_thresh <= 1.0:
         raise OutOfRange(f"iou threshold must be in (0, 1], got {iou_thresh}")
     if mode not in ("box", "mask"):
         raise UnsupportedMode(f"unknown matching mode {mode!r}")
     flags = np.zeros(len(preds), dtype=bool)
-    if not preds or not gts:
-        return flags, len(gts)
-    if mode == "box":
-        iou = _box_iou_matrix(preds.corners, gts.corners)
-    else:
-        iou = _mask_iou_matrix(preds, gts, extent)
-    # other-class and (below) taken ground truths score 0, which never reaches the threshold
-    iou[preds.class_ids[:, None] != gts.class_ids[None, :]] = 0.0
-    reachable = iou.max(axis=1) >= iou_thresh
-    for i in np.argsort(-preds.scores, kind="stable").tolist():
-        if not reachable[i]:
-            continue
-        j = int(iou[i].argmax())
-        if iou[i, j] >= iou_thresh:
-            flags[i] = True
-            iou[:, j] = 0.0
+    groups = ([(range(len(bounds[0]) - 1), None)] if mode == "box"
+              else dataio._group_crops((preds, gts), bounds, *extent))
+    for images, crops in groups:
+        for k in images:
+            (a, b), (c, d) = bounds[0][k : k + 2], bounds[1][k : k + 2]
+            if a == b or c == d:
+                continue
+            other = preds.class_ids[a:b, None] != gts.class_ids[None, c:d]
+            iou = (_box_iou_matrix(preds.corners[a:b], gts.corners[c:d]) if crops is None
+                   else _mask_iou_matrix(other, crops[k - images.start]))
+            # other-class and (below) taken ground truths score 0, which never reaches the threshold
+            iou[other] = 0.0
+            order = np.argsort(-preds.scores[a:b], kind="stable")
+            for i in order[iou.max(axis=1)[order] >= iou_thresh].tolist():  # those that can reach it
+                j = int(iou[i].argmax())
+                if iou[i, j] >= iou_thresh:
+                    flags[a + i] = True
+                    iou[:, j] = 0.0
+        del crops  # before the next group is rasterized
     return flags, len(gts) - int(flags.sum())
 
 

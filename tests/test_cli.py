@@ -296,9 +296,9 @@ def _star(rng, cx, cy, radius):
     return np.round(np.clip(np.stack([cx + radii * np.cos(angles), cy + radii * np.sin(angles)], 1), 0, 1), 4)
 
 
-def _write_corpus(directory, counts, seed):
-    """One label file per ``(n_gt, n_pred)`` of ``counts``, image ids
-    ``im000 ..``; half the predictions jitter a ground truth of their image.
+def _write_corpus(directory, counts, seed, ids=None):
+    """One label file per ``(n_gt, n_pred)`` of ``counts``, image ids ``ids``
+    (``im000 ..`` by default); half the predictions jitter a ground truth of their image.
     The prediction file lists the images in reverse id order, one row of each
     image in turn.  Returns ``(gt_dir, pred_path, images)`` with ``images``
     mapping an id to its ``(gts, preds)`` lists of ``(class, [score,] polygon)``."""
@@ -316,8 +316,9 @@ def _write_corpus(directory, counts, seed):
             else:
                 class_id, polygon = k % 2, _star(rng, *rng.uniform(0.15, 0.85, 2), rng.uniform(0.05, 0.15))
             preds.append((class_id, round(float(rng.uniform()), 2), polygon))  # 2 places: ties across images
-        images[f"im{i:03d}"] = gts, preds
-        (gt_dir / f"im{i:03d}.txt").write_text(
+        image_id = f"im{i:03d}" if ids is None else ids[i]
+        images[image_id] = gts, preds
+        (gt_dir / f"{image_id}.txt").write_text(
             "".join(f"{c} " + " ".join(map(str, p.ravel())) + "\n" for c, p in gts))
     lines = []
     for k in range(max((len(p) for _, p in images.values()), default=0)):
@@ -344,9 +345,10 @@ class TestEvalPerImageReference:
 
     SIZE = 48
     COUNTS = [(3, 5), (2, 4), (4, 0), (1, 3), (3, 6)]
+    IDS = None
 
     def _run(self, tmp_path, *flags):
-        gt_dir, pred_path, images = _write_corpus(tmp_path, self.COUNTS, seed=11)
+        gt_dir, pred_path, images = _write_corpus(tmp_path, self.COUNTS, seed=11, ids=self.IDS)
         out, pr = tmp_path / "m.json", tmp_path / "pr.csv"
         argv = ["eval", "--gt", str(gt_dir), "--pred", str(pred_path), "--raster-size", str(self.SIZE),
                 "--out", str(out), *flags]
@@ -356,7 +358,7 @@ class TestEvalPerImageReference:
     @pytest.mark.parametrize("match", ["box", "mask"])
     def test_instance_modes(self, tmp_path, match):
         images, doc, pr = self._run(tmp_path, "--match", match)
-        assert images["im002"][1] == []
+        assert list(images.values())[2][1] == []
 
         def pair_iou(p, g):
             if match == "box":
@@ -389,6 +391,18 @@ class TestEvalPerImageReference:
             tp, fp, fn, tn = tp + (p & g).sum(), fp + (p & ~g).sum(), fn + (~p & g).sum(), tn + (~p & ~g).sum()
         assert (doc["tp"], doc["fp"], doc["fn"], doc["tn"]) == (tp, fp, fn, tn)
         assert doc["accuracy"] == (tp + tn) / (tp + fp + fn + tn)
+
+
+class TestEvalIdsOutOfNameOrder(TestEvalPerImageReference):
+    """The same reference where the label files' name order is not their id
+    order: a stem extended by ' ', '-' or '.' sorts after it, its file name
+    before it."""
+
+    IDS = ["c", "c-1", "c.x", "c 2", "c-1.y"]
+
+    def test_name_order_differs(self):
+        names = sorted(f"{image_id}.txt" for image_id in self.IDS)
+        assert [name[: -len(".txt")] for name in names] != sorted(self.IDS)
 
 
 class TestEvalWork:
@@ -624,7 +638,7 @@ _RANGE_ERROR = "polygon coordinates must be finite and lie in [0, 1]"
 _TOKEN_ERROR = "unparseable token (could not convert string to float: 'x')"
 
 # (label files by stem, the one error line naming the first bad file in sorted
-# order); a value of None makes that name a directory, whose read error is {<stem>_error}
+# id order); a value of None makes that name a directory, whose read error is {<stem>_error}
 LABEL_PRECEDENCE = [
     ({"a": _GOOD + _OUTSIDE, "b": _SYNTAX}, f"{{a}}: line 2: {_RANGE_ERROR}"),
     ({"a": _OUTSIDE, "b": _NOT_UTF8}, f"{{a}}: line 1: {_RANGE_ERROR}"),
@@ -637,15 +651,18 @@ LABEL_PRECEDENCE = [
     ({"a": _GOOD, "b": None}, "{b_error}"),
     ({"a": _GOOD, "b": _GOOD, "c": "\n" + _NEGATIVE}, "{c}: line 2: class id must be >= 0, got -1"),
     ({"a": _GOOD, "b": _OUTSIDE + "0 0.1\n", "c": _NOT_UTF8}, f"{{b}}: line 1: {_RANGE_ERROR}"),
+    # "a-b.txt" sorts before "a.txt", but id "a" before "a-b"
+    ({"a-b": _OUTSIDE, "a": _NEGATIVE}, "{a}: line 1: class id must be >= 0, got -1"),
 ]
 
 
 @pytest.mark.parametrize("files, message", LABEL_PRECEDENCE, ids=[
     "value-a-before-syntax-b", "value-a-before-non-utf8-b", "value-a-before-value-b", "value-a-before-dir-b",
     "value-before-later-syntax", "syntax-before-later-value", "clean-a-then-syntax-b", "empty-a-then-non-utf8-b",
-    "clean-a-then-dir-b", "two-clean-then-value-c", "value-b-before-syntax-b-and-non-utf8-c"])
+    "clean-a-then-dir-b", "two-clean-then-value-c", "value-b-before-syntax-b-and-non-utf8-c",
+    "id-a-before-id-a-b"])
 def test_label_error_precedence_across_files(tmp_path, files, message, capsys):
-    """Of a run's label files, the first in sorted order with a read, UTF-8,
+    """Of a run's label files, the first in sorted id order with a read, UTF-8,
     syntax or value error is the one reported, and within it the first bad
     line, as if each file were read alone in turn."""
     gt_dir = tmp_path / "gt"

@@ -218,18 +218,43 @@ def _assert_crops_match_the_polygon_reference(table, width, height):
             assert crop.shape == (0, 0)
 
 
+@st.composite
+def _center_tables(draw):
+    """A table of 1-4 polygons at a square extent of 1, 2, 3, 7 or 48 px whose
+    coordinates sit on pixel centers ``(k + 0.5) / size``, one ulp to either
+    side of one, below the first center, or at 0.0 or 1.0: where a row's or a
+    column's first and last center are decided."""
+    size = draw(st.sampled_from([1, 2, 3, 7, 48]))
+
+    def coordinate():
+        center = (draw(st.integers(0, size - 1)) + 0.5) / size
+        return draw(st.sampled_from([
+            center, np.nextafter(center, 0.0), np.nextafter(center, 1.0),
+            draw(st.floats(0.0, 0.5 / size, exclude_max=True)), 0.0, 1.0,
+        ]))
+
+    polygons = [np.array([[coordinate(), coordinate()] for _ in range(draw(st.integers(3, 8)))])
+                for _ in range(draw(st.integers(1, 4)))]
+    return polygon_table([0] * len(polygons), polygons), size
+
+
 class TestTableCrops:
     """The table body against the one-polygon fill it replaced
     (``oracles.polygon_to_crop``), row by row: offset, shape and bits."""
 
-    @given(_raster_tables(), st.sampled_from([1, 7, 64, None]))
+    @given(_raster_tables())
     @settings(max_examples=300, deadline=None)
-    def test_matches_the_polygon_reference(self, drawn, slots):
-        table, width, height = drawn
-        with pytest.MonkeyPatch.context() as patch:
-            if slots is not None:  # small buffers: every few windows start a new one
-                patch.setattr(dataio, "_WINDOW_SLOTS", slots)
-            _assert_crops_match_the_polygon_reference(table, width, height)
+    def test_matches_the_polygon_reference(self, drawn):
+        _assert_crops_match_the_polygon_reference(*drawn)
+
+    @given(_center_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_exact_rows_at_pixel_centers(self, drawn):
+        """An edge is tested only at the rows whose center lies between its
+        ends, found as ``[ceil(a - 0.5), ceil(b - 0.5))``; vertices on and
+        one ulp off the centers decide each end of that range."""
+        table, size = drawn
+        _assert_crops_match_the_polygon_reference(table, size, size)
 
     def test_bowtie_rows_stay_empty(self):
         bowtie = np.array([[0.25, 0.25], [0.75, 0.75], [0.75, 0.25], [0.25, 0.75]])
@@ -238,16 +263,27 @@ class TestTableCrops:
         assert [c.shape for *_, c in crops] == [(0, 0), (8, 8), (0, 0)]
         assert crops[1][:2] == (4, 4) and crops[1][2].all()
 
-    def test_windows_larger_than_one_buffer(self):
-        # each window holds more slots than one buffer, so each fills alone
+    def test_an_image_over_the_budget_forms_its_own_group(self):
+        """An image whose windows alone exceed ``_WINDOW_SLOTS`` is rasterized
+        alone, its neighbours in groups of their own, and every crop is the
+        one-polygon fill's."""
         rng = np.random.default_rng(0)
-        polygons = [np.clip(0.5 + 0.5 * rng.uniform(-1, 1, (k, 2)), 0, 1) for k in (4, 9, 12, 5)]
-        polygons.append(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
-        table = polygon_table([0] * len(polygons), polygons)
-        width, height = 640, 480
-        areas = [crop.shape[0] * (crop.shape[1] + 1) for *_, crop in table_crops(table, width, height)]
-        assert max(areas) > dataio._WINDOW_SLOTS
-        _assert_crops_match_the_polygon_reference(table, width, height)
+        small = [np.clip(0.5 + 0.05 * rng.uniform(-1, 1, (k, 2)), 0, 1) for k in (4, 9, 12, 5, 7)]
+        whole = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        size = 1100
+        assert size * (size + 1) > dataio._WINDOW_SLOTS
+        # images 0 and 1 hold two small polygons each, image 2 one and the whole frame, image 3 one
+        table = polygon_table([0] * 7, [*small, whole, small[0]])
+        rows = [0, 2, 4, 6, 7]
+        seen = []
+        for images, crops in dataio._group_crops((table, table), (rows, rows), size, size):
+            seen.append(list(images))
+            for k, (pred_crops, gt_crops) in zip(images, crops):
+                assert len(pred_crops) == len(gt_crops) == rows[k + 1] - rows[k]
+                for row, crop in zip(table[rows[k] : rows[k + 1]], pred_crops):
+                    want = oracles.polygon_to_crop(row.polygon, size, size)
+                    assert crop[:2] == want[:2] and np.array_equal(crop[2], want[2])
+        assert seen == [[0, 1], [2], [3]]
 
     def test_empty_table(self):
         assert table_crops(polygon_table([], []), 8, 8) == []

@@ -1,6 +1,7 @@
 """``eval --match mask`` and ``eval --mode pixel`` through the table
 rasterizer: byte-identical outputs to the one-polygon fill it replaced, one
-rasterizer call per table, and a bounded allocation peak at a large raster."""
+rasterizer call per side for each group of images, and a bounded allocation
+peak at a large raster."""
 
 import json
 import tempfile
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies
-from crackscope import dataio, metrics
+from crackscope import dataio
 from crackscope.cli import main
 
 
@@ -28,7 +29,6 @@ def _run_with(body, argv):
     """``main(argv)`` with ``body`` as the table rasterizer."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dataio, "table_crops", body)
-        patch.setattr(metrics, "table_crops", body)
         return main(argv)
 
 
@@ -116,13 +116,13 @@ def test_outputs_are_byte_identical_to_the_per_polygon_fill(corpus):
 
 
 class TestRasterizerCalls:
-    """Mask matching and pixel mode rasterize each table in one call, however
-    many polygons it holds (two tables per image: predictions and ground
-    truths)."""
+    """Mask matching and pixel mode rasterize each side once for a run whose
+    windows fit in ``_WINDOW_SLOTS``, however many images and polygons it
+    holds: one call for the predictions and one for the ground truths."""
 
     @staticmethod
-    def calls(tmp_path, gts_per_image, flags, per_polygon=False):
-        """Rasterizer calls of one ``eval`` on 3 bench-like images: calls of
+    def calls(tmp_path, gts_per_image, flags, per_polygon=False, images=3):
+        """Rasterizer calls of one ``eval`` on bench-like images: calls of
         the table body, or of the one-polygon fill when ``per_polygon``."""
         calls = []
 
@@ -132,9 +132,9 @@ class TestRasterizerCalls:
                 return fn(*args)
             return wrapper
 
-        directory = tmp_path / str(gts_per_image)
+        directory = tmp_path / f"{images}-{gts_per_image}"
         directory.mkdir()
-        files = _write_corpus(directory, _bench_like_images(3, gts_per_image))
+        files = _write_corpus(directory, _bench_like_images(images, gts_per_image))
         argv = ["eval", *files, "--raster-size", "64", "--out", str(directory / "out.json"), *flags]
         with pytest.MonkeyPatch.context() as patch:
             if per_polygon:
@@ -146,8 +146,8 @@ class TestRasterizerCalls:
 
     @pytest.mark.parametrize("flags", [["--match", "mask"], ["--mode", "pixel"]])
     def test_one_call_per_table(self, tmp_path, flags):
-        counts = [self.calls(tmp_path, n, flags) for n in (4, 8)]
-        assert counts[0] == counts[1] <= 2 * 3
+        counts = [self.calls(tmp_path, n, flags, images=images) for images in (3, 6) for n in (4, 8)]
+        assert counts == [2, 2, 2, 2]
 
     @pytest.mark.parametrize("flags", [["--match", "mask"], ["--mode", "pixel"]])
     def test_the_per_polygon_fill_fails_the_gate(self, tmp_path, flags):
@@ -162,8 +162,9 @@ _PER_POLYGON_PEAK = {"mask": 7.17e6, "pixel": 16.97e6}
 
 class TestRasterMemory:
     """At a 2048 px raster the table body's allocation peak stays within
-    1.25x that of the one-polygon fill: the windows fill in buffers of about
-    ``_WINDOW_SLOTS`` slots, not all of a table's at once."""
+    1.25x that of the one-polygon fill: each side is rasterized for a group
+    of images whose windows total about ``_WINDOW_SLOTS`` slots, not for the
+    whole run at once."""
 
     FLAGS = {"mask": ["--match", "mask"], "pixel": ["--mode", "pixel"]}
 

@@ -761,7 +761,7 @@ class TestAnalyzeWork:
 
 
 class TestAnalyzeMemory:
-    def test_peak_is_at_most_16_bytes_per_pixel_on_a_2048_tile(self):
+    def test_peak_is_at_most_8_bytes_per_pixel_on_a_2048_tile(self):
         mask = np.tile(corpus_like_mask(256, 0), (8, 8))
         tracemalloc.start()
         try:
@@ -769,7 +769,7 @@ class TestAnalyzeMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * mask.size, f"{peak / mask.size:.1f} bytes per pixel"
+        assert peak <= 8 * mask.size, f"{peak / mask.size:.1f} bytes per pixel"
 
     def test_a_bool_mask_is_checked_without_a_copy(self):
         mask = corpus_like_mask(64, 0)
