@@ -15,9 +15,11 @@ counts the garbage collections the prediction read starts.  The stages are
 the ones ``cli._cmd_eval`` runs: the prediction read (``read_predictions`` on
 the file's text), the label load (every label file, read and parsed), the
 per-image split (one stable sort by image id, then each image's row bounds),
-box matching of every image, the PR curve with its AP, and the CSV; plus
-the whole command, in process.  Each stage's slope is the least-squares
-slope of log(time) against log(detections).  ``read_collections`` counts the
+box matching of the whole run (``metrics._match_images``: every pair's IoU,
+then the greedy of all images in lockstep), ``split_match``, the sum of those
+two, the PR curve with its AP, and the CSV; plus the whole command, in
+process.  Each stage's slope is the least-squares slope of log(time)
+against log(detections).  ``read_collections`` counts the
 cyclic collector's passes, by generation, during one prediction read.
 
 ``--sweep raster`` runs the ``eval-raster`` workload's commands, ``eval
@@ -57,7 +59,7 @@ from crackscope import cli, dataio, metrics  # noqa: E402
 
 DETECTIONS = (2000, 8000, 32000)
 SEED, STREAM = 0, 2  # the eval-box workload's corpus stream
-STAGES = ("read_predictions", "load_labels", "split", "match", "pr_ap", "csv", "cli_total")
+STAGES = ("read_predictions", "load_labels", "split", "match", "split_match", "pr_ap", "csv", "cli_total")
 RASTER_SIZES = (256, 512, 1024, 2048)
 RASTER_SEED, RASTER_STREAM = 0, 3  # the eval-raster workload's corpus stream
 RASTER_STAGES = ("load_labels", "read_predictions", "rasterize", "mask_match", "pixel_fill",
@@ -136,6 +138,7 @@ def measure(images: int, workdir: str, repeats: int) -> dict:
         "csv": best_ms(lambda: metrics.pr_curve_to_csv(*curve), repeats),
         "cli_total": cli_ms,
     }
+    times["split_match"] = times["split"] + times["match"]
     return {
         "images": images,
         "detections": len(preds),

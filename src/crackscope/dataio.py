@@ -654,6 +654,7 @@ def read_predictions(text: str) -> PolygonTable:
                 tables.append(table(rows))
                 rows = []
         tables.append(table(rows))
+        del rows  # freed by reference counts, so the collector resumes with no pass due
     if syntax is not None:
         raise syntax
     return _concat(tables)

@@ -191,11 +191,6 @@ def _squared_edt_at(mask, flat) -> np.ndarray:
     return d2
 
 
-def _ring_offsets(stride: int) -> np.ndarray:
-    """Flat offsets of ``_RING`` in a frame ``stride`` columns wide."""
-    return np.array([dr * stride + dc for dr, dc in _RING])
-
-
 def skeletonize(mask) -> np.ndarray:
     """Iterative two-subiteration thinning to a fixpoint.
 
@@ -212,10 +207,14 @@ def skeletonize(mask) -> np.ndarray:
     8-neighbours of the pixels removed in the previous two subiterations;
     thinning stops when there are none.
     """
-    mask = _require_mask(mask)
-    img = np.pad(mask, 1).view(np.uint8)  # 0/1 with a background ring
+    return _thinned(_require_mask(mask))[0][1:-1, 1:-1].astype(bool)
+
+
+def _thinned(mask):
+    """:func:`skeletonize`'s skeleton, 0/1 uint8 in a background ring, and ``_RING``'s flat offsets there."""
+    img = np.pad(np.ascontiguousarray(mask), 1).view(np.uint8)  # C order: ``ravel`` is a view
     flat = img.ravel()
-    ring = _ring_offsets(img.shape[1])
+    ring = np.array([dr * img.shape[1] + dc for dr, dc in _RING])
     frontier = np.zeros(flat.size, dtype=bool)  # scratch, all False between subiterations
     pixels = np.flatnonzero(flat.view(bool))
     previous = None  # the pixels removed in the previous subiteration
@@ -237,7 +236,7 @@ def skeletonize(mask) -> np.ndarray:
         frontier[pixels] = False
         previous = removed
         step ^= 1
-    return img[1:-1, 1:-1].astype(bool)
+    return img, ring
 
 
 def analyze_mask(mask, scale: ScaleConfig | None = None) -> list[WidthReport]:
@@ -260,12 +259,14 @@ def analyze_mask(mask, scale: ScaleConfig | None = None) -> list[WidthReport]:
     over that single sorted list.
     """
     mask = _require_mask(mask)
-    skeleton = skeletonize(mask)  # before labeling: only the skeleton's labels are read
+    frame, ring = _thinned(mask)  # before labeling: only the skeleton's labels are read
     labels, relabel, area = _label(mask)
     count = len(area)
     if not count:
         return []
-    flat = np.flatnonzero(skeleton)  # row-major
+    width = mask.shape[1]
+    flat = np.flatnonzero(frame.view(bool))  # row-major, in the padded frame
+    flat -= 2 * (flat // (width + 2)) + width + 1  # in the mask
     ids = relabel[labels.ravel()[flat]]
     length = np.bincount(ids, minlength=count + 1)[1:]
     if not length.all():
@@ -281,10 +282,8 @@ def analyze_mask(mask, scale: ScaleConfig | None = None) -> list[WidthReport]:
     flat, index = flat[order], ids[order] - 1
     starts = np.concatenate(([0], np.cumsum(length[:-1])))
     widths = 2.0 * np.sqrt(_squared_edt_at(mask, flat)) - 1.0
-    width = mask.shape[1]
-    padded = np.pad(skeleton, 1).view(np.uint8).ravel()
     at = flat + 2 * (flat // width) + width + 3  # (row + 1, col + 1) in the padded frame
-    interior = sum(padded[at + offset] for offset in _ring_offsets(width + 2)) >= 2
+    interior = sum(np.take(frame, at + offset) for offset in ring) >= 2
     candidate = interior | ~np.logical_or.reduceat(interior, starts)[index]
     max_width = np.maximum.reduceat(widths, starts)
     min_width = np.minimum.reduceat(np.where(candidate, widths, np.inf), starts)

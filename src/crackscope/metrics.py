@@ -7,11 +7,11 @@ Matching takes a run's predictions and ground truths as two
 score and corner columns.  It is greedy by descending score within an image
 (ties keep input order): each prediction claims the unmatched ground truth
 of highest IoU at or above the threshold (the first such at IoU ties), and
-every ground truth is claimed at most once.  Each image's ``len(preds) x
-len(gts)`` IoU matrix is built once: box IoU from the corner columns with
-numpy, mask IoU from one cropped raster per row, each side rasterized once
-per group of images (:func:`crackscope.dataio._group_crops`), counting the
-intersection only where two crops of the same class overlap.
+every ground truth is claimed at most once.  Each pair's IoU is computed
+once per run: box IoU from the corner columns in blocks, mask IoU from crops
+rasterized once per group of images (:func:`crackscope.dataio._group_crops`)
+where two of one class overlap.  Step ``k`` settles, in every image at once,
+its ``k``-th prediction with a pair at or above the threshold.
 
 The PR curve, average precision and its CSV are column arithmetic over the
 dataset's score and true-positive flag arrays: one stable sort by score, a
@@ -106,20 +106,15 @@ def pixel_confusion(pred, gt) -> ConfusionCounts:
 # instance matching
 
 
-def _overlap(a, b):
-    """Pairwise intersection extents of ``[n, 4]`` and ``[m, 4]`` corner arrays."""
-    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    return iw, ih
+_PAIR_BLOCK = 1 << 13  # box pairs whose IoU is computed at once: their temporaries take about 150 B a pair
 
 
-def _box_iou_matrix(a, b) -> np.ndarray:
-    """Box IoU of every pair of ``[n, 4]`` and ``[m, 4]`` corner rows."""
-    iw, ih = _overlap(a, b)
+def _box_pair_iou(a, b) -> np.ndarray:
+    """Box IoU of each column of ``a`` with the same column of ``b``, ``[4, n]`` arrays of (x0, y0, x1, y1)."""
+    iw = np.minimum(a[2], b[2]) - np.maximum(a[0], b[0])
+    ih = np.minimum(a[3], b[3]) - np.maximum(a[1], b[1])
     inter = iw * ih
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
+    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
     defined = (iw > 0) & (ih > 0) & (union > 0)
     return np.divide(inter, union, out=np.zeros_like(inter), where=defined)
 
@@ -135,16 +130,17 @@ def _crop_intersection(a, b) -> int:
 def _mask_iou_matrix(other, crops) -> np.ndarray:
     """Pixel IoU of every pair from the rows' ``crops``, one list per table;
     two empty rasters score 1.0.  Pairs of ``other`` classes, which never
-    match, count no intersection."""
+    match, score 0 and count no intersection."""
 
     def windows(side):  # crop windows as (col0, row0, col1, row1), and pixel counts
         corners = [(c0, r0, c0 + m.shape[1], r0 + m.shape[0]) for r0, c0, m in side]
-        return np.array(corners), np.array([np.count_nonzero(m) for *_, m in side])
+        return np.array(corners).T, np.array([np.count_nonzero(m) for *_, m in side])
 
     (a, na), (b, nb) = windows(crops[0]), windows(crops[1])
-    iou = np.where((na[:, None] + nb[None, :]) == 0, 1.0, 0.0)
-    iw, ih = _overlap(a, b)
-    for i, j in zip(*np.nonzero((iw > 0) & (ih > 0) & ~other)):
+    iou = np.where(((na[:, None] + nb[None, :]) == 0) & ~other, 1.0, 0.0)
+    a, b = a[:, :, None], b[:, None]
+    overlap = (np.minimum(a[2], b[2]) > np.maximum(a[0], b[0])) & (np.minimum(a[3], b[3]) > np.maximum(a[1], b[1]))
+    for i, j in zip(*np.nonzero(overlap & ~other)):
         inter = _crop_intersection(crops[0][i], crops[1][j])
         iou[i, j] = inter / (na[i] + nb[j] - inter)
     return iou
@@ -160,9 +156,9 @@ def match_instances(
     ``preds`` are true positives and ``fn`` counts unmatched ground truths.
     Predictions are visited in descending score order (ties by input order);
     only same-class ground truths are eligible; ``extent`` is the (width,
-    height) raster used for mask-mode IoU.  The IoU matrix of the image is
-    built once; a pick is the first maximum of the prediction's row over the
-    eligible ground truths.
+    height) raster used for mask-mode IoU.  Each pair's IoU is computed
+    once; a pick is the first maximum of the prediction's IoUs over the
+    eligible ground truths.  The one-image case of the run's matching body.
     """
     return _match_images(preds, gts, ([0, len(preds)], [0, len(gts)]), iou_thresh, mode, extent)
 
@@ -174,27 +170,61 @@ def _match_images(preds, gts, bounds, iou_thresh, mode, extent):
         raise OutOfRange(f"iou threshold must be in (0, 1], got {iou_thresh}")
     if mode not in ("box", "mask"):
         raise UnsupportedMode(f"unknown matching mode {mode!r}")
-    flags = np.zeros(len(preds), dtype=bool)
-    groups = ([(range(len(bounds[0]) - 1), None)] if mode == "box"
-              else dataio._group_crops((preds, gts), bounds, *extent))
-    for images, crops in groups:
-        for k in images:
-            (a, b), (c, d) = bounds[0][k : k + 2], bounds[1][k : k + 2]
-            if a == b or c == d:
-                continue
-            other = preds.class_ids[a:b, None] != gts.class_ids[None, c:d]
-            iou = (_box_iou_matrix(preds.corners[a:b], gts.corners[c:d]) if crops is None
-                   else _mask_iou_matrix(other, crops[k - images.start]))
-            # other-class and (below) taken ground truths score 0, which never reaches the threshold
-            iou[other] = 0.0
-            order = np.argsort(-preds.scores[a:b], kind="stable")
-            for i in order[iou.max(axis=1)[order] >= iou_thresh].tolist():  # those that can reach it
-                j = int(iou[i].argmax())
-                if iou[i, j] >= iou_thresh:
-                    flags[a + i] = True
-                    iou[:, j] = 0.0
-        del crops  # before the next group is rasterized
+    pred_at, gt_at = (np.asarray(b, dtype=np.intp) for b in bounds)
+    image = np.repeat(np.arange(len(pred_at) - 1), np.diff(pred_at))  # each prediction's image
+    start = np.append(0, np.cumsum(np.diff(gt_at)[image]))  # prediction i's pairs are start[i]:start[i + 1]
+    shift = gt_at[:-1][image] - start[:-1]  # and its pair t is ground truth t + shift[i]
+    kept = [(np.empty(0, dtype=np.intp), np.empty(0))]  # the pairs at or above the threshold
+
+    def keep(lo, iou):  # pairs lo, lo + 1, ...; other-class pairs score 0, below any threshold
+        at = np.flatnonzero(iou >= iou_thresh)
+        kept.append((at + lo, iou[at]))
+
+    if mode == "box":  # in blocks of pairs, each prediction's corners repeated over its pairs
+        (pc, pk), (gc, gk) = ((np.ascontiguousarray(t.corners.T), t.class_ids) for t in (preds, gts))
+        for lo in range(0, start[-1], _PAIR_BLOCK):
+            hi = min(lo + _PAIR_BLOCK, start[-1])
+            i0, i1 = np.searchsorted(start, [lo, hi - 1], side="right") - 1  # the first and last prediction
+            count = np.diff(np.clip(start[i0 : i1 + 2], lo, hi))
+            j = np.arange(lo, hi) + np.repeat(shift[i0 : i1 + 1], count)
+            pairs = _box_pair_iou(np.repeat(pc[:, i0 : i1 + 1], count, axis=1), np.take(gc, j, axis=1))
+            keep(lo, np.where(np.repeat(pk[i0 : i1 + 1], count) == gk[j], pairs, 0.0))
+    else:
+        for images, crops in dataio._group_crops((preds, gts), bounds, *extent):
+            for k in images:
+                (a, b), (c, d) = pred_at[k : k + 2], gt_at[k : k + 2]
+                if a < b and c < d:
+                    other = preds.class_ids[a:b, None] != gts.class_ids[None, c:d]
+                    keep(start[a], _mask_iou_matrix(other, crops[k - images.start]).ravel())
+            del crops  # before the next group is rasterized
+    # a pick below the threshold is no match, so a candidate's segment is its kept pairs alone
+    pair, iou = map(np.concatenate, zip(*kept))
+    owner = np.searchsorted(start, pair, side="right") - 1
+    first = np.flatnonzero(np.diff(owner, prepend=-1))  # each candidate's first pair
+    cand, n, img = owner[first], np.diff(first, append=len(pair)), image[owner[first]]
+    # each image's candidates by descending score (ties in input order), then by ordinal in the image
+    ordinal = np.arange(len(img)) - np.searchsorted(img, img)  # img is sorted, as the predictions are
+    rank = np.lexsort((-preds.scores[cand], img))
+    cand, first, n = (v[rank[np.argsort(ordinal, kind="stable")]] for v in (cand, first, n))
+    head = np.append(0, np.cumsum(n))  # candidate c's segment is head[c]:head[c + 1]
+    t = np.repeat(first - head[:-1], n) + np.arange(len(pair))  # the segments, step after step
+    gt, iou = (pair + shift[owner])[t], iou[t]
+    flags, taken = np.zeros(len(preds), dtype=bool), np.zeros(len(gts), dtype=bool)
+    steps = np.append(0, np.cumsum(np.bincount(ordinal))).tolist()
+    for c0, c1 in zip(steps, steps[1:]):
+        p0, p1 = head[c0], head[c1]
+        best, pick = _first_max(np.where(taken[gt[p0:p1]], 0.0, iou[p0:p1]), head[c0:c1] - p0, n[c0:c1])
+        hit = best >= iou_thresh
+        taken[gt[p0 + pick[hit]]] = True
+        flags[cand[c0:c1][hit]] = True
     return flags, len(gts) - int(flags.sum())
+
+
+def _first_max(v, heads, lengths):
+    """Each segment's maximum and its first index in ``v``; segment k is lengths[k] values from heads[k]."""
+    best = np.maximum.reduceat(v, heads)
+    hits = (v == best.repeat(lengths)).nonzero()[0]  # methods: a step is a few calls on short arrays
+    return best, hits[hits.searchsorted(heads)]
 
 
 # ---------------------------------------------------------------------------

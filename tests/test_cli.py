@@ -408,15 +408,17 @@ class TestEvalIdsOutOfNameOrder(TestEvalPerImageReference):
 class TestEvalWork:
     """Doubling the images at the same per-image counts doubles the records
     parsed and the IoU pairs, the pairs are each image's n_pred * n_gt, the
-    PR curve and AP are built once, and the label files take one check."""
+    box IoU runs once per block of pairs and the greedy takes as many
+    lockstep steps, the PR curve and AP are built once, and the label files
+    take one check."""
 
     COUNTS = [(3, 5), (0, 2), (4, 0), (2, 7), (5, 3), (1, 1)]
 
-    def _work(self, directory, counts, monkeypatch):
+    def _work(self, directory, counts, monkeypatch, block=None):
         directory.mkdir()
         gt_dir, pred_path, _ = _write_corpus(directory, counts, seed=12)
-        work = {"records": 0, "iou_pairs": 0, "pr_curve": 0, "average_precision": 0,
-                "label_checks": 0, "prediction_checks": 0}
+        work = {"records": 0, "iou_pairs": 0, "iou_blocks": 0, "steps": 0, "pr_curve": 0,
+                "average_precision": 0, "label_checks": 0, "prediction_checks": 0}
 
         def counted(key, fn, size=lambda result: 1):
             def wrapper(*args, **kwargs):
@@ -435,27 +437,42 @@ class TestEvalWork:
                 return checked(class_ids, scores, image_ids, *args)
 
             patch.setattr(dataio, "_checked", check)
-            patch.setattr(metrics, "_box_iou_matrix", counted("iou_pairs", metrics._box_iou_matrix,
-                                                              lambda iou: iou.size))
+            pair_iou = counted("iou_pairs", metrics._box_pair_iou, lambda iou: iou.size)
+            patch.setattr(metrics, "_box_pair_iou", counted("iou_blocks", pair_iou))
+            patch.setattr(metrics, "_first_max", counted("steps", metrics._first_max))
+            if block is not None:
+                patch.setattr(metrics, "_PAIR_BLOCK", block)
             patch.setattr(metrics, "pr_curve", counted("pr_curve", metrics.pr_curve))
             patch.setattr(metrics, "average_precision", counted("average_precision",
                                                                 metrics.average_precision))
             argv = ["eval", "--gt", str(gt_dir), "--pred", str(pred_path), "--match", "box",
                     "--out", str(directory / "m.json"), "--pr-out", str(directory / "pr.csv")]
             assert main(argv) == 0
-        return work
+        return work, (directory / "m.json").read_bytes(), (directory / "pr.csv").read_bytes()
 
     def test_work_doubles_with_the_images(self, tmp_path, monkeypatch):
-        one = self._work(tmp_path / "n", self.COUNTS * 4, monkeypatch)
-        two = self._work(tmp_path / "2n", self.COUNTS * 8, monkeypatch)
+        one, _, _ = self._work(tmp_path / "n", self.COUNTS * 4, monkeypatch)
+        two, _, _ = self._work(tmp_path / "2n", self.COUNTS * 8, monkeypatch)
         assert one["records"] == 4 * sum(p for _, p in self.COUNTS)
         assert one["iou_pairs"] == 4 * sum(g * p for g, p in self.COUNTS)
         assert (two["records"], two["iou_pairs"]) == (2 * one["records"], 2 * one["iou_pairs"])
+        # one box IoU call for all pairs of a run, and the greedy's steps follow one image, not the run
+        assert one["iou_blocks"] == two["iou_blocks"] == 1
+        assert one["steps"] == two["steps"] >= 2
         assert one["pr_curve"] == one["average_precision"] == two["pr_curve"] == two["average_precision"] == 1
         # all label files are checked together, the predictions once per chunk of rows
         for work in (one, two):
             assert work["label_checks"] == 1
             assert work["prediction_checks"] == math.ceil(work["records"] / dataio._CHUNK_ROWS)
+
+    def test_pair_blocks_change_no_byte(self, tmp_path, monkeypatch):
+        """Blocks of 7 pairs split segments and images anywhere; the outputs
+        are those of one block, and the box IoU runs once per block."""
+        whole, metrics_doc, curve = self._work(tmp_path / "whole", self.COUNTS * 4, monkeypatch)
+        small, *outputs = self._work(tmp_path / "small", self.COUNTS * 4, monkeypatch, block=7)
+        assert outputs == [metrics_doc, curve]
+        assert small["iou_pairs"] == whole["iou_pairs"]
+        assert small["iou_blocks"] == math.ceil(whole["iou_pairs"] / 7)
 
 
 # (key, raw JSON value) of one bad prediction line

@@ -631,6 +631,29 @@ class TestCollectorPause:
                 gc.callbacks.remove(hook)
         assert len(table) == self.ROWS and starts in ([], [0])
 
+    def test_resuming_starts_no_pass(self, monkeypatch):
+        """The last chunk's parsed rows are freed before the collector resumes,
+        so after a full collection a multi-chunk read starts no pass.  CPython
+        recycles freed row tuples through a free list, which leaves one chunk's
+        rows in the young generation's allocation count; chunks of 128 rows
+        keep that count below the collector's default threshold of 700."""
+        monkeypatch.setattr(dataio, "_CHUNK_ROWS", 128)
+        lines = _prediction_lines(2 * 128 + 120, np.random.default_rng(7))
+        starts = []
+
+        def hook(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        with _collector(True):
+            gc.collect()
+            gc.callbacks.append(hook)
+            try:
+                table = read_predictions("\n".join(lines))
+            finally:
+                gc.callbacks.remove(hook)
+        assert len(table) == len(lines) and starts == []
+
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("last_line, error", [
         (None, None),

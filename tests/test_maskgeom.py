@@ -386,6 +386,17 @@ class TestSkeletonize:
             mask = rng.random((16, 16)) < 0.55
             assert np.array_equal(skeletonize(mask), oracles.reference_thinning(mask))
 
+    def test_any_memory_layout(self):
+        """A transposed or Fortran-ordered mask thins, and reports, as its
+        C-ordered copy does: ``np.pad`` keeps the layout, and thinning writes
+        through a flat view of its padded frame."""
+        rng = np.random.default_rng(8)
+        mask = ndimage.binary_dilation(rng.random((30, 40)) < 0.04, iterations=2)
+        for layout in (mask.T, np.asfortranarray(mask), mask[:, ::-1], mask[::2]):
+            copy = np.ascontiguousarray(layout)
+            assert np.array_equal(skeletonize(layout), oracles.reference_thinning(copy))
+            assert analyze_mask(layout) == analyze_mask(copy)
+
     @given(masks(max_side=40))
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_thinning_on_random_masks(self, mask):

@@ -456,7 +456,7 @@ class TestAveragePrecisionOracle:
 
 
 @st.composite
-def _image(draw, max_preds=8, max_gts=6):
+def _image(draw, max_preds=8, max_gts=6, min_preds=0):
     """Detections and ground truths of one image, with mixed classes and
     score ties; ground truths and predictions often copy an earlier ground
     truth's polygon, which ties IoUs along a row."""
@@ -468,7 +468,7 @@ def _image(draw, max_preds=8, max_gts=6):
             polygon = draw(strategies.unit_polygons())
         gts.append(PolygonRow("img", draw(strategies.classes), 1.0, polygon))
     preds = []
-    for _ in range(draw(st.integers(0, max_preds))):
+    for _ in range(draw(st.integers(min_preds, max_preds))):
         if gts and draw(st.booleans()):
             polygon = gts[draw(st.integers(0, len(gts) - 1))].polygon
         else:
@@ -545,6 +545,68 @@ class TestMatchInstancesOracle:
             patch.setattr(metrics, "_crop_intersection", lambda a, b: calls.append(1) or intersection(a, b))
             match_instances(pred_table, gt_table, 0.5, mode="mask", extent=(width, height))
         assert len(calls) == expected
+
+
+# a run of images: a few of any size, or one crowded image among many with one prediction each
+_runs = st.one_of(
+    st.lists(_image(), max_size=6),
+    st.tuples(_image(max_preds=40, max_gts=12), st.lists(_image(max_preds=1, max_gts=3, min_preds=1),
+                                                          min_size=5, max_size=15),
+              st.integers(0, 15)).map(lambda drawn: drawn[1][: drawn[2]] + [drawn[0]] + drawn[1][drawn[2]:]),
+)
+_RUN = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+class TestMatchImagesOracle:
+    """Every image of a run matched in lockstep, against the pair-by-pair
+    greedy reference run image by image: the flags concatenated, the missed
+    ground truths summed."""
+
+    @staticmethod
+    def _check(run, thresh, pair_iou, mode="box", extent=(256, 256)):
+        preds, gts = ([row for image in run for row in image[side]] for side in (0, 1))
+        bounds = [np.cumsum([0] + [len(image[side]) for image in run]).tolist() for side in (0, 1)]
+        flags, fn = metrics._match_images(_table(preds), _table(gts), bounds, thresh, mode, extent)
+        want_flags, want_fn = [], 0
+        for image_preds, image_gts in run:
+            image_flags, image_fn = _reference_match(image_preds, image_gts, thresh, pair_iou)
+            want_flags += image_flags
+            want_fn += image_fn
+        assert (flags.tolist(), fn) == (want_flags, want_fn)
+
+    @given(_runs, _thresholds, st.sampled_from([1, 5, None]))
+    @_RUN
+    def test_box_mode(self, run, thresh, block):
+        """Blocks of 1 and 5 pairs split predictions and images anywhere."""
+
+        def pair_iou(p, g):
+            return oracles.corner_iou(oracles.polygon_corners(p.polygon), oracles.polygon_corners(g.polygon))
+
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(metrics, "_PAIR_BLOCK", block)
+            self._check(run, thresh, pair_iou)
+
+    @given(_runs, _thresholds, st.integers(1, 40), st.integers(1, 40))
+    @settings(_RUN, max_examples=60)
+    def test_mask_mode(self, run, thresh, width, height):
+        def pair_iou(p, g):
+            return oracles.mask_iou(oracles.polygon_to_mask(p.polygon, width, height),
+                                    oracles.polygon_to_mask(g.polygon, width, height))
+
+        self._check(run, thresh, pair_iou, "mask", (width, height))
+
+    def test_steps_follow_the_most_candidates_of_one_image(self):
+        """Four images of 1, 3, 0 and 2 exact hits take three steps, not one
+        per image or per prediction."""
+        square = np.array([[0.1, 0.1], [0.3, 0.1], [0.3, 0.3], [0.1, 0.3]])
+        run = [[[PolygonRow("img", 0, 0.5, square + 0.2 * k) for k in range(n)]] * 2 for n in (1, 3, 0, 2)]
+        calls = []
+        first_max = metrics._first_max
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_first_max", lambda *args: calls.append(1) or first_max(*args))
+            self._check(run, 0.5, lambda p, g: float(np.array_equal(p.polygon, g.polygon)))
+        assert len(calls) == 3
 
 
 class TestCsvExport:
